@@ -4,7 +4,7 @@ tolerance-driven truncation planner and rigorous tail bounds."""
 
 from .bernoulli import BernoulliTable, bernoulli_over_factorial, build_bernoulli_table
 from .errors import GuardBandError, ToleranceError
-from .identities import CheckResult, run_suite
+from .identities import CheckResult, asymptotic_residual, lambert_identity_residual, run_suite
 from .oracles import (
     DEFAULT_ORACLE,
     OracleConfig,
@@ -29,12 +29,10 @@ from .params import (
 )
 from .planner import FAMILIES, plan, tail_bound
 from .series import (
-    asymptotic_residual,
     csch2_sum,
     double_series_S,
     gamma_any_x,
     gamma_at_integer,
-    lambert_identity_residual,
     lambert_sum,
     psi_prime_ramanujan,
     psi_ramanujan,

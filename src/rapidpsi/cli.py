@@ -14,14 +14,13 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 
 import numpy as np
 
 from . import identities, planner, series
-from .bernoulli import build_bernoulli_table
+from .bernoulli import shared_table
 from .errors import GuardBandError, ToleranceError
 from .oracles import OracleConfig, euler_gamma_reference, psi_oracle
 from .params import DEFAULT_GUARD_DELTA, EvalParams, ModularPair
@@ -30,10 +29,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFY = 2
 EXIT_TOLERANCE = 3
-
-GUARD_DELTA_ENV = "RAPIDPSI_GUARD_DELTA"
-
-_TABLE = build_bernoulli_table(90)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,27 +86,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"error: {message}\n")
 
 
-def _guard_delta_override() -> float | None:
-    raw = os.environ.get(GUARD_DELTA_ENV)
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{GUARD_DELTA_ENV}={raw!r} is not a number") from None
-
-
 def _params_for(x: float, tol: float, terms: int | None) -> EvalParams:
-    """Planner-chosen EvalParams, with --terms overriding the outer count and
-    the environment optionally overriding guard_delta."""
+    """Planner-chosen EvalParams, with --terms overriding the outer count."""
     if terms is not None:
-        p = EvalParams(tol=tol, k_terms=terms, n_terms=planner.MAX_N_TERMS)
-    else:
-        p = planner.plan(tol, x)
-    gd = _guard_delta_override()
-    if gd is not None:
-        p = dataclasses.replace(p, guard_delta=gd)
-    return p
+        return EvalParams(tol=tol, k_terms=terms, n_terms=planner.MAX_N_TERMS)
+    return planner.plan(tol, x)
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +168,10 @@ def cmd_zeta_odd(args) -> int:
     p = EvalParams(tol=args.tol, k_terms=args.terms if args.terms is not None else 10)
     if args.alpha is not None:
         pair = ModularPair.from_alpha(args.alpha)
-        sv = series.zeta_odd_general(args.n, pair, _TABLE, p)
+        sv = series.zeta_odd_general(args.n, pair, shared_table(), p)
         method = "two_parameter"
     else:
-        sv = series.zeta_odd(args.n, _TABLE, p)
+        sv = series.zeta_odd(args.n, shared_table(), p)
         method = "single_parameter"
     _emit(
         Report("zeta_odd", args.n, sv.value, sv.error_estimate, sv.k_used, sv.n_used,
@@ -245,8 +224,8 @@ def _classical_naive(x: float, tol: float) -> tuple[float, int, bool, float]:
 
 
 def cmd_bench(args) -> int:
-    if not args.x > 0:
-        return _fail("x must be positive", EXIT_INPUT)
+    if not 0.0 < args.x < math.inf:
+        return _fail("x must be positive and finite", EXIT_INPUT)
     if series._guard_index(args.x, DEFAULT_GUARD_DELTA):
         return _fail(
             f"x={args.x} lies in a guard band; pick a benchmark point away from integers",

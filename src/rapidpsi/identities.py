@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import planner, series
-from .bernoulli import build_bernoulli_table
+from .bernoulli import BernoulliTable, shared_table
 from .oracles import euler_gamma_reference, psi_oracle, re_psi_one_plus_ik, zeta_direct_oracle
 from .params import EvalParams
 
 _TWO_PI = 2.0 * math.pi
 _EPS = math.ulp(1.0)
-_TABLE = build_bernoulli_table(90)
 
 SUITES = ("identities", "equivalence", "asymptotic", "all")
 
@@ -82,11 +82,65 @@ def digamma_partial_fraction_rhs(x: float, params: EvalParams) -> float:
 
 
 # ---------------------------------------------------------------------------
+# check-only evaluators: closed forms and residuals the fast path never uses
+
+
+def _lambert_closed_form(m: int, table: BernoulliTable) -> float:
+    """B_{2m}/(4m), the shared closed form of the odd-power Lambert sum and
+    its integral twin."""
+    return float(Fraction(table.values[2 * m]) / (4 * m))
+
+
+def _lambert_integral(m: int) -> float:
+    """Quadrature of the integral twin of lambert_sum(2m-1): the integrand is
+    the summand with k made continuous. Past t=40 it is below 1e-100."""
+    # imported here so that importing the package never loads scipy
+    from scipy.integrate import quad
+
+    integral, _ = quad(
+        lambda t: t ** (2 * m - 1) * series._inv_expm1(_TWO_PI * t), 0.0, 40.0, limit=200
+    )
+    return integral
+
+
+def lambert_identity_residual(m: int, table: BernoulliTable, params: EvalParams) -> float:
+    """lambert_sum(2m-1) minus its closed form B_{2m}/(4m), for odd m > 1.
+
+    Also evaluates the integral twin (the integrand is formally identical to
+    the summand) by quadrature and checks it against the same closed form.
+    """
+    if m <= 1 or m % 2 == 0:
+        raise ValueError("m must be an odd integer > 1")
+    if table.max_index < 2 * m:
+        raise ValueError(f"table holds B_0..B_{table.max_index}, need B_{2 * m}")
+    closed = _lambert_closed_form(m, table)
+    integral = _lambert_integral(m)
+    if abs(integral - closed) > 1e-10:
+        raise AssertionError(
+            f"integral twin {integral!r} strays from closed form {closed!r}"
+        )
+    return series.lambert_sum(2 * m - 1, params).value - closed
+
+
+def asymptotic_residual(x: float, params: EvalParams) -> float:
+    """psi(x+1) - (pi/3) log x + (pi/2) sum_k log|x^4-k^4|/sinh^2(pi k),
+    evaluated on the half-integer sequence x = N + 1/2; decays like 1/(2x)."""
+    if not (x >= 1.5 and x % 1.0 == 0.5):
+        raise ValueError("x must be N + 1/2 for a positive integer N")
+    log_sum = math.fsum(
+        planner.log_abs_quartic_gap(float(k), x) * series._csch2(math.pi * k)
+        for k in range(1, params.k_terms + 1)
+    )
+    return psi_oracle(x) - (math.pi / 3.0) * math.log(x) + (math.pi / 2.0) * log_sum
+
+
+# ---------------------------------------------------------------------------
 # suites
 
 
 def run_identities(params: EvalParams | None = None) -> list[CheckResult]:
     p = params or _default_params()
+    table = shared_table()
     out = []
 
     s = series.csch2_sum(p)
@@ -98,21 +152,21 @@ def run_identities(params: EvalParams | None = None) -> list[CheckResult]:
     out.append(_abs_check("lambert_linear", 1, lam.value - (1.0 / 24.0 - 1.0 / (8.0 * math.pi)), 1e-15))
 
     for m in (3, 5):
-        closed = series._lambert_closed_form(m, _TABLE)
+        closed = _lambert_closed_form(m, table)
         partial = series.lambert_sum(2 * m - 1, p)
         out.append(_abs_check(f"lambert_closed_form_m{m}", m, partial.value - closed, 1e-14))
-        out.append(_abs_check(f"lambert_integral_m{m}", m, series._lambert_integral(m) - closed, 1e-10))
+        out.append(_abs_check(f"lambert_integral_m{m}", m, _lambert_integral(m) - closed, 1e-10))
 
-    z3 = series.zeta_odd(1, _TABLE, p)
+    z3 = series.zeta_odd(1, table, p)
     out.append(_abs_check("zeta3_vs_direct", 1, z3.value - zeta_direct_oracle(3), 1e-12))
 
-    out.append(_abs_check("zeta_even_basel", 1, series.zeta_even(1, _TABLE) - math.pi**2 / 6.0, 1e-15))
+    out.append(_abs_check("zeta_even_basel", 1, series.zeta_even(1, table) - math.pi**2 / 6.0, 1e-15))
     out.append(
-        _abs_check("zeta_even_6_vs_direct", 3, series.zeta_even(3, _TABLE) - zeta_direct_oracle(6), 1e-13)
+        _abs_check("zeta_even_6_vs_direct", 3, series.zeta_even(3, table) - zeta_direct_oracle(6), 1e-13)
     )
 
     # the N->0 limit of the odd-zeta identity, with 2N zeta(2N+1) read as 1
-    j0 = float(series._zeta_odd_j_sum(0, _TABLE))
+    j0 = float(series._zeta_odd_j_sum(0, table))
     out.append(
         _abs_check("zeta_limit_n0", 0, 1.0 + _TWO_PI * (s.value + tail) - _TWO_PI * j0, 1e-13)
     )
@@ -201,7 +255,7 @@ def run_asymptotic(params: EvalParams | None = None) -> list[CheckResult]:
                    1.0 - math.pi / 3.0 + _TWO_PI * (s.value + tail), 1e-13)
     )
 
-    scaled = {n: (n + 0.5) * abs(series.asymptotic_residual(n + 0.5, p)) for n in (2, 5, 10, 20)}
+    scaled = {n: (n + 0.5) * abs(asymptotic_residual(n + 0.5, p)) for n in (2, 5, 10, 20)}
     out.append(
         CheckResult(
             "residual_no_growth",
@@ -212,8 +266,8 @@ def run_asymptotic(params: EvalParams | None = None) -> list[CheckResult]:
         )
     )
 
-    r10 = abs(series.asymptotic_residual(10.5, p))
-    r20 = abs(series.asymptotic_residual(20.5, p))
+    r10 = abs(asymptotic_residual(10.5, p))
+    r20 = abs(asymptotic_residual(20.5, p))
     ceiling = r10 * (1.05 * 10.5 / 20.5)
     out.append(CheckResult("residual_decay", 20.5, r20 - ceiling, 0.0, r20 <= ceiling))
     return out

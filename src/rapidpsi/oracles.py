@@ -16,16 +16,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
-from .bernoulli import build_bernoulli_table
+from .bernoulli import shared_table
 from .errors import ToleranceError
 
 _TWO_PI = 2.0 * math.pi
 
-# Exact table converted once; indexes 0..64. Used only for the asymptotic
-# expansion coefficients B_{2j}.
-_B_FLOAT = tuple(float(v) for v in build_bernoulli_table(64).values)
+# B_0..B_64 of the shared exact table, converted once. Used only for the
+# asymptotic expansion coefficients B_{2j}.
+_B_FLOAT = tuple(float(v) for v in shared_table().values[:65])
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,8 @@ def psi_oracle(x: float, cfg: OracleConfig = DEFAULT_ORACLE) -> float:
     """psi(x+1) via the recurrence psi(y+1) = psi(y) + 1/y lifted above
     cfg.shift_threshold, then psi(y) = log y - 1/(2y) - sum B_{2j}/(2j y^{2j})
     truncated at its smallest term (remainder <= first omitted term)."""
-    if not x > 0:
-        raise ValueError("x must be positive (psi_oracle evaluates psi(x+1))")
+    if not 0.0 < x < math.inf:
+        raise ValueError("x must be positive and finite (psi_oracle evaluates psi(x+1))")
     y = x + 1.0
     shifts = []
     while y < cfg.shift_threshold:
@@ -212,6 +211,8 @@ def s_integral_oracle(x: float, quad_points: int = 200) -> float:
         )
     if quad_points < 10:
         raise ValueError("quad_points too small for the error target")
+    # imported here so that importing the package never loads scipy
+    from scipy.integrate import quad
     ks = []
     k = 1
     while (_TWO_PI * k) ** 2 * math.exp(-_TWO_PI * k * x) >= 1e-18 and k <= 10_000:

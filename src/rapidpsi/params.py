@@ -87,10 +87,6 @@ class EulerGamma:
             raise ValueError(f"unknown source {self.source!r}")
         if not (self.error_estimate >= 0 and math.isfinite(self.error_estimate)):
             raise ValueError("error_estimate must be finite and nonnegative")
-        # self-consistency cross-check: every accepted estimate must sit within
-        # 1e-10 of the reference value of Euler's constant
-        if not abs(self.value - 0.5772156649015328) <= 1e-10:
-            raise ValueError("value fails the Euler-constant consistency check")
 
 
 @dataclass(frozen=True)

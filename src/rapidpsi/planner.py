@@ -256,8 +256,8 @@ def _solve_length(weight: float, share: float, order: int, coeff: float) -> int:
 def lift_shift(x: float) -> int:
     """The smallest j >= 0 with x + j >= LIFT_TARGET (in floating point): the
     recurrence shift every evaluator applies before summing at x + j."""
-    if not x > 0:
-        raise ValueError("x must be positive")
+    if not 0.0 < x < math.inf:
+        raise ValueError("x must be positive and finite")
     shift = 0
     while x + shift < LIFT_TARGET:
         shift += 1
@@ -273,8 +273,8 @@ def plan(tol: float, x: float) -> EvalParams:
     csch2, log-weighted csch2, double series envelope) all fit; n_terms
     covers the largest inner length.
     """
-    if not x > 0:
-        raise ValueError("x must be positive")
+    if not 0.0 < x < math.inf:
+        raise ValueError("x must be positive and finite")
     if not tol >= MIN_TOL:
         raise ToleranceError(f"tol {tol} unattainable in double precision (min {MIN_TOL})")
     y = x + lift_shift(x)

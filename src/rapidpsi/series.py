@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import planner
-from .bernoulli import BernoulliTable, bernoulli_over_factorial, build_bernoulli_table
+from .bernoulli import BernoulliTable, bernoulli_over_factorial, shared_table
 from .errors import GuardBandError
-from .oracles import OracleConfig, gamma_plus_re_psi, psi_oracle
 from .params import (
     GAMMA_SOURCE_ANY_X,
     GAMMA_SOURCE_INTEGER,
@@ -44,11 +43,6 @@ from .params import (
 
 _TWO_PI = 2.0 * math.pi
 _EPS = math.ulp(1.0)
-
-_TABLE = build_bernoulli_table(90)
-# accuracy knobs for the closed-form inner constant gamma + Re psi(1+ik)
-_GPRP_CFG = OracleConfig(target_tolerance=1e-14)
-_GPRP_ERR = 1e-13
 
 
 def zeta_even(N: int, table: BernoulliTable) -> float:
@@ -63,7 +57,7 @@ def zeta_even(N: int, table: BernoulliTable) -> float:
 
 
 # zeta at even arguments 2j for the coefficient expansions below; j up to 44
-_ZETA_EVEN = tuple(zeta_even(j, _TABLE) for j in range(45))
+_ZETA_EVEN = tuple(zeta_even(j, shared_table()) for j in range(45))
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +158,35 @@ def _cot_pole_remainder(eps: float) -> float:
 # the double series
 
 
+def _partial_fraction_gamma_sum(x: float) -> tuple[float, float]:
+    """(value, error) for sum_{n>=1} x^2/(n(n^2+x^2)), by direct summation
+    plus an Euler-Maclaurin tail whose integral term is log-exact. Works for
+    any x > 0; the remainder heuristic is far below double rounding."""
+    n_cut = 2048
+    n = np.arange(1.0, n_cut + 1.0)
+    partial = float(np.sum(x * x / (n * (n * n + x * x))))
+    big_m = n_cut + 1.0
+    z = complex(big_m, -x)
+    integral = 0.5 * math.log1p((x / big_m) ** 2)
+    f0 = 1.0 / big_m - (1.0 / z).real
+    f1 = -(1.0 / big_m**2 - (z**-2).real)
+    f3 = -6.0 * (1.0 / big_m**4 - (z**-4).real)
+    value = partial + integral + f0 / 2.0 - f1 / 12.0 + f3 / 720.0
+    return value, 0.01 * big_m**-6 + 4.0 * _EPS * (abs(partial) + 1.0)
+
+
+# the evaluators sum the double series only at x >= 1 (lifted arguments and
+# integers m), where the weight e^{-2 pi k x} underflows before k = 119, so
+# the cache holds every row a call can reach
+@lru_cache(maxsize=128)
+def _cosine_row_at_zero(k: int) -> tuple[float, float]:
+    """(C_k(0), error) with C_k(0) = sum_n 1/(n(n^2+k^2)) = (gamma + Re psi(1+ik))/k^2,
+    the closed inner cosine row, from the partial-fraction sum."""
+    k2 = float(k) * float(k)
+    value, err = _partial_fraction_gamma_sum(float(k))
+    return value / k2, err / k2
+
+
 def _inner_pair(k: int, theta: float, n_sin: int, n_cos: int):
     """(A_k, C_k, err_A, err_C) for signed theta in [-pi, pi], where
     A_k = sum_n sin(n theta)/(k^2+n^2) and C_k = sum_n cos(n theta)/(n(n^2+k^2)).
@@ -173,13 +196,13 @@ def _inner_pair(k: int, theta: float, n_sin: int, n_cos: int):
       A_k = Cl(theta) - k^2 sum_n sin(n theta)/(n^2(n^2+k^2)),
       C_k = C_k(0) - I(theta) + k^2 sum_n (1-cos(n theta))/(n^3(n^2+k^2)),
     with Cl = _clausen_sin2, I = _one_minus_cos_sum3 and
-    C_k(0) = (gamma + Re psi(1+ik))/k^2.
+    C_k(0) = (gamma + Re psi(1+ik))/k^2 (_cosine_row_at_zero).
     """
     k2 = float(k) * float(k)
-    c0 = gamma_plus_re_psi(float(k), _GPRP_CFG) / k2
+    c0, c0_err = _cosine_row_at_zero(k)
     at = abs(theta)
     if at == 0.0:
-        return 0.0, c0, 0.0, _GPRP_ERR / k2
+        return 0.0, c0, 0.0, c0_err
     n = np.arange(1.0, n_sin + 1.0)
     q_sum = float(np.sum(np.sin(n * at) / (n * n * (n * n + k2))))
     n = np.arange(1.0, n_cos + 1.0)
@@ -191,7 +214,7 @@ def _inner_pair(k: int, theta: float, n_sin: int, n_cos: int):
     err_a = k2 / (3.0 * float(n_sin) ** 3) + 4.0 * _EPS * (1.1 + k2 * abs(q_sum))
     err_c = (
         k2 / (2.0 * float(n_cos) ** 4)
-        + _GPRP_ERR / k2
+        + c0_err
         + 4.0 * _EPS * (c0 + 1.1 + k2 * p_sum)
     )
     return a, c, err_a, err_c
@@ -244,17 +267,17 @@ def double_series_S(x: float, params: EvalParams) -> SeriesValue:
     comes from the recurrence-lifted psi_ramanujan. Equivalently
     S(x) = S(x+j) + R(x) - R(x+j) + sum_{i=1..j} 1/(x+i).
     """
-    if not x > 0:
-        raise ValueError("x must be positive")
+    if not 0.0 < x < math.inf:
+        raise ValueError("x must be positive and finite")
     if planner.lift_shift(x) == 0:
         return _double_series_at(x, params)
     psi = psi_ramanujan(x, params)
-    pieces, psi_tail, log_tail = _psi_rest(x, params)
+    pieces, tail = _psi_rest(x, params)
     pieces.append(-psi.value)
     mass = math.fsum(abs(p) for p in pieces)
     return SeriesValue(
         value=math.fsum(pieces),
-        error_estimate=psi.error_estimate + psi_tail + log_tail + 4.0 * _EPS * mass,
+        error_estimate=psi.error_estimate + tail + 4.0 * _EPS * mass,
         k_used=psi.k_used,
         n_used=psi.n_used,
     )
@@ -293,7 +316,8 @@ def _guard_log_pair(m: int, eps: float) -> float:
     """
     cm = _csch2(math.pi * m)
     if eps == 0.0:
-        return (math.pi / 2.0) * cm * math.log(math.pi / (2.0 * float(m) ** 3))
+        # log(pi / (2 m^3)) without forming m^3, which overflows past m ~ 5e102
+        return (math.pi / 2.0) * cm * (math.log(math.pi / 2.0) - 3.0 * math.log(m))
     x = m + eps
     cx = _csch2(math.pi * x)
     w = math.exp(-math.pi * (m + x)) if math.pi * (m + x) < 745.0 else 0.0
@@ -335,9 +359,9 @@ def _lift(x: float, shift: int) -> tuple[float, float]:
     return y, abs(d)
 
 
-def _psi_rest(x: float, params: EvalParams) -> tuple[list[float], float, float]:
+def _psi_rest(x: float, params: EvalParams) -> tuple[list[float], float]:
     """R(x) = psi(x+1) + S(x), the non-S part of the representation, as
-    (pieces, k-sum tail bound, log k-sum tail bound), evaluated at x itself.
+    (pieces, tail bound of the k-sum and the log k-sum), evaluated at x itself.
 
     Within guard_delta of a positive integer m the cot/pole and log/log
     pairings switch to their pole-cancelled closed forms and the k=m terms
@@ -366,11 +390,18 @@ def _psi_rest(x: float, params: EvalParams) -> tuple[list[float], float, float]:
         pieces.append(
             -(math.pi / 2.0) * planner.log_abs_quartic_gap(float(k), x) * _csch2(math.pi * k)
         )
-    return (
-        pieces,
-        planner.bound_psi_k_sum(params.k_terms + 1, x, params.guard_delta, skip=m),
-        planner.bound_log_csch2(params.k_terms + 1, x, skip=m),
-    )
+    first = params.k_terms + 1
+    tail = planner.bound_psi_k_sum(first, x, params.guard_delta, skip=m)
+    return pieces, tail + planner.bound_log_csch2(first, x, skip=m)
+
+
+def _psi_pieces(y: float, params: EvalParams) -> tuple[list[float], float, int]:
+    """psi(y+1) = R(y) - S(y) at y itself, as (summands, truncation bound,
+    n_used); the caller adds the 4 eps * mass rounding allowance."""
+    s = _double_series_at(y, params)
+    pieces, tail = _psi_rest(y, params)
+    pieces.append(-s.value)
+    return pieces, s.error_estimate + tail, s.n_used
 
 
 def psi_ramanujan(x: float, params: EvalParams) -> SeriesValue:
@@ -382,85 +413,57 @@ def psi_ramanujan(x: float, params: EvalParams) -> SeriesValue:
     so their rounding is inside the 4 eps * mass allowance; the rounding of
     x + shift itself is added by _lift.
     """
-    if not x > 0:
-        raise ValueError("x must be positive")
     shift = planner.lift_shift(x)
     y, lift_err = _lift(x, shift)
-    s = _double_series_at(y, params)
-    pieces, psi_tail, log_tail = _psi_rest(y, params)
-    pieces.append(-s.value)
+    pieces, trunc, n_used = _psi_pieces(y, params)
     pieces.extend(-1.0 / (x + i) for i in range(1, shift + 1))
     mass = math.fsum(abs(p) for p in pieces)
-    err = s.error_estimate + psi_tail + log_tail + 4.0 * _EPS * mass + lift_err
     return SeriesValue(
         value=math.fsum(pieces),
-        error_estimate=err,
+        error_estimate=trunc + 4.0 * _EPS * mass + lift_err,
         k_used=params.k_terms,
-        n_used=s.n_used,
+        n_used=n_used,
     )
 
 
 def gamma_at_integer(m: int, params: EvalParams) -> EulerGamma:
-    """Euler's constant from the integer specialization: gamma = H_m - RHS(m),
-    where RHS(m) is the series for psi(m+1) with both guard pairs at their
-    exact eps=0 limits and the double series in its closed inner form
-    2 pi sum_k k e^{-2 pi k m} (gamma + Re psi(1+ik))."""
+    """Euler's constant from the integer specialization gamma = H_m - psi(m+1),
+    with psi(m+1) summed at m itself: both guard pairs take their exact eps=0
+    limits and the double series its closed inner form
+    -2 pi sum_k k e^{-2 pi k m} (gamma + Re psi(1+ik))."""
     if not isinstance(m, int) or m < 1:
         raise ValueError("m must be a positive integer")
     harmonic = math.fsum(1.0 / j for j in range(1, m + 1))
-    fm = float(m)
-    pieces = [
-        (math.pi / 3.0) * math.log(fm),
-        0.5 / fm,
-        -1.0 / (4.0 * math.pi * fm * fm),
-        _guard_pole_pair(m, 0.0),
-        _guard_log_pair(m, 0.0),
-    ]
-    gprp_mass = 0.0
-    for k in range(1, params.k_terms + 1):
-        if k != m:
-            q = _inv_expm1(_TWO_PI * k)
-            pieces.append(2.0 * k * q / (float(k) * k - fm * fm))
-            pieces.append(
-                -(math.pi / 2.0)
-                * planner.log_abs_quartic_gap(float(k), fm)
-                * _csch2(math.pi * k)
-            )
-        t = _TWO_PI * k * fm
-        w = math.exp(-t) if t < 745.0 else 0.0
-        if w > 0.0:
-            pieces.append(_TWO_PI * k * w * gamma_plus_re_psi(float(k), _GPRP_CFG))
-            gprp_mass += _TWO_PI * k * w
-    mass = math.fsum(abs(p) for p in pieces) + abs(harmonic)
-    err = (
-        planner.bound_psi_k_sum(params.k_terms + 1, fm, params.guard_delta, skip=m)
-        + planner.bound_log_csch2(params.k_terms + 1, fm, skip=m)
-        + planner.bound_exp_envelope(params.k_terms + 1, fm)
-        + gprp_mass * _GPRP_ERR
-        + 4.0 * _EPS * mass
-    )
+    pieces, trunc, _ = _psi_pieces(float(m), params)
+    mass = math.fsum(abs(p) for p in pieces) + harmonic
     return EulerGamma(
         value=harmonic - math.fsum(pieces),
         source=GAMMA_SOURCE_INTEGER,
-        error_estimate=err,
+        error_estimate=trunc + 4.0 * _EPS * mass,
     )
 
 
-def _partial_fraction_gamma_sum(x: float) -> tuple[float, float]:
-    """(value, error) for sum_{n>=1} x^2/(n(n^2+x^2)), by direct summation
-    plus an Euler-Maclaurin tail whose integral term is log-exact. Works for
-    any x > 0; the remainder heuristic is far below double rounding."""
-    n_cut = 2048
-    n = np.arange(1.0, n_cut + 1.0)
-    partial = float(np.sum(x * x / (n * (n * n + x * x))))
-    big_m = n_cut + 1.0
-    z = complex(big_m, -x)
-    integral = 0.5 * math.log1p((x / big_m) ** 2)
-    f0 = 1.0 / big_m - (1.0 / z).real
-    f1 = -(1.0 / big_m**2 - (z**-2).real)
-    f3 = -6.0 * (1.0 / big_m**4 - (z**-4).real)
-    value = partial + integral + f0 / 2.0 - f1 / 12.0 + f3 / 720.0
-    return value, 0.01 * big_m**-6 + 4.0 * _EPS * (abs(partial) + 1.0)
+def _re_psi_rest(x: float, params: EvalParams) -> tuple[list[float], float]:
+    """Re psi(1+ix) + S(x), the non-S part of the all-arguments identity
+    -gamma = Re psi(1+ix) - sum_n x^2/(n(n^2+x^2)), as (pieces, k-sum tail
+    bound), evaluated at x itself outside the guard bands."""
+    pieces = [
+        (math.pi / 3.0) * math.log(x),
+        1.0 / (4.0 * math.pi * x * x),
+        math.pi * _log_2sinpi_abs(x) * _csch2(math.pi * x) / 2.0,
+    ]
+    for k in range(1, params.k_terms + 1):
+        q = _inv_expm1(_TWO_PI * k)
+        csch = _csch2(math.pi * k)
+        if q == 0.0 and csch == 0.0:
+            break
+        pieces.append(2.0 * k * q / (float(k) * k + x * x))
+        pieces.append(
+            -(math.pi / 2.0) * planner.log_abs_quartic_gap(float(k), x) * csch
+        )
+    first = params.k_terms + 1
+    tail = 2.0 * planner.bound_lambert(-1, first)
+    return pieces, tail + planner.bound_log_csch2(first, x)
 
 
 def gamma_any_x(x: float, params: EvalParams) -> EulerGamma:
@@ -471,8 +474,8 @@ def gamma_any_x(x: float, params: EvalParams) -> EulerGamma:
     and n_terms refer to x + shift). x inside the guard band of a positive
     integer is rejected; a lifted argument that lands in a band only because
     x is near 0 moves on by 1/2 instead."""
-    if not x > 0:
-        raise ValueError("x must be positive")
+    if not 0.0 < x < math.inf:
+        raise ValueError("x must be positive and finite")
     m = _guard_index(x, params.guard_delta)
     if m:
         raise GuardBandError(
@@ -487,30 +490,10 @@ def gamma_any_x(x: float, params: EvalParams) -> EulerGamma:
         x += 0.5
     s = _double_series_at(x, params)
     x_sum, x_sum_err = _partial_fraction_gamma_sum(x)
-    pieces = [
-        (math.pi / 3.0) * math.log(x),
-        1.0 / (4.0 * math.pi * x * x),
-        math.pi * _log_2sinpi_abs(x) * _csch2(math.pi * x) / 2.0,
-        -x_sum,
-        -s.value,
-    ]
-    for k in range(1, params.k_terms + 1):
-        q = _inv_expm1(_TWO_PI * k)
-        csch = _csch2(math.pi * k)
-        if q == 0.0 and csch == 0.0:
-            break
-        pieces.append(2.0 * k * q / (float(k) * k + x * x))
-        pieces.append(
-            -(math.pi / 2.0) * planner.log_abs_quartic_gap(float(k), x) * csch
-        )
+    pieces, tail = _re_psi_rest(x, params)
+    pieces += [-x_sum, -s.value]
     mass = math.fsum(abs(p) for p in pieces)
-    err = (
-        s.error_estimate
-        + x_sum_err
-        + 2.0 * planner.bound_lambert(-1, params.k_terms + 1)
-        + planner.bound_log_csch2(params.k_terms + 1, x)
-        + 4.0 * _EPS * mass
-    )
+    err = s.error_estimate + x_sum_err + tail + 4.0 * _EPS * mass
     return EulerGamma(
         value=-math.fsum(pieces), source=GAMMA_SOURCE_ANY_X, error_estimate=err
     )
@@ -521,8 +504,8 @@ def re_psi_complex_ramanujan(x: float, params: EvalParams) -> SeriesValue:
     all-arguments identity and the classical representation
     Re psi(1+ix) = -gamma + sum_n x^2/(n(n^2+x^2)). The identity is evaluated
     at x; only S(x) is lifted (see double_series_S)."""
-    if not x > 0:
-        raise ValueError("x must be positive")
+    if not 0.0 < x < math.inf:
+        raise ValueError("x must be positive and finite")
     m = _guard_index(x, params.guard_delta)
     if m:
         raise GuardBandError(
@@ -530,28 +513,10 @@ def re_psi_complex_ramanujan(x: float, params: EvalParams) -> SeriesValue:
             suggestion="shift x outside the guard band",
         )
     s = double_series_S(x, params)
-    pieces = [
-        (math.pi / 3.0) * math.log(x),
-        1.0 / (4.0 * math.pi * x * x),
-        math.pi * _log_2sinpi_abs(x) * _csch2(math.pi * x) / 2.0,
-        -s.value,
-    ]
-    for k in range(1, params.k_terms + 1):
-        q = _inv_expm1(_TWO_PI * k)
-        csch = _csch2(math.pi * k)
-        if q == 0.0 and csch == 0.0:
-            break
-        pieces.append(2.0 * k * q / (float(k) * k + x * x))
-        pieces.append(
-            -(math.pi / 2.0) * planner.log_abs_quartic_gap(float(k), x) * csch
-        )
+    pieces, tail = _re_psi_rest(x, params)
+    pieces.append(-s.value)
     mass = math.fsum(abs(p) for p in pieces)
-    err = (
-        s.error_estimate
-        + 2.0 * planner.bound_lambert(-1, params.k_terms + 1)
-        + planner.bound_log_csch2(params.k_terms + 1, x)
-        + 4.0 * _EPS * mass
-    )
+    err = s.error_estimate + tail + 4.0 * _EPS * mass
     return SeriesValue(
         value=math.fsum(pieces),
         error_estimate=err,
@@ -565,8 +530,8 @@ def psi_prime_ramanujan(x: float, params: EvalParams) -> SeriesValue:
     csc^2 pole at integer x is genuine in individual terms; the guard band
     is rejected rather than regularized. There is no double series, so no
     recurrence lift: the terms and the error estimate are taken at x."""
-    if not x > 0:
-        raise ValueError("x must be positive")
+    if not 0.0 < x < math.inf:
+        raise ValueError("x must be positive and finite")
     m = _guard_index(x, params.guard_delta)
     if m:
         raise GuardBandError(
@@ -700,7 +665,11 @@ def zeta_odd(N: int, table: BernoulliTable, params: EvalParams) -> SeriesValue:
     j_part = (_TWO_PI) ** (2 * N + 1) * float(_zeta_odd_j_sum(N, table))
     lam, lam_tail = _power_lambert_sum(-2 * N - 1, math.pi, params.k_terms)
     value = j_part - 4.0 * N * lam
-    err = 4.0 * N * lam_tail + 2.0 * _EPS * abs(j_part)
+    # fl(2 pi) carries a relative error of at most eps/2 into each of the
+    # 2N+1 factors of the power and pow adds an ulp of its own (Higham, Accuracy
+    # and Stability of Numerical Algorithms, 3.1): (2N+2) eps covers both, and
+    # 2 eps the conversion of J and the product
+    err = 4.0 * N * lam_tail + (2.0 * N + 4.0) * _EPS * abs(j_part)
     if N % 2 == 0:
         hyp, hyp_tail = _power_csch2_sum(-2 * N, math.pi, params.k_terms)
         value -= 2.0 * math.pi * hyp
@@ -757,49 +726,3 @@ def zeta_odd_general(
         k_used=k_eff,
         n_used=0,
     )
-
-
-def _lambert_closed_form(m: int, table: BernoulliTable) -> float:
-    """B_{2m}/(4m), the shared closed form of the odd-power Lambert sum and
-    its integral twin."""
-    return float(Fraction(table.values[2 * m]) / (4 * m))
-
-
-def _lambert_integral(m: int) -> float:
-    """Quadrature of the integral twin of lambert_sum(2m-1): the integrand is
-    the summand with k made continuous. Past t=40 it is below 1e-100."""
-    integral, _ = quad(
-        lambda t: t ** (2 * m - 1) * _inv_expm1(_TWO_PI * t), 0.0, 40.0, limit=200
-    )
-    return integral
-
-
-def lambert_identity_residual(m: int, table: BernoulliTable, params: EvalParams) -> float:
-    """lambert_sum(2m-1) minus its closed form B_{2m}/(4m), for odd m > 1.
-
-    Also evaluates the integral twin (the integrand is formally identical to
-    the summand) by quadrature and checks it against the same closed form.
-    """
-    if m <= 1 or m % 2 == 0:
-        raise ValueError("m must be an odd integer > 1")
-    if table.max_index < 2 * m:
-        raise ValueError(f"table holds B_0..B_{table.max_index}, need B_{2 * m}")
-    closed = _lambert_closed_form(m, table)
-    integral = _lambert_integral(m)
-    if abs(integral - closed) > 1e-10:
-        raise AssertionError(
-            f"integral twin {integral!r} strays from closed form {closed!r}"
-        )
-    return lambert_sum(2 * m - 1, params).value - closed
-
-
-def asymptotic_residual(x: float, params: EvalParams) -> float:
-    """psi(x+1) - (pi/3) log x + (pi/2) sum_k log|x^4-k^4|/sinh^2(pi k),
-    evaluated on the half-integer sequence x = N + 1/2; decays like 1/(2x)."""
-    if not (x >= 1.5 and x % 1.0 == 0.5):
-        raise ValueError("x must be N + 1/2 for a positive integer N")
-    log_sum = math.fsum(
-        planner.log_abs_quartic_gap(float(k), x) * _csch2(math.pi * k)
-        for k in range(1, params.k_terms + 1)
-    )
-    return psi_oracle(x) - (math.pi / 3.0) * math.log(x) + (math.pi / 2.0) * log_sum

@@ -56,9 +56,9 @@ def test_criterion_02_csch2_closed_form(capsys):
 
 def test_criterion_03_lambert_identities(capsys):
     lin = abs(series.lambert_sum(1, P12).value - (1.0 / 24.0 - 1.0 / (8.0 * math.pi)))
-    residuals = [abs(series.lambert_identity_residual(m, TABLE, P12)) for m in (3, 5)]
+    residuals = [abs(identities.lambert_identity_residual(m, TABLE, P12)) for m in (3, 5)]
     integral_gaps = [
-        abs(series._lambert_integral(m) - series._lambert_closed_form(m, TABLE))
+        abs(identities._lambert_integral(m) - identities._lambert_closed_form(m, TABLE))
         for m in (3, 5)
     ]
     ok = lin <= 1e-15 and max(residuals) <= 1e-14 and max(integral_gaps) <= 1e-10
@@ -137,7 +137,7 @@ def test_criterion_09_trigamma(capsys):
 
 def test_criterion_10_asymptotic_residual(capsys):
     p = EvalParams(tol=1e-12, k_terms=10, n_terms=16)
-    scaled = {x: x * abs(series.asymptotic_residual(x, p)) for x in (2.5, 5.5, 10.5, 20.5)}
+    scaled = {x: x * abs(identities.asymptotic_residual(x, p)) for x in (2.5, 5.5, 10.5, 20.5)}
     no_growth = scaled[20.5] <= 2.0 * scaled[2.5]
     # the N = 0 limit of the odd-zeta family collapses to an exact cancellation
     eq_zero = abs(1.0 - math.pi / 3.0 + 2.0 * math.pi * series.csch2_sum(p).value)

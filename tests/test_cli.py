@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,13 +244,56 @@ def test_bench_rejects_guard_band_x(capsys):
     assert code == cli.EXIT_INPUT
 
 
-def test_guard_delta_environment_override(capsys, monkeypatch):
-    code, _, _ = run_cli(capsys, ["gamma", "--x", "2.005"])
+@pytest.mark.parametrize("argv", [["gamma", "--x", "2.5"], ["gamma", "--m", "2"]])
+def test_gamma_at_loose_tolerance_is_within_its_estimate(capsys, argv):
+    # the planned truncation leaves an error near 1e-7 here, which the
+    # estimate covers; no fixed distance from the constant is imposed
+    code, out, _ = run_cli(capsys, argv + ["--tol", "1e-6"])
     assert code == cli.EXIT_OK
-    monkeypatch.setenv(cli.GUARD_DELTA_ENV, "0.01")
-    code, _, err = run_cli(capsys, ["gamma", "--x", "2.005"])
+    r = rows(out)[0]
+    assert abs(r["value"] - euler_gamma_reference()) <= r["abs_error_estimate"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["psi"], ["psi", "--method", "classical"], ["psi-prime"], ["gamma"], ["bench"]]
+)
+def test_infinite_x_is_a_one_line_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv + ["--x", "inf"])
     assert code == cli.EXIT_INPUT
-    assert "--m 2" in err
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("x", ["1e300", "1.7e308"])
+def test_psi_at_huge_x_is_within_its_estimate(capsys, x):
+    mpmath = pytest.importorskip("mpmath")
+    code, out, _ = run_cli(capsys, ["psi", "--x", x])
+    assert code == cli.EXIT_OK
+    r = rows(out)[0]
+    with mpmath.workdps(30):
+        truth = mpmath.digamma(mpmath.mpf(x) + 1)
+        assert abs(mpmath.mpf(r["value"]) - truth) <= r["abs_error_estimate"]
+
+
+@pytest.mark.parametrize("command", ["psi-prime", "gamma"])
+def test_huge_x_sits_in_a_guard_band(capsys, command):
+    # every double this large is an integer
+    code, out, err = run_cli(capsys, [command, "--x", "1e300"])
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "guard" in err
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, rapidpsi.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_parse_errors_exit_with_input_code(capsys):

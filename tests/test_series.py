@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from fractions import Fraction
 
 from rapidpsi import identities, planner, series
-from rapidpsi.bernoulli import build_bernoulli_table
+from rapidpsi.bernoulli import build_bernoulli_table, shared_table
 from rapidpsi.errors import GuardBandError
 from rapidpsi.oracles import (
+    DEFAULT_ORACLE,
     euler_gamma_reference,
     gamma_plus_re_psi,
     psi_oracle,
@@ -28,6 +29,7 @@ from rapidpsi.oracles import (
 from rapidpsi.params import (
     GAMMA_SOURCE_ANY_X,
     GAMMA_SOURCE_INTEGER,
+    EulerGamma,
     EvalParams,
     ModularPair,
 )
@@ -231,6 +233,25 @@ def test_double_series_at_integer_collapses_to_cosine_row():
     assert abs(sv.value - closed) <= 1e-16
 
 
+def test_cosine_row_matches_the_oracle():
+    # the engine sums C_k(0) = (gamma + Re psi(1+ik))/k^2 itself; the oracle's
+    # gamma_plus_re_psi is a separate implementation with its own cut-off
+    for k in range(1, 41):
+        a, c0, err_a, err_c = series._inner_pair(k, 0.0, 16, 16)
+        assert a == 0.0 and err_a == 0.0
+        reference = gamma_plus_re_psi(float(k)) / (k * k)
+        assert abs(c0 - reference) <= err_c + DEFAULT_ORACLE.target_tolerance / (k * k)
+
+
+def test_cosine_row_error_covers_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for k in range(1, 119):
+            _, c0, _, err = series._inner_pair(k, 0.0, 16, 16)
+            truth = (mpmath.euler + mpmath.digamma(mpmath.mpc(1, k)).real) / (k * k)
+            assert abs(mpmath.mpf(c0) - truth) <= err
+
+
 def test_double_series_rejects_nonpositive_x():
     with pytest.raises(ValueError):
         series.double_series_S(0.0, P12)
@@ -282,6 +303,25 @@ def test_gamma_any_x_guard_band_redirects():
 def test_gamma_any_x_rejects_nonpositive_x():
     with pytest.raises(ValueError):
         series.gamma_any_x(-0.5, P12)
+
+
+def test_euler_gamma_holds_no_fixed_reference_check():
+    # the record itself holds no reference value; soundness is checked below
+    g = EulerGamma(value=0.5772, source=GAMMA_SOURCE_INTEGER, error_estimate=1e-4)
+    assert g.value == 0.5772
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-15])
+def test_gamma_routes_within_estimate_of_mpmath(tol):
+    mpmath = pytest.importorskip("mpmath")
+    results = [series.gamma_at_integer(m, planner.plan(tol, float(m))) for m in range(1, 41)]
+    results += [
+        series.gamma_any_x(x, planner.plan(tol, x))
+        for x in (0.0005, 0.5, 1.7, 2.5, 3.5, 10.3, 37.9, 123.4)
+    ]
+    with mpmath.workdps(30):
+        for g in results:
+            assert abs(mpmath.mpf(g.value) - mpmath.euler) <= g.error_estimate
 
 
 # -------------------------------------------------------------- trigamma
@@ -361,6 +401,19 @@ def test_zeta_odd_values(N):
     assert abs(zv.value - zeta_direct_oracle(2 * N + 1)) <= 1e-12 + 1e-13
 
 
+@pytest.mark.parametrize("tol", [10.0**-e for e in range(6, 16)])
+def test_zeta_odd_within_estimate_of_mpmath(tol):
+    # every N the shared B_0..B_90 table allows; the estimate must cover the
+    # rounding of (2 pi)^(2N+1), which grows with N
+    mpmath = pytest.importorskip("mpmath")
+    table = shared_table()
+    p = EvalParams(tol=tol, k_terms=10)
+    with mpmath.workdps(30):
+        for N in range(1, 45):
+            zv = series.zeta_odd(N, table, p)
+            assert abs(mpmath.mpf(zv.value) - mpmath.zeta(2 * N + 1)) <= zv.error_estimate
+
+
 def test_zeta_odd_validation():
     with pytest.raises(ValueError):
         series.zeta_odd(0, TABLE, P12)
@@ -418,18 +471,18 @@ def test_csch2_closed_form():
 
 @pytest.mark.parametrize("m", [3, 5])
 def test_lambert_identity_residual(m):
-    assert abs(series.lambert_identity_residual(m, TABLE, P12)) <= 1e-14
+    assert abs(identities.lambert_identity_residual(m, TABLE, P12)) <= 1e-14
 
 
 def test_lambert_identity_rejects_even_or_unit_m():
     for bad in (1, 2, 4):
         with pytest.raises(ValueError):
-            series.lambert_identity_residual(bad, TABLE, P12)
+            identities.lambert_identity_residual(bad, TABLE, P12)
 
 
 def test_lambert_integral_agrees_with_closed_form():
     for m in (3, 5):
-        gap = series._lambert_integral(m) - series._lambert_closed_form(m, TABLE)
+        gap = identities._lambert_integral(m) - identities._lambert_closed_form(m, TABLE)
         assert abs(gap) <= 1e-10
 
 
@@ -440,13 +493,13 @@ def test_asymptotic_residual_requires_half_integers():
     p = EvalParams(tol=1e-12, k_terms=10, n_terms=16)
     for bad in (2.0, 1.0, 0.75):
         with pytest.raises(ValueError):
-            series.asymptotic_residual(bad, p)
+            identities.asymptotic_residual(bad, p)
 
 
 def test_asymptotic_residual_stays_bounded_and_decays():
     p = EvalParams(tol=1e-12, k_terms=10, n_terms=16)
     xs = (2.5, 5.5, 10.5, 20.5)
-    res = {x: series.asymptotic_residual(x, p) for x in xs}
+    res = {x: identities.asymptotic_residual(x, p) for x in xs}
     scaled = [x * abs(res[x]) for x in xs]
     # x*residual approaches 1/2 from below, so the scaled values stay flat
     for s in scaled:
