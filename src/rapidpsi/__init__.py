@@ -1,22 +1,10 @@
 """rapidpsi: hyperbolic-series evaluation of the digamma function and its
-corollaries, cross-checked against independent classical evaluators, with a
-tolerance-driven truncation planner and rigorous tail bounds."""
+corollaries, with a tolerance-driven truncation planner and rigorous tail
+bounds. The classical oracles (rapidpsi.oracles) and the identity checks
+(rapidpsi.identities) are imported from their own modules."""
 
 from .bernoulli import BernoulliTable, bernoulli_over_factorial, build_bernoulli_table
 from .errors import GuardBandError, ToleranceError
-from .identities import CheckResult, asymptotic_residual, lambert_identity_residual, run_suite
-from .oracles import (
-    DEFAULT_ORACLE,
-    OracleConfig,
-    euler_gamma_reference,
-    gamma_plus_re_psi,
-    im_psi_one_plus_ix,
-    psi_maclaurin_oracle,
-    psi_oracle,
-    re_psi_one_plus_ik,
-    s_integral_oracle,
-    zeta_direct_oracle,
-)
 from .params import (
     DEFAULT_GUARD_DELTA,
     GAMMA_SOURCE_ANY_X,
@@ -29,11 +17,9 @@ from .params import (
 )
 from .planner import FAMILIES, plan, tail_bound
 from .series import (
-    csch2_sum,
     double_series_S,
     gamma_any_x,
     gamma_at_integer,
-    lambert_sum,
     psi_prime_ramanujan,
     psi_ramanujan,
     re_psi_complex_ramanujan,
@@ -50,18 +36,6 @@ __all__ = [
     "build_bernoulli_table",
     "GuardBandError",
     "ToleranceError",
-    "CheckResult",
-    "run_suite",
-    "DEFAULT_ORACLE",
-    "OracleConfig",
-    "euler_gamma_reference",
-    "gamma_plus_re_psi",
-    "im_psi_one_plus_ix",
-    "psi_maclaurin_oracle",
-    "psi_oracle",
-    "re_psi_one_plus_ik",
-    "s_integral_oracle",
-    "zeta_direct_oracle",
     "DEFAULT_GUARD_DELTA",
     "GAMMA_SOURCE_ANY_X",
     "GAMMA_SOURCE_INTEGER",
@@ -73,13 +47,9 @@ __all__ = [
     "FAMILIES",
     "plan",
     "tail_bound",
-    "asymptotic_residual",
-    "csch2_sum",
     "double_series_S",
     "gamma_any_x",
     "gamma_at_integer",
-    "lambert_identity_residual",
-    "lambert_sum",
     "psi_prime_ramanujan",
     "psi_ramanujan",
     "re_psi_complex_ramanujan",

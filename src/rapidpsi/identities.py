@@ -92,8 +92,9 @@ def _lambert_closed_form(m: int, table: BernoulliTable) -> float:
 
 
 def _lambert_integral(m: int) -> float:
-    """Quadrature of the integral twin of lambert_sum(2m-1): the integrand is
-    the summand with k made continuous. Past t=40 it is below 1e-100."""
+    """Quadrature of the integral twin of sum_k k^{2m-1}/(e^{2 pi k}-1): the
+    integrand is the summand with k made continuous. Past t=40 it is below
+    1e-100."""
     # imported here so that importing the package never loads scipy
     from scipy.integrate import quad
 
@@ -104,7 +105,8 @@ def _lambert_integral(m: int) -> float:
 
 
 def lambert_identity_residual(m: int, table: BernoulliTable, params: EvalParams) -> float:
-    """lambert_sum(2m-1) minus its closed form B_{2m}/(4m), for odd m > 1.
+    """sum_k k^{2m-1}/(e^{2 pi k}-1) minus its closed form B_{2m}/(4m), for
+    odd m > 1.
 
     Also evaluates the integral twin (the integrand is formally identical to
     the summand) by quadrature and checks it against the same closed form.
@@ -119,7 +121,7 @@ def lambert_identity_residual(m: int, table: BernoulliTable, params: EvalParams)
         raise AssertionError(
             f"integral twin {integral!r} strays from closed form {closed!r}"
         )
-    return series.lambert_sum(2 * m - 1, params).value - closed
+    return series._power_lambert_sum(2 * m - 1, math.pi, params.k_terms)[0] - closed
 
 
 def asymptotic_residual(x: float, params: EvalParams) -> float:
@@ -143,18 +145,17 @@ def run_identities(params: EvalParams | None = None) -> list[CheckResult]:
     table = shared_table()
     out = []
 
-    s = series.csch2_sum(p)
-    tail = planner.tail_bound("csch2", p.k_terms + 1).bound
+    s, tail, _ = series._power_csch2_sum(0, math.pi, p.k_terms)
     closed = 1.0 / 6.0 - 1.0 / _TWO_PI
-    out.append(_abs_check("csch2_closed_form", p.k_terms, s.value + tail - closed, 1e-15))
+    out.append(_abs_check("csch2_closed_form", p.k_terms, s + tail - closed, 1e-15))
 
-    lam = series.lambert_sum(1, p)
-    out.append(_abs_check("lambert_linear", 1, lam.value - (1.0 / 24.0 - 1.0 / (8.0 * math.pi)), 1e-15))
+    lam = series._power_lambert_sum(1, math.pi, p.k_terms)[0]
+    out.append(_abs_check("lambert_linear", 1, lam - (1.0 / 24.0 - 1.0 / (8.0 * math.pi)), 1e-15))
 
     for m in (3, 5):
         closed = _lambert_closed_form(m, table)
-        partial = series.lambert_sum(2 * m - 1, p)
-        out.append(_abs_check(f"lambert_closed_form_m{m}", m, partial.value - closed, 1e-14))
+        partial = series._power_lambert_sum(2 * m - 1, math.pi, p.k_terms)[0]
+        out.append(_abs_check(f"lambert_closed_form_m{m}", m, partial - closed, 1e-14))
         out.append(_abs_check(f"lambert_integral_m{m}", m, _lambert_integral(m) - closed, 1e-10))
 
     z3 = series.zeta_odd(1, table, p)
@@ -168,7 +169,7 @@ def run_identities(params: EvalParams | None = None) -> list[CheckResult]:
     # the N->0 limit of the odd-zeta identity, with 2N zeta(2N+1) read as 1
     j0 = float(series._zeta_odd_j_sum(0, table))
     out.append(
-        _abs_check("zeta_limit_n0", 0, 1.0 + _TWO_PI * (s.value + tail) - _TWO_PI * j0, 1e-13)
+        _abs_check("zeta_limit_n0", 0, 1.0 + _TWO_PI * (s + tail) - _TWO_PI * j0, 1e-13)
     )
 
     # the two printed forms of the pole-pair limit are algebraically equal;
@@ -248,11 +249,10 @@ def run_asymptotic(params: EvalParams | None = None) -> list[CheckResult]:
     p = params or _default_params()
     out = []
 
-    s = series.csch2_sum(p)
-    tail = planner.tail_bound("csch2", p.k_terms + 1).bound
+    s, tail, _ = series._power_csch2_sum(0, math.pi, p.k_terms)
     out.append(
         _abs_check("log_coefficient_cancellation", 0,
-                   1.0 - math.pi / 3.0 + _TWO_PI * (s.value + tail), 1e-13)
+                   1.0 - math.pi / 3.0 + _TWO_PI * (s + tail), 1e-13)
     )
 
     scaled = {n: (n + 0.5) * abs(asymptotic_residual(n + 0.5, p)) for n in (2, 5, 10, 20)}

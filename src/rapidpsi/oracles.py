@@ -26,6 +26,11 @@ _TWO_PI = 2.0 * math.pi
 # asymptotic expansion coefficients B_{2j}.
 _B_FLOAT = tuple(float(v) for v in shared_table().values[:65])
 
+# cap on the direct-summation lengths of the zeta and gamma + Re psi sums
+_MAX_TERMS = 50_000_000
+# subdivision limit of each quadrature panel in s_integral_oracle
+_QUAD_LIMIT = 200
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -33,13 +38,12 @@ class OracleConfig:
 
     target_tolerance: float = 1e-13
     shift_threshold: float = 16.0
-    max_terms: int = 50_000_000
 
     def __post_init__(self):
         if not self.target_tolerance >= 1e-15:
             raise ValueError("target_tolerance must be >= 1e-15 in double precision")
-        if self.shift_threshold <= 0 or self.max_terms < 1:
-            raise ValueError("shift_threshold must be positive, max_terms >= 1")
+        if self.shift_threshold <= 0:
+            raise ValueError("shift_threshold must be positive")
 
 
 DEFAULT_ORACLE = OracleConfig()
@@ -90,7 +94,7 @@ def euler_gamma_reference(cfg: OracleConfig = DEFAULT_ORACLE) -> float:
 
 
 @lru_cache(maxsize=None)
-def _zeta_pieces(s: float, tol: float, max_terms: int):
+def _zeta_pieces(s: float, tol: float):
     """(partial_sum, lower_tail, upper_tail, value) for zeta(s), s > 1.
 
     Tail handled by Euler-Maclaurin from M = N+1:
@@ -103,11 +107,11 @@ def _zeta_pieces(s: float, tol: float, max_terms: int):
         # magnitude heuristic for the first omitted Euler-Maclaurin term,
         # with a 10x safety factor
         em_err = 10.0 * s * (s + 1) * (s + 2) * (s + 3) * (s + 4) * M ** (-s - 5) / 30240.0
-        if em_err <= 0.5 * tol or N * 2 > max_terms:
+        if em_err <= 0.5 * tol or N * 2 > _MAX_TERMS:
             break
         N *= 2
     if em_err > 0.5 * tol:
-        raise ToleranceError(f"zeta({s}) needs more than {max_terms} terms for {tol:.1e}")
+        raise ToleranceError(f"zeta({s}) needs more than {_MAX_TERMS} terms for {tol:.1e}")
     n = np.arange(1, N + 1, dtype=float)
     partial = float(np.sum(n ** (-s)))
     M = N + 1.0
@@ -129,7 +133,7 @@ def zeta_direct_oracle(s: float, cfg: OracleConfig = DEFAULT_ORACLE) -> float:
     bracketed by the two integral-tail bounds."""
     if not s > 1:
         raise ValueError("zeta_direct_oracle requires s > 1")
-    return _zeta_pieces(float(s), cfg.target_tolerance, cfg.max_terms)[3]
+    return _zeta_pieces(float(s), cfg.target_tolerance)[3]
 
 
 def psi_maclaurin_oracle(
@@ -163,7 +167,7 @@ def gamma_plus_re_psi(t: float, cfg: OracleConfig = DEFAULT_ORACLE) -> float:
     N = max(1024, 8 * int(math.ceil(t)))
     while 0.01 * (N + 1.0) ** -6 > 0.5 * cfg.target_tolerance:
         N *= 2
-        if N > cfg.max_terms:
+        if N > _MAX_TERMS:
             raise ToleranceError("gamma_plus_re_psi cannot reach target tolerance")
     n = np.arange(1, N + 1, dtype=float)
     partial = float(np.sum(t * t / (n * (n * n + t * t))))
@@ -190,7 +194,7 @@ def im_psi_one_plus_ix(x: float) -> float:
     return (math.pi / 2.0) / math.tanh(math.pi * x) - 1.0 / (2.0 * x)
 
 
-def s_integral_oracle(x: float, quad_points: int = 200) -> float:
+def s_integral_oracle(x: float) -> float:
     """The double series' integral form: the integral over u in [0, inf) of
     log|2 sin(pi (x+u))| * sum_k (2 pi k)^2 e^{-2 pi k (x+u)}.
 
@@ -198,7 +202,7 @@ def s_integral_oracle(x: float, quad_points: int = 200) -> float:
     when the remaining envelope is below 1e-18, and the integration is split
     at every u where x+u is an integer (integrable log singularities at panel
     endpoints; per-panel adaptive quadrature with epsabs=1e-13 and
-    subdivision limit quad_points). Estimated error must come out <= 1e-10 or
+    subdivision limit _QUAD_LIMIT). Estimated error must come out <= 1e-10 or
     the call fails explicitly.
     """
     if not x > 0:
@@ -209,8 +213,6 @@ def s_integral_oracle(x: float, quad_points: int = 200) -> float:
             "x within 1e-6 of an integer: quadrature nodes would straddle the "
             "log singularity at u=0; use the series evaluator's integer path"
         )
-    if quad_points < 10:
-        raise ValueError("quad_points too small for the error target")
     # imported here so that importing the package never loads scipy
     from scipy.integrate import quad
     ks = []
@@ -242,11 +244,11 @@ def s_integral_oracle(x: float, quad_points: int = 200) -> float:
     total = 0.0
     err = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
-        val, e = quad(integrand, a, b, epsabs=1e-13, epsrel=1e-11, limit=quad_points)
+        val, e = quad(integrand, a, b, epsabs=1e-13, epsrel=1e-11, limit=_QUAD_LIMIT)
         total += val
         err += e
     if err > 1e-10:
         raise ToleranceError(
-            f"quadrature error estimate {err:.2e} exceeds 1e-10; raise quad_points"
+            f"quadrature error estimate {err:.2e} exceeds 1e-10"
         )
     return total

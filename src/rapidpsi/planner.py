@@ -14,9 +14,9 @@ from .errors import ToleranceError
 from .params import DEFAULT_GUARD_DELTA, MIN_TOL, EvalParams, TailBound
 
 _TWO_PI = 2.0 * math.pi
-_Q_UNIT = math.exp(-_TWO_PI)  # common ratio of every k-series envelope
+_Q_UNIT = math.exp(-_TWO_PI)  # common ratio of the pi-scaled k-series envelopes
 
-FAMILIES = ("exp_envelope", "csch2", "lambert", "log_csch2", "inner_sin", "inner_cos")
+FAMILIES = ("exp_envelope", "csch2", "lambert", "log_csch2")
 
 MAX_K_TERMS = 6000
 MAX_N_TERMS = 500_000
@@ -47,21 +47,31 @@ def _geom_k_centered(first: int, q: float) -> float:
     return q**first * (q * (1.0 + q) / (1.0 - q) ** 3 + first * q / (1.0 - q) ** 2)
 
 
-def bound_csch2(first: int) -> float:
-    """Tail of sum_k 1/sinh^2(pi k): each term is 4 q^k/(1-q^k)^2 with
-    q = e^{-2 pi}, so the tail is at most 4 q^F / ((1-q)(1-q^F)^2)."""
-    q = _Q_UNIT
-    return 4.0 * _geom(first, q) / (1.0 - q**first) ** 2
+def _ratio(scale: float) -> float:
+    """q = e^{-2 scale}, the common ratio of a k-series decaying at scale."""
+    if not scale > 0:
+        raise ValueError("scale must be positive")
+    return math.exp(-2.0 * scale)
 
 
-def bound_lambert(power: int, first: int) -> float:
-    """Tail of sum_k k^power/(e^{2 pi k}-1).
+def bound_csch2(first: int, power: int = 0, scale: float = math.pi) -> float:
+    """Tail of sum_k k^power/sinh^2(scale k) for power <= 0: each term is
+    4 k^power q^k/(1-q^k)^2 with q = e^{-2 scale}, so the tail is at most
+    4 F^power q^F / ((1-q)(1-q^F)^2)."""
+    if power > 0:
+        raise ValueError("the csch2 bound only supports power <= 0")
+    q = _ratio(scale)
+    return float(first) ** power * 4.0 * _geom(first, q) / (1.0 - q**first) ** 2
+
+
+def bound_lambert(power: int, first: int, scale: float = math.pi) -> float:
+    """Tail of sum_k k^power/(e^{2 scale k}-1), with q = e^{-2 scale}.
 
     Nonpositive powers: k^p <= F^p. Positive powers: (k/F)^p <= e^{p(k-F)/F},
     which keeps the comparison series geometric whenever q e^{p/F} < 1;
     otherwise peel explicit terms until it is.
     """
-    q = _Q_UNIT
+    q = _ratio(scale)
     if power <= 0:
         return float(first) ** power * _geom(first, q) / (1.0 - q**first)
     total = 0.0
@@ -140,24 +150,6 @@ def bound_log_csch2(first: int, x: float, skip: int = 0) -> float:
     return (math.pi / 2.0) * (explicit * (1.0 + 1e-12) + closed)
 
 
-def bound_inner_sin(first: int, x: float) -> float:
-    """Tail of the inner sine series at outer index k=1, weighted as it enters
-    the double series: terms are bounded by 1/n^4, weight 2 pi k^4 e^{-2 pi k x}."""
-    if not x > 0:
-        raise ValueError("x must be positive")
-    f = float(first)
-    return _TWO_PI * math.exp(-_TWO_PI * x) * (1.0 / f**4 + 1.0 / (3.0 * f**3))
-
-
-def bound_inner_cos(first: int, x: float) -> float:
-    """Tail of the inner cosine series at outer index k=1, weighted as it
-    enters the double series: terms bounded by 2/n^5, weight 2 pi k^5 e^{-2 pi k x}."""
-    if not x > 0:
-        raise ValueError("x must be positive")
-    f = float(first)
-    return _TWO_PI * math.exp(-_TWO_PI * x) * 2.0 * (1.0 / f**5 + 1.0 / (4.0 * f**4))
-
-
 def bound_psi_k_sum(
     first: int, x: float, guard_delta: float = DEFAULT_GUARD_DELTA, skip: int = 0
 ) -> float:
@@ -183,26 +175,6 @@ def bound_psi_k_sum(
     return explicit * (1.0 + 1e-12) + bound_lambert(0, f2)
 
 
-def bound_lambert_scaled(power: int, first: int, a: float) -> float:
-    """Tail of sum_k k^power/(e^{2 a k}-1) for power <= 0 and decay scale a."""
-    if power > 0:
-        raise ValueError("scaled lambert bound only supports power <= 0")
-    if not a > 0:
-        raise ValueError("a must be positive")
-    q = math.exp(-2.0 * a)
-    return float(first) ** power * _geom(first, q) / (1.0 - q**first)
-
-
-def bound_csch2_power_scaled(power: int, first: int, a: float) -> float:
-    """Tail of sum_k k^power/sinh^2(a k) for power <= 0 and scale a."""
-    if power > 0:
-        raise ValueError("scaled csch2 bound only supports power <= 0")
-    if not a > 0:
-        raise ValueError("a must be positive")
-    q = math.exp(-2.0 * a)
-    return float(first) ** power * 4.0 * _geom(first, q) / (1.0 - q**first) ** 2
-
-
 def tail_bound(family: str, first_omitted: int, x: float = 1.0, power: int = 1) -> TailBound:
     """Closed-form tail bound for the named series family, starting at
     first_omitted. x weights the families that depend on it (ignored by
@@ -217,10 +189,6 @@ def tail_bound(family: str, first_omitted: int, x: float = 1.0, power: int = 1) 
         b = bound_exp_envelope(first_omitted, x)
     elif family == "log_csch2":
         b = bound_log_csch2(first_omitted, x)
-    elif family == "inner_sin":
-        b = bound_inner_sin(first_omitted, x)
-    elif family == "inner_cos":
-        b = bound_inner_cos(first_omitted, x)
     else:
         raise ValueError(f"unknown tail family: {family!r}")
     return TailBound(family=family, first_omitted_index=first_omitted, bound=b)

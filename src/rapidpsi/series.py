@@ -31,7 +31,7 @@ import numpy as np
 
 from . import planner
 from .bernoulli import BernoulliTable, bernoulli_over_factorial, shared_table
-from .errors import GuardBandError
+from .errors import GuardBandError, ToleranceError
 from .params import (
     GAMMA_SOURCE_ANY_X,
     GAMMA_SOURCE_INTEGER,
@@ -551,7 +551,7 @@ def psi_prime_ramanujan(x: float, params: EvalParams) -> SeriesValue:
         csch = _csch2(math.pi * k)
         if q == 0.0 and csch == 0.0:
             break
-        d = float(k) * k - x * x
+        d = (k - x) * (k + x)
         pieces.append(4.0 * k * x * q / (d * d))
         # 2 pi x^3 / (sinh^2(pi k)(k^4 - x^4)) in overflow-free ratio form
         if k > x:
@@ -563,14 +563,20 @@ def psi_prime_ramanujan(x: float, params: EvalParams) -> SeriesValue:
     mass = math.fsum(abs(p) for p in pieces)
     first = params.k_terms + 1
     f2 = max(first, math.ceil(x) + 2)
+    # explicit tail terms up to F2 = max(first, ceil(x)+2), with
+    # csch^2(pi k) = 4q/(1-q)^2; past F2, k - x >= 2 makes 4kx/(k^2-x^2)^2
+    # <= kx/(k+x)^2 <= 1/4 and 2x^3/(k^4-x^4) <= x^3/F2^3
     tail = 0.0
     for k in range(first, min(f2, 130)):
-        gap = max(abs(float(k) * k - x * x), params.guard_delta * (k + x))
+        gap = max(abs((k - x) * (k + x)), params.guard_delta * (k + x))
         qk = math.exp(-_TWO_PI * k)
-        tail += (4.0 * k * x / (gap * gap) + _TWO_PI * x**3 / (gap * (k * k + x * x))) * qk / (1.0 - qk)
+        tail += (
+            4.0 * k * x / (gap * gap)
+            + _TWO_PI * x**3 / (gap * (k * k + x * x)) * 4.0 / (1.0 - qk)
+        ) * qk / (1.0 - qk)
     err = (
         tail * (1.0 + 1e-12)
-        + (x / f2) * planner.bound_lambert(-1, f2)
+        + 0.25 * planner.bound_lambert(0, f2)
         + math.pi * x**3 / float(f2) ** 3 * planner.bound_csch2(f2)
         + 4.0 * _EPS * mass
     )
@@ -581,38 +587,6 @@ def psi_prime_ramanujan(x: float, params: EvalParams) -> SeriesValue:
 
 # ---------------------------------------------------------------------------
 # Lambert-type sums and zeta corollaries
-
-
-def lambert_sum(power: int, params: EvalParams) -> SeriesValue:
-    """sum_k k^power/(e^{2 pi k}-1) over k <= k_terms, with the geometric
-    tail bound scaled by the polynomial factor."""
-    pieces = []
-    for k in range(1, params.k_terms + 1):
-        q = _inv_expm1(_TWO_PI * k)
-        if q == 0.0:
-            break
-        pieces.append(float(k) ** power * q)
-    mass = math.fsum(abs(p) for p in pieces)
-    err = planner.bound_lambert(power, params.k_terms + 1) + 4.0 * _EPS * mass
-    return SeriesValue(
-        value=math.fsum(pieces), error_estimate=err, k_used=params.k_terms, n_used=0
-    )
-
-
-def csch2_sum(params: EvalParams) -> SeriesValue:
-    """sum_k 1/sinh^2(pi k) over k <= k_terms; equals 1/6 - 1/(2 pi) in the
-    limit."""
-    pieces = []
-    for k in range(1, params.k_terms + 1):
-        c = _csch2(math.pi * k)
-        if c == 0.0:
-            break
-        pieces.append(c)
-    mass = math.fsum(pieces)
-    err = planner.bound_csch2(params.k_terms + 1) + 4.0 * _EPS * mass
-    return SeriesValue(
-        value=math.fsum(pieces), error_estimate=err, k_used=params.k_terms, n_used=0
-    )
 
 
 def _zeta_odd_j_sum(N: int, table: BernoulliTable) -> Fraction:
@@ -631,26 +605,50 @@ def _zeta_odd_j_sum(N: int, table: BernoulliTable) -> Fraction:
     return total
 
 
-def _power_csch2_sum(power: int, scale: float, k_terms: int) -> tuple[float, float]:
-    """(value, tail bound) for sum_k k^power/sinh^2(scale * k), power <= 0."""
+def _summand_rounding(t: float, scale_err: float) -> float:
+    """First-order relative rounding bound (Higham, Accuracy and Stability of
+    Numerical Algorithms, 3.1) of one summand k^p/sinh^2(t) or k^p/(e^{2t}-1)
+    with t = fl(scale k), including its share of the final fsum: t is off by
+    eps/2 + scale_err, which either function amplifies by at most 2(1+t);
+    1 - e^{-2t} loses eps/(e^{2t}-1) <= eps/(2t) to the rounding of the
+    exponential, twice over where it is squared; the exponential, k^p and each
+    remaining operation add at most 6 eps."""
+    return (6.0 + 2.0 * t + 1.0 / t) * _EPS + 2.0 * (1.0 + t) * scale_err
+
+
+def _power_csch2_sum(
+    power: int, scale: float, k_terms: int, scale_err: float = 0.0
+) -> tuple[float, float, float]:
+    """(value, tail bound, rounding bound) for sum_k k^power/sinh^2(scale k)
+    over k <= k_terms, power <= 0; scale_err bounds scale's relative error."""
     pieces = []
+    rounding = 0.0
     for k in range(1, k_terms + 1):
-        c = _csch2(scale * k)
+        t = scale * k
+        c = _csch2(t)
         if c == 0.0:
             break
         pieces.append(float(k) ** power * c)
-    return math.fsum(pieces), planner.bound_csch2_power_scaled(power, k_terms + 1, scale)
+        rounding += pieces[-1] * _summand_rounding(t, scale_err)
+    tail = planner.bound_csch2(k_terms + 1, power, scale)
+    return math.fsum(pieces), tail, rounding
 
 
-def _power_lambert_sum(power: int, scale: float, k_terms: int) -> tuple[float, float]:
-    """(value, tail bound) for sum_k k^power/(e^{2 scale k}-1), power <= 0."""
+def _power_lambert_sum(
+    power: int, scale: float, k_terms: int
+) -> tuple[float, float, float]:
+    """(value, tail bound, rounding bound) for sum_k k^power/(e^{2 scale k}-1)
+    over k <= k_terms."""
     pieces = []
+    rounding = 0.0
     for k in range(1, k_terms + 1):
         q = _inv_expm1(2.0 * scale * k)
         if q == 0.0:
             break
         pieces.append(float(k) ** power * q)
-    return math.fsum(pieces), planner.bound_lambert_scaled(power, k_terms + 1, scale)
+        rounding += pieces[-1] * _summand_rounding(scale * k, 0.0)
+    tail = planner.bound_lambert(power, k_terms + 1, scale)
+    return math.fsum(pieces), tail, rounding
 
 
 def zeta_odd(N: int, table: BernoulliTable, params: EvalParams) -> SeriesValue:
@@ -663,7 +661,9 @@ def zeta_odd(N: int, table: BernoulliTable, params: EvalParams) -> SeriesValue:
     if table.max_index < 2 * N + 2:
         raise ValueError(f"table holds B_0..B_{table.max_index}, need B_{2 * N + 2}")
     j_part = (_TWO_PI) ** (2 * N + 1) * float(_zeta_odd_j_sum(N, table))
-    lam, lam_tail = _power_lambert_sum(-2 * N - 1, math.pi, params.k_terms)
+    # the k-sums' own rounding, below 0.3 eps once divided by 2N, is inside
+    # the final 4 eps
+    lam, lam_tail, _ = _power_lambert_sum(-2 * N - 1, math.pi, params.k_terms)
     value = j_part - 4.0 * N * lam
     # fl(2 pi) carries a relative error of at most eps/2 into each of the
     # 2N+1 factors of the power and pow adds an ulp of its own (Higham, Accuracy
@@ -671,7 +671,7 @@ def zeta_odd(N: int, table: BernoulliTable, params: EvalParams) -> SeriesValue:
     # 2 eps the conversion of J and the product
     err = 4.0 * N * lam_tail + (2.0 * N + 4.0) * _EPS * abs(j_part)
     if N % 2 == 0:
-        hyp, hyp_tail = _power_csch2_sum(-2 * N, math.pi, params.k_terms)
+        hyp, hyp_tail, _ = _power_csch2_sum(-2 * N, math.pi, params.k_terms)
         value -= 2.0 * math.pi * hyp
         err += 2.0 * math.pi * hyp_tail
     return SeriesValue(
@@ -697,10 +697,19 @@ def zeta_odd_general(
     a, b = pair.alpha, pair.beta
     # the hyperbolic series here decay like e^{-2 min(a,b) k}, not e^{-2 pi k},
     # so size the k-range from the slower scale; k_terms keeps its meaning for
-    # the pi-scaled families and acts as a floor
-    k_eff = max(
-        params.k_terms, 2 + math.ceil(math.log(400.0 / params.tol) / (2.0 * min(a, b)))
-    )
+    # the pi-scaled families and acts as a floor. The cap is checked before
+    # the ceiling, which fails once 2 min(a,b) underflows.
+    span = math.log(400.0 / params.tol) / (2.0 * min(a, b))
+    if not span <= planner.MAX_K_TERMS - 2:
+        raise ToleranceError(
+            f"alpha={a} needs more than {planner.MAX_K_TERMS} hyperbolic terms "
+            f"for tol={params.tol}"
+        )
+    k_eff = max(params.k_terms, 2 + math.ceil(span))
+    # b stands for pi^2/a; this covers the roundings of pi^2 and of the
+    # quotient, and a pair given off the curve within ModularPair's check
+    pi2 = math.pi * math.pi
+    b_err = abs(a * b - pi2) / pi2 + 2.0 * _EPS
     rhs_terms = []
     for j in range(N + 2):
         sign = -1.0 if j % 2 == 0 else 1.0
@@ -710,19 +719,33 @@ def zeta_odd_general(
         )
         rhs_terms.append(sign * (2 * j - 1) * a ** (N + 1 - j) * b**j * ratio)
     rhs = 2.0 ** (2 * N + 1) * math.fsum(rhs_terms)
-    rhs_mass = 2.0 ** (2 * N + 1) * math.fsum(abs(t) for t in rhs_terms)
-    lam_a, lam_a_tail = _power_lambert_sum(-2 * N - 1, a, k_eff)
-    s_a, s_a_tail = _power_csch2_sum(-2 * N, a, k_eff)
-    s_b, s_b_tail = _power_csch2_sum(-2 * N, b, k_eff)
+    lam_a, lam_a_tail, lam_a_rnd = _power_lambert_sum(-2 * N - 1, a, k_eff)
+    s_a, s_a_tail, s_a_rnd = _power_csch2_sum(-2 * N, a, k_eff)
+    s_b, s_b_tail, s_b_rnd = _power_csch2_sum(-2 * N, b, k_eff, b_err)
     sign_b = 1.0 if (1 - N) % 2 == 0 else -1.0
-    lhs_rest = a ** (1 - N) * s_a - sign_b * b ** (1 - N) * s_b
-    value = (rhs - lhs_rest) * a**N / (2.0 * N) - 2.0 * lam_a
-    err = (
-        a ** (1 - N) * s_a_tail + b ** (1 - N) * s_b_tail + 4.0 * _EPS * rhs_mass
-    ) * a**N / (2.0 * N) + 2.0 * lam_a_tail
+    pow_a, pow_b = a ** (1 - N), b ** (1 - N)
+    lhs_a = pow_a * s_a
+    lhs_b = sign_b * pow_b * s_b
+    diff = rhs - (lhs_a - lhs_b)
+    value = diff * a**N / (2.0 * N) - 2.0 * lam_a
+    # first-order rounding (Higham 3.1), before the scaling by a^N/(2N): each
+    # rhs term an ulp from each power, j b_err through b^j and eps/2 from the
+    # ratio, each product and the fsum; each csch^2 sum its own rounding, an
+    # ulp from its power ((N-1) b_err more for b's) and eps/2 from the
+    # product; the two differences eps/2 of what they touch. The scaling and
+    # the final subtraction are in the 4 eps (|value| + 2 L_a) term.
+    rounding = (
+        2.0 ** (2 * N + 1)
+        * math.fsum(abs(t) * (5.0 * _EPS + j * b_err) for j, t in enumerate(rhs_terms))
+        + pow_a * (s_a_rnd + 2.0 * _EPS * s_a)
+        + pow_b * (s_b_rnd + ((N - 1) * b_err + 2.0 * _EPS) * s_b)
+        + _EPS * (abs(lhs_a) + abs(lhs_b) + abs(diff))
+    )
+    tails = pow_a * s_a_tail + pow_b * s_b_tail
+    err = (tails + rounding) * a**N / (2.0 * N) + 2.0 * (lam_a_tail + lam_a_rnd)
     return SeriesValue(
         value=value,
-        error_estimate=err + 4.0 * _EPS * (abs(value) + 1.0),
+        error_estimate=err + 4.0 * _EPS * (abs(value) + 2.0 * lam_a + 1.0),
         k_used=k_eff,
         n_used=0,
     )

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rapidpsi import cli
+from rapidpsi import cli, planner
 from rapidpsi.oracles import euler_gamma_reference, psi_oracle
 
 SCHEMA = [
@@ -286,14 +286,52 @@ def test_huge_x_sits_in_a_guard_band(capsys, command):
     assert "guard" in err
 
 
-def test_cli_import_loads_no_scipy():
+def _fresh_python(*args, timeout=None):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, rapidpsi.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
+
+
+def test_cli_import_loads_no_scipy():
+    probe = "import sys, rapidpsi.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    done = _fresh_python("-c", probe)
+    assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_package_import_loads_no_check_code():
+    probe = (
+        "import sys, rapidpsi; "
+        "print(sorted(m for m in sys.modules if m in ('rapidpsi.oracles', 'rapidpsi.identities')))"
+    )
+    done = _fresh_python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_readme_library_use_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    done = _fresh_python("-c", block + "\nprint(sv.value, g.value, z3.value)")
+    assert done.returncode == 0, done.stderr
+    psi, gamma, z3 = map(float, done.stdout.split())
+    assert abs(psi - 1.1031566406452432) <= 1e-12
+    assert abs(gamma - 0.5772156649015329) <= 1e-12
+    assert abs(z3 - 1.2020569031595942) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", ["1e-10", "1e10", "1e-30", "1e-300"])
+def test_zeta_odd_at_extreme_alpha_is_a_tolerance_error(alpha):
+    # the slower k-sum would need ~1e11 or more terms (the CLI hung), and at
+    # 1e-30 and 1e-300 the parameter powers failed with a traceback
+    done = _fresh_python("-m", "rapidpsi", "zeta-odd", "--n", "2", "--alpha", alpha, timeout=60)
+    assert done.returncode == cli.EXIT_TOLERANCE
+    assert done.stdout == ""
+    assert len(done.stderr.strip().splitlines()) == 1
+    assert str(planner.MAX_K_TERMS) in done.stderr
 
 
 def test_parse_errors_exit_with_input_code(capsys):

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from rapidpsi import identities, planner, series
 from rapidpsi.bernoulli import build_bernoulli_table, shared_table
-from rapidpsi.errors import GuardBandError
+from rapidpsi.errors import GuardBandError, ToleranceError
 from rapidpsi.oracles import (
     DEFAULT_ORACLE,
     euler_gamma_reference,
@@ -360,6 +360,52 @@ def test_trigamma_slope_richardson():
     assert abs(tab[0] - (-2.0 * ZETA_ODD_REF[1])) <= 1e-6
 
 
+def _psi_prime_misses(mpmath, xs, tols):
+    misses = []
+    with mpmath.workdps(40):
+        for x in xs:
+            truth = mpmath.psi(1, mpmath.mpf(x) + 1)
+            for tol in tols:
+                sv = series.psi_prime_ramanujan(x, planner.plan(tol, x))
+                if abs(mpmath.mpf(sv.value) - truth) > sv.error_estimate:
+                    misses.append((x, tol))
+    return misses
+
+
+def test_trigamma_within_estimate_of_mpmath():
+    # x from 0.01 to 1e4 plus m +- (1.01e-3 .. 0.03), just outside each guard
+    # band, where the k = m terms are largest
+    mpmath = pytest.importorskip("mpmath")
+    xs = [x for x in (0.01 * 10.0 ** (i / 16.0) for i in range(97))
+          if x < 0.5 or abs(x - round(x)) > 1.01e-3]
+    xs += [m + s * off for m in (1, 2, 3, 4, 17) for s in (-1, 1)
+           for off in (1.01e-3, 3e-3, 0.01, 0.03)]
+    assert _psi_prime_misses(mpmath, xs, (1e-6, 1e-9, 1e-12, 1e-15)) == []
+
+
+@pytest.mark.parametrize("k_terms", [1, 2, 3, 4, 6])
+def test_trigamma_short_truncation_within_estimate_of_mpmath(k_terms):
+    # hand-built params leave the truncation tail, not the rounding, as the
+    # error: past F2 = ceil(x)+2 each 4kxq/(k^2-x^2)^2 term is at most q/4,
+    # which an x/F2-weighted 1/k bound undercuts at small x
+    mpmath = pytest.importorskip("mpmath")
+    p = EvalParams(tol=1e-12, k_terms=k_terms, n_terms=16)
+    with mpmath.workdps(40):
+        for x in (0.05, 0.1, 0.3, 0.7, 1.5, 2.5, 4.5, 9.7):
+            sv = series.psi_prime_ramanujan(x, p)
+            assert abs(mpmath.mpf(sv.value) - mpmath.psi(1, mpmath.mpf(x) + 1)) <= sv.error_estimate
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="psi_prime_ramanujan sums at x itself, where its x^-3 pieces cancel; "
+    "it needs the recurrence lift psi_ramanujan has",
+)
+def test_trigamma_within_estimate_of_mpmath_below_lift_range():
+    mpmath = pytest.importorskip("mpmath")
+    assert _psi_prime_misses(mpmath, (2.5e-3, 1e-3, 1e-5), (1e-9, 1e-12)) == []
+
+
 def test_trigamma_guard_band_and_validation():
     with pytest.raises(GuardBandError):
         series.psi_prime_ramanujan(2.0005, P_PRIME)
@@ -429,6 +475,46 @@ def test_zeta_odd_general_matches_single_parameter(alpha, N):
     assert abs(zg.value - zo.value) <= 1e-11
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-15])
+def test_zeta_odd_general_within_estimate_of_mpmath(tol):
+    # alpha from pi/1000 to 1000 pi: away from alpha ~ pi the identity cancels
+    # terms up to a^N b^j against the csch^2 sums, and the estimate must carry
+    # that rounding; where the slower k-sum needs more than MAX_K_TERMS terms
+    # the call raises ToleranceError instead
+    mpmath = pytest.importorskip("mpmath")
+    table = shared_table()
+    p = EvalParams(tol=tol, k_terms=10)
+    capped = 0
+    with mpmath.workdps(40):
+        for i in range(-12, 13):
+            pair = ModularPair.from_alpha(math.pi * 10.0 ** (i / 4.0))
+            for N in (1, 2, 3, 5, 8, 12):
+                try:
+                    zv = series.zeta_odd_general(N, pair, table, p)
+                except ToleranceError:
+                    capped += 1
+                    continue
+                assert abs(mpmath.mpf(zv.value) - mpmath.zeta(2 * N + 1)) <= zv.error_estimate
+    assert capped == (12 if tol == 1e-15 else 0)
+
+
+def test_zeta_odd_general_off_the_curve_within_estimate_of_mpmath():
+    # ModularPair accepts alpha beta within 1e-14 of pi^2; the estimate must
+    # carry beta's distance from pi^2/alpha through beta^j, beta^(1-N) and the
+    # csch^2 arguments
+    mpmath = pytest.importorskip("mpmath")
+    table = shared_table()
+    p = EvalParams(tol=1e-12, k_terms=10)
+    with mpmath.workdps(40):
+        for i in range(-11, 12, 2):
+            alpha = math.pi * 10.0 ** (i / 4.0)
+            for rel in (-8e-15, 2e-15):
+                pair = ModularPair(alpha=alpha, beta=math.pi**2 / alpha * (1.0 + rel))
+                for N in (1, 3, 8, 12):
+                    zv = series.zeta_odd_general(N, pair, table, p)
+                    assert abs(mpmath.mpf(zv.value) - mpmath.zeta(2 * N + 1)) <= zv.error_estimate
+
+
 def test_modular_pair_validation():
     with pytest.raises(ValueError):
         ModularPair(alpha=1.0, beta=1.0)
@@ -450,23 +536,42 @@ def test_zeta_even_closed_forms():
 
 
 def test_lambert_linear_closed_form():
-    lam = series.lambert_sum(1, P12)
-    assert abs(lam.value - (1.0 / 24.0 - 1.0 / (8.0 * math.pi))) <= 1e-15
+    lam = series._power_lambert_sum(1, math.pi, P12.k_terms)[0]
+    assert abs(lam - (1.0 / 24.0 - 1.0 / (8.0 * math.pi))) <= 1e-15
 
 
 def test_lambert_fifth_power_closed_form():
-    lam = series.lambert_sum(5, P12)
-    assert abs(lam.value - 1.0 / 504.0) <= 1e-14
+    lam = series._power_lambert_sum(5, math.pi, P12.k_terms)[0]
+    assert abs(lam - 1.0 / 504.0) <= 1e-14
 
 
 def test_lambert_negative_power_window():
-    lam = series.lambert_sum(-3, P12)
-    assert 0.0 < lam.value <= planner.tail_bound("lambert", 1, power=-3).bound
+    lam = series._power_lambert_sum(-3, math.pi, P12.k_terms)[0]
+    assert 0.0 < lam <= planner.tail_bound("lambert", 1, power=-3).bound
 
 
 def test_csch2_closed_form():
-    sv = series.csch2_sum(P12)
-    assert abs(sv.value - (1.0 / 6.0 - 1.0 / (2.0 * math.pi))) <= 1e-14
+    value = series._power_csch2_sum(0, math.pi, P12.k_terms)[0]
+    assert abs(value - (1.0 / 6.0 - 1.0 / (2.0 * math.pi))) <= 1e-14
+
+
+@pytest.mark.parametrize("scale", [0.002, 0.05, 1.0, math.pi, 30.0])
+@pytest.mark.parametrize("power", [-9, -2, 0])
+def test_power_sums_within_rounding_of_mpmath(scale, power):
+    # the rounding bound must cover the summands' own rounding, which grows
+    # like eps/(scale k) where 1 - e^{-2 scale k} cancels; the tail bounds
+    # are checked in test_planner
+    mpmath = pytest.importorskip("mpmath")
+    k_terms = 40
+    with mpmath.workdps(40):
+        s = mpmath.mpf(scale)
+        for loop, term in (
+            (series._power_csch2_sum, lambda k: mpmath.csch(s * k) ** 2),
+            (series._power_lambert_sum, lambda k: 1 / mpmath.expm1(2 * s * k)),
+        ):
+            value, _, rounding = loop(power, scale, k_terms)
+            partial = mpmath.fsum(mpmath.mpf(k) ** power * term(k) for k in range(1, k_terms + 1))
+            assert abs(mpmath.mpf(value) - partial) <= rounding
 
 
 @pytest.mark.parametrize("m", [3, 5])
