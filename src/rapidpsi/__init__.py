@@ -7,9 +7,6 @@ from .bernoulli import BernoulliTable, bernoulli_over_factorial, build_bernoulli
 from .errors import GuardBandError, ToleranceError
 from .params import (
     DEFAULT_GUARD_DELTA,
-    GAMMA_SOURCE_ANY_X,
-    GAMMA_SOURCE_INTEGER,
-    EulerGamma,
     EvalParams,
     ModularPair,
     SeriesValue,
@@ -37,9 +34,6 @@ __all__ = [
     "GuardBandError",
     "ToleranceError",
     "DEFAULT_GUARD_DELTA",
-    "GAMMA_SOURCE_ANY_X",
-    "GAMMA_SOURCE_INTEGER",
-    "EulerGamma",
     "EvalParams",
     "ModularPair",
     "SeriesValue",

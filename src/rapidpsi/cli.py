@@ -23,7 +23,7 @@ from . import identities, planner, series
 from .bernoulli import shared_table
 from .errors import GuardBandError, ToleranceError
 from .oracles import OracleConfig, euler_gamma_reference, psi_oracle
-from .params import DEFAULT_GUARD_DELTA, EvalParams, ModularPair
+from .params import DEFAULT_GUARD_DELTA, EvalParams, ModularPair, SeriesValue
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -72,6 +72,12 @@ def _emit(r: Report, fmt: str) -> None:
     print(render_report(r, fmt))
 
 
+def _report(quantity: str, x, sv: SeriesValue, method: str, t0: int) -> Report:
+    """The record of one evaluation started at t0, with the counts that ran."""
+    return Report(quantity, x, sv.value, sv.error_estimate, sv.k_used, sv.n_used, method,
+                  time.perf_counter_ns() - t0)
+
+
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -101,32 +107,17 @@ def cmd_psi(args) -> int:
     t0 = time.perf_counter_ns()
     if args.method == "classical":
         cfg = OracleConfig(target_tolerance=min(max(args.tol, 1e-15), 1e-13))
-        value = psi_oracle(args.x, cfg)
-        _emit(
-            Report("psi", args.x, value, cfg.target_tolerance, 0, 0, "classical",
-                   time.perf_counter_ns() - t0),
-            args.format,
-        )
-        return EXIT_OK
-    p = _params_for(args.x, args.tol, args.terms)
-    sv = series.psi_ramanujan(args.x, p)
-    _emit(
-        Report("psi", args.x, sv.value, sv.error_estimate, sv.k_used, sv.n_used,
-               "ramanujan", time.perf_counter_ns() - t0),
-        args.format,
-    )
+        sv = SeriesValue(psi_oracle(args.x, cfg), cfg.target_tolerance, 0, 0)
+    else:
+        sv = series.psi_ramanujan(args.x, _params_for(args.x, args.tol, args.terms))
+    _emit(_report("psi", args.x, sv, args.method, t0), args.format)
     return EXIT_OK
 
 
 def cmd_psi_prime(args) -> int:
     t0 = time.perf_counter_ns()
-    p = _params_for(args.x, args.tol, args.terms)
-    sv = series.psi_prime_ramanujan(args.x, p)
-    _emit(
-        Report("psi_prime", args.x, sv.value, sv.error_estimate, sv.k_used, sv.n_used,
-               "ramanujan", time.perf_counter_ns() - t0),
-        args.format,
-    )
+    sv = series.psi_prime_ramanujan(args.x, _params_for(args.x, args.tol, args.terms))
+    _emit(_report("psi_prime", args.x, sv, "ramanujan", t0), args.format)
     return EXIT_OK
 
 
@@ -136,28 +127,18 @@ def cmd_gamma(args) -> int:
                      EXIT_INPUT)
     t0 = time.perf_counter_ns()
     if args.m is not None:
-        p = _params_for(float(args.m), args.tol, args.terms)
-        g = series.gamma_at_integer(args.m, p)
-        _emit(
-            Report("gamma", args.m, g.value, g.error_estimate, p.k_terms, 0, g.source,
-                   time.perf_counter_ns() - t0),
-            args.format,
-        )
+        sv = series.gamma_at_integer(args.m, _params_for(float(args.m), args.tol, args.terms))
+        _emit(_report("gamma", args.m, sv, "integer_limit", t0), args.format)
         return EXIT_OK
     try:
-        p = _params_for(args.x, args.tol, args.terms)
-        g = series.gamma_any_x(args.x, p)
+        sv = series.gamma_any_x(args.x, _params_for(args.x, args.tol, args.terms))
     except GuardBandError as exc:
         return _fail(
             f"x={args.x} lies in the guard band around {exc.m} where the log terms "
             f"are singular; try: gamma --m {exc.m}",
             EXIT_INPUT,
         )
-    _emit(
-        Report("gamma", args.x, g.value, g.error_estimate, p.k_terms, p.n_terms, g.source,
-               time.perf_counter_ns() - t0),
-        args.format,
-    )
+    _emit(_report("gamma", args.x, sv, "any_argument", t0), args.format)
     return EXIT_OK
 
 
@@ -173,25 +154,24 @@ def cmd_zeta_odd(args) -> int:
     else:
         sv = series.zeta_odd(args.n, shared_table(), p)
         method = "single_parameter"
-    _emit(
-        Report("zeta_odd", args.n, sv.value, sv.error_estimate, sv.k_used, sv.n_used,
-               method, time.perf_counter_ns() - t0),
-        args.format,
-    )
+    _emit(_report("zeta_odd", args.n, sv, method, t0), args.format)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     suite = getattr(args, "suite", "identities")
     failures = []
+    # the suite runs each check as it is drawn, so each record is timed from
+    # the end of the one before
+    t0 = time.perf_counter_ns()
     for check in identities.run_suite(suite):
-        t0 = time.perf_counter_ns()
         _emit(
             Report(f"check:{check.name}", check.argument, check.residual, check.allowance,
                    0, 0, "pass" if check.passed else "fail",
                    time.perf_counter_ns() - t0),
             args.format,
         )
+        t0 = time.perf_counter_ns()
         if not check.passed:
             failures.append(check)
     if failures:
@@ -205,10 +185,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _classical_naive(x: float, tol: float) -> tuple[float, int, bool, float]:
+def _classical_naive(x: float, tol: float) -> tuple[SeriesValue, bool]:
     """The textbook series psi(x+1) = -gamma + sum_n x/(n(n+x)), summed
     ascending until its monotone tail bound x/N meets tol, capped at 1e8
-    terms. Returns (value, terms, cap_reached, tail_bound)."""
+    terms. Returns (result, cap_reached); the estimate is the tail bound plus
+    1e-13 and n_used the number of terms."""
     cap = 100_000_000
     needed = math.ceil(x / tol)
     n_total = min(needed, cap)
@@ -220,34 +201,26 @@ def _classical_naive(x: float, tol: float) -> tuple[float, int, bool, float]:
         n = np.arange(float(start), float(stop) + 1.0)
         total += float(np.sum(x / (n * (n + x))))
         start = stop + 1
-    return total - euler_gamma_reference(), n_total, n_total < needed, x / n_total
+    sv = SeriesValue(total - euler_gamma_reference(), x / n_total + 1e-13, 0, n_total)
+    return sv, n_total < needed
 
 
 def cmd_bench(args) -> int:
     if not 0.0 < args.x < math.inf:
         return _fail("x must be positive and finite", EXIT_INPUT)
-    if series._guard_index(args.x, DEFAULT_GUARD_DELTA):
+    if planner._guard_index(args.x, DEFAULT_GUARD_DELTA):
         return _fail(
             f"x={args.x} lies in a guard band; pick a benchmark point away from integers",
             EXIT_INPUT,
         )
     for tol in args.tol:
         t0 = time.perf_counter_ns()
-        p = planner.plan(tol, args.x)
-        sv = series.psi_ramanujan(args.x, p)
-        _emit(
-            Report("psi", args.x, sv.value, sv.error_estimate, sv.k_used, sv.n_used,
-                   "ramanujan", time.perf_counter_ns() - t0),
-            args.format,
-        )
+        sv = series.psi_ramanujan(args.x, planner.plan(tol, args.x))
+        _emit(_report("psi", args.x, sv, "ramanujan", t0), args.format)
         t0 = time.perf_counter_ns()
-        value, terms, capped, tail = _classical_naive(args.x, tol)
-        _emit(
-            Report("psi", args.x, value, tail + 1e-13, 0, terms,
-                   "classical-capped" if capped else "classical",
-                   time.perf_counter_ns() - t0),
-            args.format,
-        )
+        sv, capped = _classical_naive(args.x, tol)
+        _emit(_report("psi", args.x, sv, "classical-capped" if capped else "classical", t0),
+              args.format)
     return EXIT_OK
 
 

@@ -28,8 +28,6 @@ from .params import EvalParams
 _TWO_PI = 2.0 * math.pi
 _EPS = math.ulp(1.0)
 
-SUITES = ("identities", "equivalence", "asymptotic", "all")
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -140,55 +138,49 @@ def asymptotic_residual(x: float, params: EvalParams) -> float:
 # suites
 
 
-def run_identities(params: EvalParams | None = None) -> list[CheckResult]:
-    p = params or _default_params()
+def run_identities() -> Iterator[CheckResult]:
+    p = _default_params()
     table = shared_table()
-    out = []
 
     s, tail, _ = series._power_csch2_sum(0, math.pi, p.k_terms)
     closed = 1.0 / 6.0 - 1.0 / _TWO_PI
-    out.append(_abs_check("csch2_closed_form", p.k_terms, s + tail - closed, 1e-15))
+    yield _abs_check("csch2_closed_form", p.k_terms, s + tail - closed, 1e-15)
 
     lam = series._power_lambert_sum(1, math.pi, p.k_terms)[0]
-    out.append(_abs_check("lambert_linear", 1, lam - (1.0 / 24.0 - 1.0 / (8.0 * math.pi)), 1e-15))
+    yield _abs_check("lambert_linear", 1, lam - (1.0 / 24.0 - 1.0 / (8.0 * math.pi)), 1e-15)
 
     for m in (3, 5):
         closed = _lambert_closed_form(m, table)
         partial = series._power_lambert_sum(2 * m - 1, math.pi, p.k_terms)[0]
-        out.append(_abs_check(f"lambert_closed_form_m{m}", m, partial - closed, 1e-14))
-        out.append(_abs_check(f"lambert_integral_m{m}", m, _lambert_integral(m) - closed, 1e-10))
+        yield _abs_check(f"lambert_closed_form_m{m}", m, partial - closed, 1e-14)
+        yield _abs_check(f"lambert_integral_m{m}", m, _lambert_integral(m) - closed, 1e-10)
 
     z3 = series.zeta_odd(1, table, p)
-    out.append(_abs_check("zeta3_vs_direct", 1, z3.value - zeta_direct_oracle(3), 1e-12))
+    yield _abs_check("zeta3_vs_direct", 1, z3.value - zeta_direct_oracle(3), 1e-12)
 
-    out.append(_abs_check("zeta_even_basel", 1, series.zeta_even(1, table) - math.pi**2 / 6.0, 1e-15))
-    out.append(
-        _abs_check("zeta_even_6_vs_direct", 3, series.zeta_even(3, table) - zeta_direct_oracle(6), 1e-13)
+    yield _abs_check("zeta_even_basel", 1, series.zeta_even(1, table) - math.pi**2 / 6.0, 1e-15)
+    yield _abs_check(
+        "zeta_even_6_vs_direct", 3, series.zeta_even(3, table) - zeta_direct_oracle(6), 1e-13
     )
 
     # the N->0 limit of the odd-zeta identity, with 2N zeta(2N+1) read as 1
     j0 = float(series._zeta_odd_j_sum(0, table))
-    out.append(
-        _abs_check("zeta_limit_n0", 0, 1.0 + _TWO_PI * (s + tail) - _TWO_PI * j0, 1e-13)
-    )
+    yield _abs_check("zeta_limit_n0", 0, 1.0 + _TWO_PI * (s + tail) - _TWO_PI * j0, 1e-13)
 
     # the two printed forms of the pole-pair limit are algebraically equal;
     # check them against each other and against the runtime guard form
     for m in (1, 2, 3):
         a = math.pi / (2.0 * math.sinh(math.pi * m) ** 2)
         b = _TWO_PI * math.exp(_TWO_PI * m) / math.expm1(_TWO_PI * m) ** 2
-        out.append(_abs_check(f"pole_pair_limit_forms_m{m}", m, a - b, 16.0 * _EPS * a + 1e-30))
+        yield _abs_check(f"pole_pair_limit_forms_m{m}", m, a - b, 16.0 * _EPS * a + 1e-30)
         direct = 1.0 / (2.0 * m * math.expm1(_TWO_PI * m)) - a
         guard = series._guard_pole_pair(m, 0.0)
-        out.append(
-            _abs_check(f"pole_pair_guard_form_m{m}", m, guard - direct, 16.0 * _EPS * (abs(direct) + a))
+        yield _abs_check(
+            f"pole_pair_guard_form_m{m}", m, guard - direct, 16.0 * _EPS * (abs(direct) + a)
         )
-    return out
 
 
-def run_equivalence(params: EvalParams | None = None) -> list[CheckResult]:
-    out = []
-
+def run_equivalence() -> Iterator[CheckResult]:
     # three-way chain: main series minus partial-fraction rearrangement must
     # equal minus the all-arguments constant, term-for-term in k
     for x in (0.3, 1.7, 4.2):
@@ -196,90 +188,82 @@ def run_equivalence(params: EvalParams | None = None) -> list[CheckResult]:
         psi = series.psi_ramanujan(x, p)
         g = series.gamma_any_x(x, p)
         rhs = digamma_partial_fraction_rhs(x, p)
-        out.append(
-            _abs_check(
-                "partial_fraction_chain",
-                x,
-                (psi.value - rhs) + g.value,
-                2.0 * (psi.error_estimate + g.error_estimate),
-            )
+        yield _abs_check(
+            "partial_fraction_chain",
+            x,
+            (psi.value - rhs) + g.value,
+            2.0 * (psi.error_estimate + g.error_estimate),
         )
 
     for x in quasi_random_grid():
         p = planner.plan(1e-12, x)
         psi = series.psi_ramanujan(x, p)
-        out.append(
-            _abs_check("oracle_equivalence", x, psi.value - psi_oracle(x), psi.error_estimate + 1e-12)
+        yield _abs_check(
+            "oracle_equivalence", x, psi.value - psi_oracle(x), psi.error_estimate + 1e-12
         )
 
     g_int = series.gamma_at_integer(2, planner.plan(1e-12, 2.0))
     g_any = series.gamma_any_x(2.5, planner.plan(1e-12, 2.5))
-    out.append(
-        _abs_check(
-            "gamma_route_agreement",
-            2.5,
-            g_int.value - g_any.value,
-            g_int.error_estimate + g_any.error_estimate + 1e-14,
-        )
+    yield _abs_check(
+        "gamma_route_agreement",
+        2.5,
+        g_int.value - g_any.value,
+        g_int.error_estimate + g_any.error_estimate + 1e-14,
     )
-    out.append(
-        _abs_check("gamma_vs_reference", 0.5,
-                   series.gamma_any_x(0.5, planner.plan(1e-12, 0.5)).value - euler_gamma_reference(),
-                   1e-11)
+    yield _abs_check(
+        "gamma_vs_reference", 0.5,
+        series.gamma_any_x(0.5, planner.plan(1e-12, 0.5)).value - euler_gamma_reference(),
+        1e-11,
     )
 
     for x in (0.5, 1.5):
         p = planner.plan(1e-12, x)
         r = series.re_psi_complex_ramanujan(x, p)
-        out.append(_abs_check("re_psi_vs_oracle", x, r.value - re_psi_one_plus_ik(x), 1e-10))
+        yield _abs_check("re_psi_vs_oracle", x, r.value - re_psi_one_plus_ik(x), 1e-10)
         g = series.gamma_any_x(x, p)
         pf, pf_err = series._partial_fraction_gamma_sum(x)
-        out.append(
-            _abs_check(
-                "re_psi_gamma_consistency",
-                x,
-                g.value + r.value - pf,
-                g.error_estimate + r.error_estimate + pf_err,
-            )
+        yield _abs_check(
+            "re_psi_gamma_consistency",
+            x,
+            g.value + r.value - pf,
+            g.error_estimate + r.error_estimate + pf_err,
         )
-    return out
 
 
-def run_asymptotic(params: EvalParams | None = None) -> list[CheckResult]:
-    p = params or _default_params()
-    out = []
+def run_asymptotic() -> Iterator[CheckResult]:
+    p = _default_params()
 
     s, tail, _ = series._power_csch2_sum(0, math.pi, p.k_terms)
-    out.append(
-        _abs_check("log_coefficient_cancellation", 0,
-                   1.0 - math.pi / 3.0 + _TWO_PI * (s + tail), 1e-13)
+    yield _abs_check(
+        "log_coefficient_cancellation", 0, 1.0 - math.pi / 3.0 + _TWO_PI * (s + tail), 1e-13
     )
 
     scaled = {n: (n + 0.5) * abs(asymptotic_residual(n + 0.5, p)) for n in (2, 5, 10, 20)}
-    out.append(
-        CheckResult(
-            "residual_no_growth",
-            20.5,
-            scaled[20] - 2.0 * scaled[2],
-            0.0,
-            scaled[20] <= 2.0 * scaled[2],
-        )
+    yield CheckResult(
+        "residual_no_growth",
+        20.5,
+        scaled[20] - 2.0 * scaled[2],
+        0.0,
+        scaled[20] <= 2.0 * scaled[2],
     )
 
     r10 = abs(asymptotic_residual(10.5, p))
     r20 = abs(asymptotic_residual(20.5, p))
     ceiling = r10 * (1.05 * 10.5 / 20.5)
-    out.append(CheckResult("residual_decay", 20.5, r20 - ceiling, 0.0, r20 <= ceiling))
-    return out
+    yield CheckResult("residual_decay", 20.5, r20 - ceiling, 0.0, r20 <= ceiling)
 
 
-def run_suite(name: str, params: EvalParams | None = None) -> list[CheckResult]:
-    if name == "identities":
-        return run_identities(params)
-    if name == "equivalence":
-        return run_equivalence(params)
-    if name == "asymptotic":
-        return run_asymptotic(params)
-    if name == "all":
-        return run_identities(params) + run_equivalence(params) + run_asymptotic(params)
-    raise ValueError(f"unknown suite {name!r}, expected one of {SUITES}")
+_SUITE_RUNS = {
+    "identities": (run_identities,),
+    "equivalence": (run_equivalence,),
+    "asymptotic": (run_asymptotic,),
+    "all": (run_identities, run_equivalence, run_asymptotic),
+}
+SUITES = tuple(_SUITE_RUNS)
+
+
+def run_suite(name: str) -> Iterator[CheckResult]:
+    """The checks of the named suite, each run when it is drawn."""
+    if name not in _SUITE_RUNS:
+        raise ValueError(f"unknown suite {name!r}, expected one of {SUITES}")
+    return (check for run in _SUITE_RUNS[name] for check in run())

@@ -4,15 +4,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 DEFAULT_GUARD_DELTA = 1e-3
 MIN_TOL = 1e-15  # double precision floor
+# every outer k-loop stops near k = 119, where e^{-2 pi k} underflows; this
+# caps what a hand-built count can ask the evaluators to size
+MAX_K_TERMS = 6000
 
 
 @dataclass(frozen=True)
 class EvalParams:
-    """Evaluation budget: target tolerance, outer/inner term counts, and the
-    half-width of the removable-singularity band around positive integers.
+    """Evaluation budget: target tolerance and outer/inner term counts. The
+    half-width of the removable-singularity band around positive integers is
+    fixed at DEFAULT_GUARD_DELTA.
 
     The evaluators sum the double series at x + planner.lift_shift(x), so
     k_terms and n_terms refer to that lifted argument, not to x.
@@ -21,21 +26,22 @@ class EvalParams:
     tol: float = 1e-12
     k_terms: int = 10
     n_terms: int = 20000
-    guard_delta: float = DEFAULT_GUARD_DELTA
+    guard_delta: ClassVar[float] = DEFAULT_GUARD_DELTA
 
     def __post_init__(self):
         if not self.tol >= MIN_TOL:
             raise ValueError(f"tol must be >= {MIN_TOL} in double precision")
         if self.k_terms < 1 or self.n_terms < 1:
             raise ValueError("k_terms and n_terms must be positive")
-        if not 0 < self.guard_delta < 0.25:
-            raise ValueError("guard_delta must lie in (0, 1/4)")
+        if self.k_terms > MAX_K_TERMS:
+            raise ValueError(f"k_terms must be at most {MAX_K_TERMS}")
 
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """A numeric result with an a posteriori truncation-error upper bound and
-    the term counts actually used."""
+    """The result of every evaluator: a value with an a posteriori error upper
+    bound and the term counts that ran, k_used outer terms and n_used terms
+    in the longest inner sum (0 where no inner sum runs)."""
 
     value: float
     error_estimate: float
@@ -66,27 +72,6 @@ class ModularPair:
         if not alpha > 0:
             raise ValueError("alpha must be positive")
         return cls(alpha=alpha, beta=math.pi * math.pi / alpha)
-
-
-# Sources for an Euler-constant estimate: the integer limit formula or the
-# any-argument formula.
-GAMMA_SOURCE_INTEGER = "integer_limit"
-GAMMA_SOURCE_ANY_X = "any_argument"
-
-
-@dataclass(frozen=True)
-class EulerGamma:
-    """An estimate of Euler's constant, tagged with which formula produced it."""
-
-    value: float
-    source: str
-    error_estimate: float = 0.0
-
-    def __post_init__(self):
-        if self.source not in (GAMMA_SOURCE_INTEGER, GAMMA_SOURCE_ANY_X):
-            raise ValueError(f"unknown source {self.source!r}")
-        if not (self.error_estimate >= 0 and math.isfinite(self.error_estimate)):
-            raise ValueError("error_estimate must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,13 @@ from __future__ import annotations
 import math
 
 from .errors import ToleranceError
-from .params import DEFAULT_GUARD_DELTA, MIN_TOL, EvalParams, TailBound
+from .params import DEFAULT_GUARD_DELTA, MAX_K_TERMS, MIN_TOL, EvalParams, TailBound
 
 _TWO_PI = 2.0 * math.pi
 _Q_UNIT = math.exp(-_TWO_PI)  # common ratio of the pi-scaled k-series envelopes
 
 FAMILIES = ("exp_envelope", "csch2", "lambert", "log_csch2")
 
-MAX_K_TERMS = 6000
 MAX_N_TERMS = 500_000
 MIN_N_TERMS = 16
 # the evaluators lift arguments below this with the digamma recurrence: every
@@ -45,6 +44,30 @@ def _geom_k_shift(first: int, q: float) -> float:
 def _geom_k_centered(first: int, q: float) -> float:
     """sum_{k>=first} k (k - first) q^k."""
     return q**first * (q * (1.0 + q) / (1.0 - q) ** 3 + first * q / (1.0 - q) ** 2)
+
+
+def _inv_expm1(t: float) -> float:
+    """1/(e^t - 1) for t > 0, underflowing to 0 instead of overflowing."""
+    if t > 700.0:
+        return 0.0
+    q = math.exp(-t)
+    return q / (1.0 - q)
+
+
+def _csch2(t: float) -> float:
+    """1/sinh^2(t) for t > 0."""
+    if t > 350.0:
+        return 0.0
+    q = math.exp(-2.0 * t)
+    return 4.0 * q / (1.0 - q) ** 2
+
+
+def _guard_index(x: float, guard_delta: float) -> int:
+    """The positive integer m with |x-m| < guard_delta, or 0 if none."""
+    m = round(x)
+    if m >= 1 and abs(x - m) < guard_delta:
+        return m
+    return 0
 
 
 def _ratio(scale: float) -> float:
@@ -111,11 +134,6 @@ def bound_exp_envelope(first: int, x: float) -> float:
     return min(uniform, oscillatory)
 
 
-def _csch2_term(k: int) -> float:
-    q = math.exp(-_TWO_PI * k) if _TWO_PI * k < 700.0 else 0.0
-    return 4.0 * q / (1.0 - q) ** 2
-
-
 def log_abs_quartic_gap(k: float, x: float) -> float:
     """log|k^4 - x^4| without forming fourth powers (safe for huge x)."""
     hi, lo = (x, k) if x > k else (k, x)
@@ -142,7 +160,7 @@ def bound_log_csch2(first: int, x: float, skip: int = 0) -> float:
             continue
         if float(k) == x:
             return math.inf
-        explicit += abs(log_abs_quartic_gap(float(k), x)) * _csch2_term(k)
+        explicit += abs(log_abs_quartic_gap(float(k), x)) * _csch2(math.pi * k)
     q = _Q_UNIT
     closed = (4.0 / (1.0 - q**f2) ** 2) * (
         4.0 * math.log(f2) * _geom(f2, q) + (4.0 / f2) * _geom_k_shift(f2, q)
@@ -249,8 +267,7 @@ def plan(tol: float, x: float) -> EvalParams:
     budget = tol / 4.0
     # an index inside the guard band is handled by the regularized pair, not
     # the plain sums, so its singular bound terms are skipped
-    nearest = round(y)
-    guard = nearest if nearest >= 1 and abs(y - nearest) < DEFAULT_GUARD_DELTA else 0
+    guard = _guard_index(y, DEFAULT_GUARD_DELTA)
     k = max(1, math.ceil(math.log(40.0 / tol) / _TWO_PI))
     while True:
         worst = max(
@@ -271,4 +288,4 @@ def plan(tol: float, x: float) -> EvalParams:
         raise ToleranceError(
             f"inner series need {n} terms for tol={tol} at x={x} (cap {MAX_N_TERMS})"
         )
-    return EvalParams(tol=tol, k_terms=k, n_terms=n, guard_delta=DEFAULT_GUARD_DELTA)
+    return EvalParams(tol=tol, k_terms=k, n_terms=n)

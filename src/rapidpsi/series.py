@@ -32,14 +32,8 @@ import numpy as np
 from . import planner
 from .bernoulli import BernoulliTable, bernoulli_over_factorial, shared_table
 from .errors import GuardBandError, ToleranceError
-from .params import (
-    GAMMA_SOURCE_ANY_X,
-    GAMMA_SOURCE_INTEGER,
-    EulerGamma,
-    EvalParams,
-    ModularPair,
-    SeriesValue,
-)
+from .params import EvalParams, ModularPair, SeriesValue
+from .planner import _csch2, _guard_index, _inv_expm1
 
 _TWO_PI = 2.0 * math.pi
 _EPS = math.ulp(1.0)
@@ -61,7 +55,7 @@ _ZETA_EVEN = tuple(zeta_even(j, shared_table()) for j in range(45))
 
 
 # ---------------------------------------------------------------------------
-# argument-reduced trigonometry and overflow-safe hyperbolics
+# argument-reduced trigonometry
 
 
 def _dist(x: float) -> float:
@@ -84,22 +78,6 @@ def _cotpi(x: float) -> float:
 
 def _log_2sinpi_abs(x: float) -> float:
     return math.log(2.0 * abs(math.sin(math.pi * _dist(x))))
-
-
-def _inv_expm1(t: float) -> float:
-    """1/(e^t - 1) for t > 0, underflowing to 0 instead of overflowing."""
-    if t > 700.0:
-        return 0.0
-    q = math.exp(-t)
-    return q / (1.0 - q)
-
-
-def _csch2(t: float) -> float:
-    """1/sinh^2(t) for t > 0."""
-    if t > 350.0:
-        return 0.0
-    q = math.exp(-2.0 * t)
-    return 4.0 * q / (1.0 - q) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +199,13 @@ def _inner_pair(k: int, theta: float, n_sin: int, n_cos: int):
 
 
 def _double_series_at(x: float, params: EvalParams) -> SeriesValue:
-    """S(x) summed directly at x, without the recurrence lift."""
+    """S(x) summed directly at x, without the recurrence lift. At integer x
+    the inner sums collapse to C_k(0), so none is sized and n_used is 0."""
     theta = _TWO_PI * _dist(x)
-    lengths = planner._inner_lengths(params.tol, x, params.k_terms)
+    if theta:
+        lengths = planner._inner_lengths(params.tol, x, params.k_terms)
+    else:
+        lengths = [(0, 0)] * params.k_terms
     pieces = []
     trunc = 0.0
     mass = 0.0
@@ -334,14 +316,6 @@ def _guard_log_pair(m: int, eps: float) -> float:
     )
 
 
-def _guard_index(x: float, guard_delta: float) -> int:
-    """The positive integer m with |x-m| < guard_delta, or 0 if none."""
-    m = round(x)
-    if m >= 1 and abs(x - m) < guard_delta:
-        return m
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # the main evaluator and its corollaries
 
@@ -350,8 +324,9 @@ def _lift(x: float, shift: int) -> tuple[float, float]:
     """(y, bound) with y = fl(x + shift) and bound >= |psi(y+1) - psi(x+shift+1)|.
 
     TwoSum recovers the rounding d = (x + shift) - y exactly, and
-    psi'(t+1) < 1/t <= 1 for t >= 1, so |d| bounds the change in psi. With
-    shift 0 this returns (x, 0.0).
+    psi'(t+1) < 1/t <= 1 for t >= 1, so |d| bounds the change in psi; for
+    psi' at y >= 3, |psi''(t+1)| < 1 makes it a bound there too. With shift 0
+    this returns (x, 0.0).
     """
     y = x + shift
     z = y - x
@@ -426,7 +401,7 @@ def psi_ramanujan(x: float, params: EvalParams) -> SeriesValue:
     )
 
 
-def gamma_at_integer(m: int, params: EvalParams) -> EulerGamma:
+def gamma_at_integer(m: int, params: EvalParams) -> SeriesValue:
     """Euler's constant from the integer specialization gamma = H_m - psi(m+1),
     with psi(m+1) summed at m itself: both guard pairs take their exact eps=0
     limits and the double series its closed inner form
@@ -434,12 +409,13 @@ def gamma_at_integer(m: int, params: EvalParams) -> EulerGamma:
     if not isinstance(m, int) or m < 1:
         raise ValueError("m must be a positive integer")
     harmonic = math.fsum(1.0 / j for j in range(1, m + 1))
-    pieces, trunc, _ = _psi_pieces(float(m), params)
+    pieces, trunc, n_used = _psi_pieces(float(m), params)
     mass = math.fsum(abs(p) for p in pieces) + harmonic
-    return EulerGamma(
+    return SeriesValue(
         value=harmonic - math.fsum(pieces),
-        source=GAMMA_SOURCE_INTEGER,
         error_estimate=trunc + 4.0 * _EPS * mass,
+        k_used=params.k_terms,
+        n_used=n_used,
     )
 
 
@@ -466,7 +442,7 @@ def _re_psi_rest(x: float, params: EvalParams) -> tuple[list[float], float]:
     return pieces, tail + planner.bound_log_csch2(first, x)
 
 
-def gamma_any_x(x: float, params: EvalParams) -> EulerGamma:
+def gamma_any_x(x: float, params: EvalParams) -> SeriesValue:
     """Euler's constant from the all-arguments identity: the series
     representation of -gamma evaluated at x + planner.lift_shift(x), negated.
     Constant in the argument up to truncation, which the error estimate
@@ -494,8 +470,8 @@ def gamma_any_x(x: float, params: EvalParams) -> EulerGamma:
     pieces += [-x_sum, -s.value]
     mass = math.fsum(abs(p) for p in pieces)
     err = s.error_estimate + x_sum_err + tail + 4.0 * _EPS * mass
-    return EulerGamma(
-        value=-math.fsum(pieces), source=GAMMA_SOURCE_ANY_X, error_estimate=err
+    return SeriesValue(
+        value=-math.fsum(pieces), error_estimate=err, k_used=params.k_terms, n_used=s.n_used
     )
 
 
@@ -526,59 +502,65 @@ def re_psi_complex_ramanujan(x: float, params: EvalParams) -> SeriesValue:
 
 
 def psi_prime_ramanujan(x: float, params: EvalParams) -> SeriesValue:
-    """psi'(x+1) from the term-by-term derivative representation. The
-    csc^2 pole at integer x is genuine in individual terms; the guard band
-    is rejected rather than regularized. There is no double series, so no
-    recurrence lift: the terms and the error estimate are taken at x."""
+    """psi'(x+1) from the term-by-term derivative representation at
+    y = x + shift, shift = planner.lift_shift(x), lowered by the recurrence
+    psi'(x+1) = psi'(y+1) + sum_{i=1..shift} 1/(x+i)^2, whose terms join the
+    summed pieces. The csc^2 pole at integer x is genuine in individual
+    terms; the guard band is rejected rather than regularized. So is
+    0 < x < guard_delta, which the shift carries into the band around 3."""
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
     m = _guard_index(x, params.guard_delta)
-    if m:
+    if m or x < params.guard_delta:
         raise GuardBandError(
             f"x={x} is within guard_delta of {m}; the csc^2 pairing is singular "
             f"there, evaluate outside the band",
             suggestion="shift x outside the guard band",
         )
-    sp = _sinpi(x)
+    shift = planner.lift_shift(x)
+    y, lift_err = _lift(x, shift)
+    sp = _sinpi(y)
     pieces = [
-        math.pi / (3.0 * x),
-        -1.0 / (2.0 * x * x),
-        1.0 / (_TWO_PI * x * x * x),
-        -math.pi * math.pi / (sp * sp) * _inv_expm1(_TWO_PI * x),
+        math.pi / (3.0 * y),
+        -1.0 / (2.0 * y * y),
+        1.0 / (_TWO_PI * y * y * y),
+        -math.pi * math.pi / (sp * sp) * _inv_expm1(_TWO_PI * y),
     ]
     for k in range(1, params.k_terms + 1):
         q = _inv_expm1(_TWO_PI * k)
         csch = _csch2(math.pi * k)
         if q == 0.0 and csch == 0.0:
             break
-        d = (k - x) * (k + x)
-        pieces.append(4.0 * k * x * q / (d * d))
-        # 2 pi x^3 / (sinh^2(pi k)(k^4 - x^4)) in overflow-free ratio form
-        if k > x:
-            r = x / k
+        d = (k - y) * (k + y)
+        pieces.append(4.0 * k * y * q / (d * d))
+        # 2 pi y^3 / (sinh^2(pi k)(k^4 - y^4)) in overflow-free ratio form
+        if k > y:
+            r = y / k
             pieces.append(_TWO_PI * csch * r**3 / (k * (1.0 - r**4)))
         else:
-            r = k / x
-            pieces.append(-_TWO_PI * csch / (x * (1.0 - r**4)))
+            r = k / y
+            pieces.append(-_TWO_PI * csch / (y * (1.0 - r**4)))
+    pieces.extend(1.0 / (x + i) ** 2 for i in range(1, shift + 1))
     mass = math.fsum(abs(p) for p in pieces)
     first = params.k_terms + 1
-    f2 = max(first, math.ceil(x) + 2)
-    # explicit tail terms up to F2 = max(first, ceil(x)+2), with
-    # csch^2(pi k) = 4q/(1-q)^2; past F2, k - x >= 2 makes 4kx/(k^2-x^2)^2
-    # <= kx/(k+x)^2 <= 1/4 and 2x^3/(k^4-x^4) <= x^3/F2^3
+    f2 = max(first, math.ceil(y) + 2)
+    # explicit tail terms up to F2 = max(first, ceil(y)+2), with
+    # csch^2(pi k) = 4q/(1-q)^2; past F2, k - y >= 2 makes 4ky/(k^2-y^2)^2
+    # <= ky/(k+y)^2 <= 1/4 and 2y^3/(k^4-y^4) <= y^3/F2^3
     tail = 0.0
     for k in range(first, min(f2, 130)):
-        gap = max(abs((k - x) * (k + x)), params.guard_delta * (k + x))
+        gap = max(abs((k - y) * (k + y)), params.guard_delta * (k + y))
         qk = math.exp(-_TWO_PI * k)
         tail += (
-            4.0 * k * x / (gap * gap)
-            + _TWO_PI * x**3 / (gap * (k * k + x * x)) * 4.0 / (1.0 - qk)
+            4.0 * k * y / (gap * gap)
+            + _TWO_PI * y**3 / (gap * (k * k + y * y)) * 4.0 / (1.0 - qk)
         ) * qk / (1.0 - qk)
     err = (
         tail * (1.0 + 1e-12)
         + 0.25 * planner.bound_lambert(0, f2)
-        + math.pi * x**3 / float(f2) ** 3 * planner.bound_csch2(f2)
+        + math.pi * y**3 / float(f2) ** 3 * planner.bound_csch2(f2)
         + 4.0 * _EPS * mass
+        + lift_err
     )
     return SeriesValue(
         value=math.fsum(pieces), error_estimate=err, k_used=params.k_terms, n_used=0

@@ -5,11 +5,12 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from rapidpsi import cli, planner
+from rapidpsi import cli, identities, planner, series
 from rapidpsi.oracles import euler_gamma_reference, psi_oracle
 
 SCHEMA = [
@@ -78,6 +79,21 @@ def test_psi_terms_override_keeps_the_lift(capsys):
     assert abs(r["value"] - psi_oracle(0.01)) <= r["abs_error_estimate"] + 1e-13
 
 
+def test_terms_above_the_cap_are_a_one_line_input_error(capsys):
+    code, out, err = run_cli(capsys, ["psi", "--x", "2.5", "--terms", "6001"])
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "6000" in err
+
+
+def test_psi_at_integer_reports_no_inner_terms(capsys):
+    # at x = 3 the inner sums collapse to C_k(0) and none of them runs
+    code, out, _ = run_cli(capsys, ["psi", "--x", "3", "--tol", "1e-15"])
+    assert code == cli.EXIT_OK
+    assert rows(out)[0]["n_used"] == 0
+
+
 def test_psi_rejects_nonpositive_x(capsys):
     code, _, err = run_cli(capsys, ["psi", "--x", "-1"])
     assert code == cli.EXIT_INPUT
@@ -94,6 +110,16 @@ def test_psi_prime_half_integer(capsys):
 def test_psi_prime_guard_band_is_input_error(capsys):
     code, _, err = run_cli(capsys, ["psi-prime", "--x", "2.0005"])
     assert code == cli.EXIT_INPUT
+    assert "guard" in err
+
+
+@pytest.mark.parametrize("x", ["1e-5", "1e-300"])
+def test_psi_prime_near_zero_is_a_one_line_guard_error(capsys, x):
+    # x + 3 lands in the band around 3; at 1e-300 this was a ZeroDivisionError
+    code, out, err = run_cli(capsys, ["psi-prime", "--x", x])
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
     assert "guard" in err
 
 
@@ -114,6 +140,17 @@ def test_gamma_any_x_route(capsys):
     r = rows(out)[0]
     assert r["method"] == "any_argument"
     assert abs(r["value"] - euler_gamma_reference()) <= 1e-11
+
+
+def test_gamma_any_x_reports_the_terms_that_ran(capsys):
+    # --terms sets the outer count; n_used is the longest inner sum summed at
+    # 0.5 + 3, not the cap the hand-built params allow
+    code, out, _ = run_cli(capsys, ["gamma", "--x", "0.5", "--terms", "5"])
+    assert code == cli.EXIT_OK
+    r = rows(out)[0]
+    p = cli._params_for(0.5, 1e-12, 5)
+    assert (r["k_used"], r["n_used"]) == (5, series._double_series_at(3.5, p).n_used)
+    assert r["n_used"] < 100
 
 
 def test_gamma_guard_band_suggests_integer_route(capsys):
@@ -184,6 +221,23 @@ def test_verify_all_suites_green(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--suite", "all"])
     assert code == cli.EXIT_OK
     assert all(r["method"] == "pass" for r in rows(out))
+
+
+def test_verify_times_each_check(capsys, monkeypatch):
+    # each record's time covers running its check, not only printing it
+    real = identities.run_suite
+
+    def slow_suite(name):
+        for check in real(name):
+            time.sleep(0.01)
+            yield check
+
+    monkeypatch.setattr(identities, "run_suite", slow_suite)
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "asymptotic"])
+    assert code == cli.EXIT_OK
+    records = rows(out)
+    assert len(records) == 3
+    assert all(r["elapsed_nanoseconds"] >= 10**7 for r in records)
 
 
 def test_identities_alias_matches_verify(capsys):

@@ -70,6 +70,30 @@ def test_soundness_by_oversummation(family):
         assert _brute_tail(family, first, x) <= bound * (1.0 + 1e-12)
 
 
+def test_psi_k_sum_soundness_by_oversummation():
+    # the only tail that walks explicit terms at their actual size; near an
+    # integer m inside the guard band the k = m term is skipped, as _psi_rest
+    # skips it, and the floor guard_delta (k + x) must not undercut the rest
+    rng = random.Random(11)
+    delta = EvalParams.guard_delta
+    for _ in range(300):
+        first = rng.randint(1, 40)
+        if rng.random() < 0.4:
+            skip = rng.randint(1, 60)
+            x = skip + rng.uniform(-0.999, 0.999) * delta
+        else:
+            skip = 0
+            x = math.exp(rng.uniform(math.log(0.1), math.log(1e12)))
+            if abs(x - round(x)) < delta:
+                continue
+        brute = math.fsum(
+            abs(2.0 * k * _inv_expm1(TWO_PI * k) / ((k - x) * (k + x)))
+            for k in range(first, first + 300)
+            if k != skip
+        )
+        assert brute <= planner.bound_psi_k_sum(first, x, delta, skip)
+
+
 def test_lambert_soundness_all_powers():
     rng = random.Random(7)
     for _ in range(20):
@@ -169,6 +193,15 @@ def test_plan_validation():
     assert p.n_terms <= planner.MAX_N_TERMS
     sv = series.psi_ramanujan(0.05, p)
     assert abs(sv.value - psi_oracle(0.05)) <= sv.error_estimate
+
+
+def test_eval_params_caps_the_outer_count():
+    # the evaluators size one inner-length pair per outer index, so an
+    # unbounded count would allocate before any loop stops
+    assert EvalParams(k_terms=planner.MAX_K_TERMS).k_terms == 6000
+    for bad in (planner.MAX_K_TERMS + 1, 10**9):
+        with pytest.raises(ValueError, match="6000"):
+            EvalParams(k_terms=bad)
 
 
 def test_plan_handles_extreme_arguments():
