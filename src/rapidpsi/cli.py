@@ -23,7 +23,7 @@ from . import identities, planner, series
 from .bernoulli import shared_table
 from .errors import GuardBandError, ToleranceError
 from .oracles import OracleConfig, euler_gamma_reference, psi_oracle
-from .params import DEFAULT_GUARD_DELTA, EvalParams, ModularPair, SeriesValue
+from .params import DEFAULT_GUARD_DELTA, MAX_GAMMA_M, EvalParams, ModularPair, SeriesValue
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -133,9 +133,10 @@ def cmd_gamma(args) -> int:
     try:
         sv = series.gamma_any_x(args.x, _params_for(args.x, args.tol, args.terms))
     except GuardBandError as exc:
+        hint = f"gamma --m {exc.m}" if exc.m <= MAX_GAMMA_M else "an x outside the band"
         return _fail(
             f"x={args.x} lies in the guard band around {exc.m} where the log terms "
-            f"are singular; try: gamma --m {exc.m}",
+            f"are singular; try: {hint}",
             EXIT_INPUT,
         )
     _emit(_report("gamma", args.x, sv, "any_argument", t0), args.format)

@@ -11,6 +11,11 @@ MIN_TOL = 1e-15  # double precision floor
 # every outer k-loop stops near k = 119, where e^{-2 pi k} underflows; this
 # caps what a hand-built count can ask the evaluators to size
 MAX_K_TERMS = 6000
+# gamma_at_integer sums H_m term by term, about 0.1 us a term, so this cap
+# holds a call near 10 ms, the cost of the slowest planned psi call. Past
+# m ~ 119 the double series is empty, and a larger m only adds rounding: the
+# 4 eps mass allowance grows like log m.
+MAX_GAMMA_M = 100_000
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from .params import DEFAULT_GUARD_DELTA, MAX_K_TERMS, MIN_TOL, EvalParams, TailB
 
 _TWO_PI = 2.0 * math.pi
 _Q_UNIT = math.exp(-_TWO_PI)  # common ratio of the pi-scaled k-series envelopes
+_EPS = math.ulp(1.0)
 
 FAMILIES = ("exp_envelope", "csch2", "lambert", "log_csch2")
 
@@ -60,6 +61,14 @@ def _csch2(t: float) -> float:
         return 0.0
     q = math.exp(-2.0 * t)
     return 4.0 * q / (1.0 - q) ** 2
+
+
+# e^{-2 pi k} and csch^2(pi k) underflow to exactly 0 past k ~ 119, so no
+# tail walk needs to go as far as this, even for huge x; the tables hold both
+# for every k a walk can reach (csch^2(0) is infinite)
+_WALK_END = 130
+_Q_POW = tuple(math.exp(-_TWO_PI * k) for k in range(_WALK_END))
+_CSCH2_PI = (math.inf,) + tuple(_csch2(math.pi * k) for k in range(1, _WALK_END))
 
 
 def _guard_index(x: float, guard_delta: float) -> int:
@@ -140,32 +149,91 @@ def log_abs_quartic_gap(k: float, x: float) -> float:
     return 4.0 * math.log(hi) + math.log1p(-((lo / hi) ** 4))
 
 
+def _nearest(x: float, lo: int, hi: int, skip: int) -> int:
+    """The integer in [lo, hi) other than skip that lies nearest to x; lo
+    itself is in the range and is not skip."""
+    c = min(max(round(x), lo), hi - 1)
+    if c != skip:
+        return c
+    # c > lo here, so c - 1 is in the range
+    return c + 1 if c + 1 < hi and c + 1 - x < x - (c - 1) else c - 1
+
+
+def walk_tail(first: int, end: int, x: float, skip: int, floor: float, term, rest) -> float:
+    """sum of term(k, x, floor) over first <= k < min(end, _WALK_END) with
+    k != skip, times (1 + 1e-12) for its rounding.
+
+    The terms fall like e^{-2 pi k}, so after a few of them the rest is below
+    one ulp of the partial sum. The walk stops at the first index K where
+    rest(K, x, g) is at most eps times the partial sum, and adds it in place
+    of the terms it leaves. rest(K, x, g) must bound the sum of the terms
+    over every k >= K (k != skip) that lies at least g from x; g is the
+    distance from x to the nearest such index below end, and never below
+    floor.
+    """
+    end = min(end, _WALK_END)
+    partial = 0.0
+    for k in range(first, end):
+        if k == skip:
+            continue
+        t = term(k, x, floor)
+        # rest(k, x, g) >= term(k, x, floor), so only a term this small can
+        # end the walk
+        if t <= _EPS * partial:
+            g = max(abs(_nearest(x, k, end, skip) - x), floor)
+            left = rest(k, x, g)
+            if left <= _EPS * partial:
+                partial += left
+                break
+        partial += t
+    return partial * (1.0 + 1e-12)
+
+
+def _log_csch2_term(k: int, x: float, floor: float) -> float:
+    return abs(log_abs_quartic_gap(float(k), x)) * _CSCH2_PI[k]
+
+
+def _log_csch2_rest(k: int, x: float, g: float) -> float:
+    """g (k+x)^3/2 <= |k^4 - x^4| <= (k+x)^4, so |log|k^4 - x^4|| is at most
+    4 log(k+x) + max(0, log(2/g)), with log(k+x) linearized at k; and
+    csch^2(pi k) <= 4 q^k/(1-q)^2."""
+    q = _Q_UNIT
+    lead = 4.0 * math.log(k + x) + max(0.0, math.log(2.0 / g))
+    return (4.0 / (1.0 - q) ** 2) * (lead * _geom(k, q) + (4.0 / (k + x)) * _geom_k_shift(k, q))
+
+
 def bound_log_csch2(first: int, x: float, skip: int = 0) -> float:
     """Tail of (pi/2) sum_k |log|k^4 - x^4|| / sinh^2(pi k).
 
     Terms with k possibly below x+2 are bounded individually (infinite if one
-    sits exactly on x); beyond F2 = max(first, ceil(x)+2) the log is positive
-    and at most 4 log k, linearized at F2, against the geometric csch^2
-    envelope. An index excluded from the series by the singularity guard is
-    passed as skip.
+    sits exactly on x), until the rest of them is provably below eps times
+    their sum; beyond F2 = max(first, ceil(x)+2) the log is positive and at
+    most 4 log k, linearized at F2, against the geometric csch^2 envelope. An
+    index excluded from the series by the singularity guard is passed as
+    skip.
     """
     if not x > 0:
         raise ValueError("x must be positive")
     f2 = max(first, math.ceil(x) + 2)
-    explicit = 0.0
-    # csch^2(pi k) underflows to exactly 0 past k ~ 119, so the explicit walk
-    # never needs to go further even for huge x
-    for k in range(first, min(f2, 130)):
-        if k == skip:
-            continue
-        if float(k) == x:
-            return math.inf
-        explicit += abs(log_abs_quartic_gap(float(k), x)) * _csch2(math.pi * k)
+    if first <= x < min(f2, _WALK_END) and x == round(x) and x != skip:
+        return math.inf
+    explicit = walk_tail(first, f2, x, skip, 0.0, _log_csch2_term, _log_csch2_rest)
     q = _Q_UNIT
     closed = (4.0 / (1.0 - q**f2) ** 2) * (
         4.0 * math.log(f2) * _geom(f2, q) + (4.0 / f2) * _geom_k_shift(f2, q)
     )
-    return (math.pi / 2.0) * (explicit * (1.0 + 1e-12) + closed)
+    return (math.pi / 2.0) * (explicit + closed)
+
+
+def _psi_k_sum_term(k: int, x: float, guard_delta: float) -> float:
+    gap = max(abs(float(k) ** 2 - x * x), guard_delta * (k + x))
+    q = _Q_POW[k]
+    return 2.0 * k * q / ((1.0 - q) * gap)
+
+
+def _psi_k_sum_rest(k: int, x: float, g: float) -> float:
+    """gap >= g (j+x) >= g (k+x) for every j >= k, and 1/(1-q^j) <= 1/(1-q)."""
+    return 2.0 * _geom_k(k, _Q_UNIT) / (g * (k + x) * (1.0 - _Q_UNIT))
 
 
 def bound_psi_k_sum(
@@ -176,21 +244,15 @@ def bound_psi_k_sum(
     Terms up to F2 = max(first, ceil(x)+2) are taken at their actual size,
     with |k^2-x^2| floored at guard_delta*(k+x) (an index inside the guard
     band is excluded from the plain sum and handled by the regularized pair,
-    so the floor never understates a term that is actually summed); past F2,
-    k - x >= 2 makes the factor 2k/(k^2-x^2) at most 1. The 1/(e^{2 pi k}-1)
-    factor underflows to 0 past k ~ 119, capping the explicit walk.
+    so the floor never understates a term that is actually summed), until the
+    rest of them is provably below eps times their sum; past F2, k - x >= 2
+    makes the factor 2k/(k^2-x^2) at most 1.
     """
     if not x > 0:
         raise ValueError("x must be positive")
     f2 = max(first, math.ceil(x) + 2)
-    explicit = 0.0
-    for k in range(first, min(f2, 130)):
-        if k == skip:
-            continue
-        gap = max(abs(float(k) ** 2 - x * x), guard_delta * (k + x))
-        q = math.exp(-_TWO_PI * k)
-        explicit += 2.0 * k * q / ((1.0 - q) * gap)
-    return explicit * (1.0 + 1e-12) + bound_lambert(0, f2)
+    explicit = walk_tail(first, f2, x, skip, guard_delta, _psi_k_sum_term, _psi_k_sum_rest)
+    return explicit + bound_lambert(0, f2)
 
 
 def tail_bound(family: str, first_omitted: int, x: float = 1.0, power: int = 1) -> TailBound:
@@ -212,17 +274,32 @@ def tail_bound(family: str, first_omitted: int, x: float = 1.0, power: int = 1) 
     return TailBound(family=family, first_omitted_index=first_omitted, bound=b)
 
 
-def _inner_lengths(tol: float, x: float, k_terms: int) -> list[tuple[int, int]]:
-    """Per-outer-index inner series lengths (sine length, cosine length).
-
-    The inner budget tol/4 is split evenly over k_terms outer terms and the
-    two inner series; lengths solve weight * tail(N) <= share with
-    tail_sin(N) <= 1/(3 N^3) and tail_cos(N) <= 1/(2 N^4).
-    """
-    share = tol / (8.0 * k_terms)
+def outer_weights(x: float, k_terms: int) -> list[float]:
+    """The weights e^{-2 pi k x} of the double series for k = 1..k_terms,
+    ending before the first one that underflows (2 pi k x >= 745): the outer
+    indices the double series sums, and the only ones an inner budget is
+    split over."""
     out = []
     for k in range(1, k_terms + 1):
-        w = _TWO_PI * math.exp(-_TWO_PI * k * x)
+        t = _TWO_PI * k * x
+        if t >= 745.0:
+            break
+        out.append(math.exp(-t))
+    return out
+
+
+def _inner_lengths(tol: float, weights: list[float]) -> list[tuple[int, int]]:
+    """Per-outer-index inner series lengths (sine length, cosine length) for
+    the outer weights e^{-2 pi k x} of outer_weights.
+
+    The inner budget tol/4 is split evenly over the weighted outer terms and
+    the two inner series; lengths solve 2 pi weight * tail(N) <= share with
+    tail_sin(N) <= 1/(3 N^3) and tail_cos(N) <= 1/(2 N^4).
+    """
+    share = tol / (8.0 * max(1, len(weights)))
+    out = []
+    for k, w in enumerate(weights, 1):
+        w = _TWO_PI * w
         out.append(
             (
                 _solve_length(w * float(k) ** 4, share, 3, 3.0),
@@ -283,7 +360,8 @@ def plan(tol: float, x: float) -> EvalParams:
             raise ToleranceError(
                 f"outer tails cannot reach tol={tol} at x={x} within {MAX_K_TERMS} terms"
             )
-    n = max(max(pair) for pair in _inner_lengths(tol, y, k))
+    n = max((max(pair) for pair in _inner_lengths(tol, outer_weights(y, k))),
+            default=MIN_N_TERMS)
     if n > MAX_N_TERMS:
         raise ToleranceError(
             f"inner series need {n} terms for tol={tol} at x={x} (cap {MAX_N_TERMS})"

@@ -32,11 +32,10 @@ import numpy as np
 from . import planner
 from .bernoulli import BernoulliTable, bernoulli_over_factorial, shared_table
 from .errors import GuardBandError, ToleranceError
-from .params import EvalParams, ModularPair, SeriesValue
-from .planner import _csch2, _guard_index, _inv_expm1
+from .params import MAX_GAMMA_M, EvalParams, ModularPair, SeriesValue
+from .planner import _EPS, _Q_UNIT, _csch2, _guard_index, _inv_expm1
 
 _TWO_PI = 2.0 * math.pi
-_EPS = math.ulp(1.0)
 
 
 def zeta_even(N: int, table: BernoulliTable) -> float:
@@ -202,21 +201,16 @@ def _double_series_at(x: float, params: EvalParams) -> SeriesValue:
     """S(x) summed directly at x, without the recurrence lift. At integer x
     the inner sums collapse to C_k(0), so none is sized and n_used is 0."""
     theta = _TWO_PI * _dist(x)
+    weights = planner.outer_weights(x, params.k_terms)
     if theta:
-        lengths = planner._inner_lengths(params.tol, x, params.k_terms)
+        lengths = planner._inner_lengths(params.tol, weights)
     else:
-        lengths = [(0, 0)] * params.k_terms
+        lengths = [(0, 0)] * len(weights)
     pieces = []
     trunc = 0.0
     mass = 0.0
-    k_used = 0
     n_used = 0
-    for k in range(1, params.k_terms + 1):
-        t = _TWO_PI * k * x
-        w = math.exp(-t) if t < 745.0 else 0.0
-        if w == 0.0:
-            break
-        n_sin, n_cos = lengths[k - 1]
+    for k, (w, (n_sin, n_cos)) in enumerate(zip(weights, lengths), 1):
         n_sin = min(n_sin, params.n_terms)
         n_cos = min(n_cos, params.n_terms)
         a, c, err_a, err_c = _inner_pair(k, theta, n_sin, n_cos)
@@ -225,8 +219,8 @@ def _double_series_at(x: float, params: EvalParams) -> SeriesValue:
         pieces.append(w * (k2 * a - k3 * c))
         trunc += w * (k2 * err_a + k3 * err_c)
         mass += w * (k2 * abs(a) + k3 * abs(c))
-        k_used = k
         n_used = max(n_used, n_sin, n_cos)
+    k_used = len(weights)
     value = _TWO_PI * math.fsum(pieces)
     err = (
         planner.bound_exp_envelope(k_used + 1, x)
@@ -408,6 +402,8 @@ def gamma_at_integer(m: int, params: EvalParams) -> SeriesValue:
     -2 pi sum_k k e^{-2 pi k m} (gamma + Re psi(1+ik))."""
     if not isinstance(m, int) or m < 1:
         raise ValueError("m must be a positive integer")
+    if m > MAX_GAMMA_M:
+        raise ValueError(f"m must be at most {MAX_GAMMA_M}")
     harmonic = math.fsum(1.0 / j for j in range(1, m + 1))
     pieces, trunc, n_used = _psi_pieces(float(m), params)
     mass = math.fsum(abs(p) for p in pieces) + harmonic
@@ -454,10 +450,11 @@ def gamma_any_x(x: float, params: EvalParams) -> SeriesValue:
         raise ValueError("x must be positive and finite")
     m = _guard_index(x, params.guard_delta)
     if m:
+        hint = f"gamma_at_integer(m={m})" if m <= MAX_GAMMA_M else "an x outside the band"
         raise GuardBandError(
             f"x={x} is within guard_delta of {m}; the log terms are singular "
-            f"there, use gamma_at_integer(m={m})",
-            suggestion=f"gamma_at_integer(m={m})",
+            f"there, use {hint}",
+            suggestion=hint,
             m=m,
         )
     # the value is constant in the argument, so these roundings are free
@@ -499,6 +496,23 @@ def re_psi_complex_ramanujan(x: float, params: EvalParams) -> SeriesValue:
         k_used=params.k_terms,
         n_used=s.n_used,
     )
+
+
+def _trigamma_tail_term(k: int, y: float, guard_delta: float) -> float:
+    """The k-th omitted term of psi_prime_ramanujan's two k-sums, with
+    csch^2(pi k) = 4q/(1-q)^2 and |k^2-y^2| floored at guard_delta (k+y)."""
+    gap = max(abs((k - y) * (k + y)), guard_delta * (k + y))
+    qk = planner._Q_POW[k]
+    return (
+        4.0 * k * y / (gap * gap) + _TWO_PI * y**3 / (gap * (k * k + y * y)) * 4.0 / (1.0 - qk)
+    ) * qk / (1.0 - qk)
+
+
+def _trigamma_tail_rest(k: int, y: float, g: float) -> float:
+    """gap >= g (k+y) with 4ky <= (k+y)^2 and (k+y)(k^2+y^2) >= y^3 bounds
+    the two factors by 1/g^2 and 2 pi/g; 1/(1-q^k) <= 1/(1-q)."""
+    q = _Q_UNIT
+    return (1.0 / (g * g) + 8.0 * math.pi / (g * (1.0 - q))) * q**k / (1.0 - q) ** 2
 
 
 def psi_prime_ramanujan(x: float, params: EvalParams) -> SeriesValue:
@@ -547,16 +561,11 @@ def psi_prime_ramanujan(x: float, params: EvalParams) -> SeriesValue:
     # explicit tail terms up to F2 = max(first, ceil(y)+2), with
     # csch^2(pi k) = 4q/(1-q)^2; past F2, k - y >= 2 makes 4ky/(k^2-y^2)^2
     # <= ky/(k+y)^2 <= 1/4 and 2y^3/(k^4-y^4) <= y^3/F2^3
-    tail = 0.0
-    for k in range(first, min(f2, 130)):
-        gap = max(abs((k - y) * (k + y)), params.guard_delta * (k + y))
-        qk = math.exp(-_TWO_PI * k)
-        tail += (
-            4.0 * k * y / (gap * gap)
-            + _TWO_PI * y**3 / (gap * (k * k + y * y)) * 4.0 / (1.0 - qk)
-        ) * qk / (1.0 - qk)
+    tail = planner.walk_tail(
+        first, f2, y, 0, params.guard_delta, _trigamma_tail_term, _trigamma_tail_rest
+    )
     err = (
-        tail * (1.0 + 1e-12)
+        tail
         + 0.25 * planner.bound_lambert(0, f2)
         + math.pi * y**3 / float(f2) ** 3 * planner.bound_csch2(f2)
         + 4.0 * _EPS * mass

@@ -87,6 +87,26 @@ def test_terms_above_the_cap_are_a_one_line_input_error(capsys):
     assert "6000" in err
 
 
+@pytest.mark.parametrize("m", ["100001", "1000000000000"])
+def test_gamma_m_above_the_cap_is_a_one_line_input_error(capsys, m):
+    # H_m is summed term by term; 10^12 terms would run for hours
+    code, out, err = run_cli(capsys, ["gamma", "--m", m])
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "100000" in err
+
+
+def test_terms_past_the_underflow_index_do_not_lengthen_inner_sums(capsys):
+    # at x = 2.5 the weight e^{-2 pi k x} underflows past k = 47, so the inner
+    # budget is split over those 47 outer terms, not over 6000
+    n_used = []
+    for terms in ("47", "6000"):
+        _, out, _ = run_cli(capsys, ["psi", "--x", "2.5", "--tol", "1e-15", "--terms", terms])
+        n_used.append(rows(out)[0]["n_used"])
+    assert n_used[0] == n_used[1] < 1000
+
+
 def test_psi_at_integer_reports_no_inner_terms(capsys):
     # at x = 3 the inner sums collapse to C_k(0) and none of them runs
     code, out, _ = run_cli(capsys, ["psi", "--x", "3", "--tol", "1e-15"])
@@ -157,6 +177,10 @@ def test_gamma_guard_band_suggests_integer_route(capsys):
     code, _, err = run_cli(capsys, ["gamma", "--x", "2.0005"])
     assert code == cli.EXIT_INPUT
     assert "--m 2" in err
+    # past the cap on --m the integer route is not offered
+    code, _, err = run_cli(capsys, ["gamma", "--x", "200000.0002"])
+    assert code == cli.EXIT_INPUT
+    assert "--m" not in err and len(err.strip().splitlines()) == 1
 
 
 def test_gamma_near_zero_is_not_a_guard_band(capsys):

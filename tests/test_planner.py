@@ -94,6 +94,42 @@ def test_psi_k_sum_soundness_by_oversummation():
         assert brute <= planner.bound_psi_k_sum(first, x, delta, skip)
 
 
+def test_log_csch2_soundness_by_oversummation():
+    # the walk ends early with a geometric remainder, so its bound must still
+    # cover the full tail at large x, past k ~ 119 where csch^2 underflows, and
+    # with the k = m index of a guard band skipped
+    rng = random.Random(12)
+    delta = EvalParams.guard_delta
+    for _ in range(300):
+        first = rng.randint(1, 130)
+        if rng.random() < 0.4:
+            skip = rng.randint(1, 140)
+            x = skip + rng.uniform(-0.999, 0.999) * delta
+        else:
+            skip = 0
+            x = math.exp(rng.uniform(math.log(0.1), math.log(1e12)))
+            if abs(x - round(x)) < delta:
+                continue
+        brute = (math.pi / 2.0) * math.fsum(
+            abs(planner.log_abs_quartic_gap(float(k), x)) * _csch2(math.pi * k)
+            for k in range(first, first + 300)
+            if k != skip
+        )
+        assert brute <= planner.bound_log_csch2(first, x, skip)
+
+
+def test_walks_end_with_a_geometric_remainder(monkeypatch):
+    # past the first few terms of each walk the rest is below an ulp of the
+    # partial sum; walking to k ~ 130 made 251 of these calls at x = 1e12
+    calls = []
+    gap = planner.log_abs_quartic_gap
+    monkeypatch.setattr(
+        planner, "log_abs_quartic_gap", lambda k, x: calls.append(k) or gap(k, x)
+    )
+    series.psi_ramanujan(1e12, planner.plan(1e-15, 1e12))
+    assert len(calls) <= 30
+
+
 def test_lambert_soundness_all_powers():
     rng = random.Random(7)
     for _ in range(20):
@@ -206,6 +242,8 @@ def test_eval_params_caps_the_outer_count():
 
 def test_plan_handles_extreme_arguments():
     assert planner.plan(1e-12, 1e6).k_terms >= 1
+    # every double-series weight underflows, so no inner sum is sized
+    assert planner.plan(1e-15, 1e6).n_terms == planner.MIN_N_TERMS
     assert planner.plan(1e-12, 1e100).k_terms >= 1
 
 

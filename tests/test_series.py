@@ -26,7 +26,7 @@ from rapidpsi.oracles import (
     s_integral_oracle,
     zeta_direct_oracle,
 )
-from rapidpsi.params import EvalParams, ModularPair
+from rapidpsi.params import MAX_GAMMA_M, EvalParams, ModularPair
 
 TABLE = build_bernoulli_table(20)
 P12 = EvalParams(tol=1e-12, k_terms=12, n_terms=200000)
@@ -134,6 +134,23 @@ def test_lifted_psi_within_estimate_of_mpmath(x, tol):
     with mpmath.workdps(30):
         truth = mpmath.digamma(mpmath.mpf(x) + 1)
         assert abs(mpmath.mpf(sv.value) - truth) <= sv.error_estimate
+
+
+LARGE_X = [60.0 * (1e12 / 60.0) ** (i / 24) for i in range(25)] + [
+    m + off for m in (129, 130, 131, 1000) for off in (-5e-4, 5e-4)
+]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-15])
+def test_planned_psi_at_large_x_within_estimate_of_mpmath(tol):
+    # the range where the planner's tail walks end with a geometric
+    # remainder, and guard bands around the last walked indices and past them
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for x in LARGE_X:
+            sv = series.psi_ramanujan(x, planner.plan(tol, x))
+            truth = mpmath.digamma(mpmath.mpf(x) + 1)
+            assert abs(mpmath.mpf(sv.value) - truth) <= sv.error_estimate, x
 
 
 # accuracy of the in-repo oracles at the points below, measured against
@@ -270,7 +287,7 @@ def test_gamma_at_integer(m):
 
 
 def test_gamma_at_integer_validation():
-    for bad in (0, -1):
+    for bad in (0, -1, MAX_GAMMA_M + 1):
         with pytest.raises(ValueError):
             series.gamma_at_integer(bad, P12)
 
@@ -299,6 +316,10 @@ def test_gamma_any_x_guard_band_redirects():
     with pytest.raises(GuardBandError) as exc:
         series.gamma_any_x(2.0005, P12)
     assert "gamma_at_integer(m=2)" in exc.value.suggestion
+    # past MAX_GAMMA_M the integer route would reject m
+    with pytest.raises(GuardBandError) as exc:
+        series.gamma_any_x(200000.0002, P12)
+    assert "gamma_at_integer" not in exc.value.suggestion
 
 
 def test_gamma_any_x_rejects_nonpositive_x():
