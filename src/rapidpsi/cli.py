@@ -23,7 +23,9 @@ from . import identities, planner, series
 from .bernoulli import shared_table
 from .errors import GuardBandError, ToleranceError
 from .oracles import OracleConfig, euler_gamma_reference, psi_oracle
-from .params import DEFAULT_GUARD_DELTA, MAX_GAMMA_M, EvalParams, ModularPair, SeriesValue
+from .params import (
+    DEFAULT_GUARD_DELTA, MAX_GAMMA_M, EvalParams, ModularPair, SeriesValue, check_tol
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -106,7 +108,8 @@ def _params_for(x: float, tol: float, terms: int | None) -> EvalParams:
 def cmd_psi(args) -> int:
     t0 = time.perf_counter_ns()
     if args.method == "classical":
-        cfg = OracleConfig(target_tolerance=min(max(args.tol, 1e-15), 1e-13))
+        check_tol(args.tol)
+        cfg = OracleConfig(target_tolerance=min(args.tol, 1e-13))
         sv = SeriesValue(psi_oracle(args.x, cfg), cfg.target_tolerance, 0, 0)
     else:
         sv = series.psi_ramanujan(args.x, _params_for(args.x, args.tol, args.terms))
@@ -127,6 +130,7 @@ def cmd_gamma(args) -> int:
                      EXIT_INPUT)
     t0 = time.perf_counter_ns()
     if args.m is not None:
+        series._check_gamma_m(args.m)
         sv = series.gamma_at_integer(args.m, _params_for(float(args.m), args.tol, args.terms))
         _emit(_report("gamma", args.m, sv, "integer_limit", t0), args.format)
         return EXIT_OK

@@ -6,16 +6,27 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar
 
+from .errors import ToleranceError
+
 DEFAULT_GUARD_DELTA = 1e-3
 MIN_TOL = 1e-15  # double precision floor
-# every outer k-loop stops near k = 119, where e^{-2 pi k} underflows; this
-# caps what a hand-built count can ask the evaluators to size
+# the pi-scaled k-loops stop by k = 111 and the double series by k = 118, where
+# their weights underflow; this caps what a hand-built count asks them to size
 MAX_K_TERMS = 6000
 # gamma_at_integer sums H_m term by term, about 0.1 us a term, so this cap
 # holds a call near 10 ms, the cost of the slowest planned psi call. Past
 # m ~ 119 the double series is empty, and a larger m only adds rounding: the
 # 4 eps mass allowance grows like log m.
 MAX_GAMMA_M = 100_000
+
+
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless tol is positive and finite, and ToleranceError
+    if it is below MIN_TOL."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    if tol < MIN_TOL:
+        raise ToleranceError(f"tol {tol} unattainable in double precision (min {MIN_TOL})")
 
 
 @dataclass(frozen=True)
@@ -34,8 +45,7 @@ class EvalParams:
     guard_delta: ClassVar[float] = DEFAULT_GUARD_DELTA
 
     def __post_init__(self):
-        if not self.tol >= MIN_TOL:
-            raise ValueError(f"tol must be >= {MIN_TOL} in double precision")
+        check_tol(self.tol)
         if self.k_terms < 1 or self.n_terms < 1:
             raise ValueError("k_terms and n_terms must be positive")
         if self.k_terms > MAX_K_TERMS:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .errors import ToleranceError
-from .params import DEFAULT_GUARD_DELTA, MAX_K_TERMS, MIN_TOL, EvalParams, TailBound
+from .params import DEFAULT_GUARD_DELTA, MAX_K_TERMS, EvalParams, TailBound, check_tol
 
 _TWO_PI = 2.0 * math.pi
 _Q_UNIT = math.exp(-_TWO_PI)  # common ratio of the pi-scaled k-series envelopes
@@ -338,8 +338,7 @@ def plan(tol: float, x: float) -> EvalParams:
     """
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
-    if not tol >= MIN_TOL:
-        raise ToleranceError(f"tol {tol} unattainable in double precision (min {MIN_TOL})")
+    check_tol(tol)
     y = x + lift_shift(x)
     budget = tol / 4.0
     # an index inside the guard band is handled by the regularized pair, not

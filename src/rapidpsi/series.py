@@ -18,7 +18,8 @@ Numerical strategy notes:
   decay like n^-4 and n^-5, so double precision targets need ~10^4 terms
   instead of ~10^11;
 - error_estimate fields combine the planner's rigorous tail bounds with a
-  rounding allowance proportional to the summed magnitude.
+  rounding allowance proportional to the summed magnitude; the evaluators
+  that end in one fsum of their pieces add it in _close.
 """
 
 from __future__ import annotations
@@ -230,6 +231,13 @@ def _double_series_at(x: float, params: EvalParams) -> SeriesValue:
     return SeriesValue(value=value, error_estimate=err, k_used=k_used, n_used=n_used)
 
 
+def _close(pieces: list[float], bound: float, k_used: int, n_used: int) -> SeriesValue:
+    """The fsum of pieces, with the truncation bound plus the rounding
+    allowance 4 eps sum|piece| as its error estimate."""
+    mass = math.fsum(abs(p) for p in pieces)
+    return SeriesValue(math.fsum(pieces), bound + 4.0 * _EPS * mass, k_used, n_used)
+
+
 def double_series_S(x: float, params: EvalParams) -> SeriesValue:
     """2 pi sum_k e^{-2 pi k x} (k^2 A_k - k^3 C_k), the exponentially
     weighted double series; the inner sums see x only through the reduced
@@ -248,15 +256,9 @@ def double_series_S(x: float, params: EvalParams) -> SeriesValue:
     if planner.lift_shift(x) == 0:
         return _double_series_at(x, params)
     psi = psi_ramanujan(x, params)
-    pieces, tail = _psi_rest(x, params)
+    pieces, tail, k_used = _psi_rest(x, params)
     pieces.append(-psi.value)
-    mass = math.fsum(abs(p) for p in pieces)
-    return SeriesValue(
-        value=math.fsum(pieces),
-        error_estimate=psi.error_estimate + tail + 4.0 * _EPS * mass,
-        k_used=psi.k_used,
-        n_used=psi.n_used,
-    )
+    return _close(pieces, psi.error_estimate + tail, max(k_used, psi.k_used), psi.n_used)
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +330,10 @@ def _lift(x: float, shift: int) -> tuple[float, float]:
     return y, abs(d)
 
 
-def _psi_rest(x: float, params: EvalParams) -> tuple[list[float], float]:
+def _psi_rest(x: float, params: EvalParams) -> tuple[list[float], float, int]:
     """R(x) = psi(x+1) + S(x), the non-S part of the representation, as
-    (pieces, tail bound of the k-sum and the log k-sum), evaluated at x itself.
+    (pieces, tail bound of the k-sum and the log k-sum, last k reached before
+    the weights underflow), evaluated at x itself.
 
     Within guard_delta of a positive integer m the cot/pole and log/log
     pairings switch to their pole-cancelled closed forms and the k=m terms
@@ -349,28 +352,30 @@ def _psi_rest(x: float, params: EvalParams) -> tuple[list[float], float]:
         eps = x - m
         pieces.append(_guard_pole_pair(m, eps))
         pieces.append(_guard_log_pair(m, eps))
+    k_used = 0
     for k in range(1, params.k_terms + 1):
-        if k == m:
-            continue
         q = _inv_expm1(_TWO_PI * k)
         if q == 0.0:
             break
+        k_used = k
+        if k == m:
+            continue
         pieces.append(2.0 * k * q / (float(k) * k - x * x))
         pieces.append(
             -(math.pi / 2.0) * planner.log_abs_quartic_gap(float(k), x) * _csch2(math.pi * k)
         )
     first = params.k_terms + 1
     tail = planner.bound_psi_k_sum(first, x, params.guard_delta, skip=m)
-    return pieces, tail + planner.bound_log_csch2(first, x, skip=m)
+    return pieces, tail + planner.bound_log_csch2(first, x, skip=m), k_used
 
 
-def _psi_pieces(y: float, params: EvalParams) -> tuple[list[float], float, int]:
+def _psi_pieces(y: float, params: EvalParams) -> tuple[list[float], float, int, int]:
     """psi(y+1) = R(y) - S(y) at y itself, as (summands, truncation bound,
-    n_used); the caller adds the 4 eps * mass rounding allowance."""
+    k_used, n_used), for _close."""
     s = _double_series_at(y, params)
-    pieces, tail = _psi_rest(y, params)
+    pieces, tail, k_used = _psi_rest(y, params)
     pieces.append(-s.value)
-    return pieces, s.error_estimate + tail, s.n_used
+    return pieces, s.error_estimate + tail, max(k_used, s.k_used), s.n_used
 
 
 def psi_ramanujan(x: float, params: EvalParams) -> SeriesValue:
@@ -384,15 +389,17 @@ def psi_ramanujan(x: float, params: EvalParams) -> SeriesValue:
     """
     shift = planner.lift_shift(x)
     y, lift_err = _lift(x, shift)
-    pieces, trunc, n_used = _psi_pieces(y, params)
+    pieces, trunc, k_used, n_used = _psi_pieces(y, params)
     pieces.extend(-1.0 / (x + i) for i in range(1, shift + 1))
-    mass = math.fsum(abs(p) for p in pieces)
-    return SeriesValue(
-        value=math.fsum(pieces),
-        error_estimate=trunc + 4.0 * _EPS * mass + lift_err,
-        k_used=params.k_terms,
-        n_used=n_used,
-    )
+    return _close(pieces, trunc + lift_err, k_used, n_used)
+
+
+def _check_gamma_m(m: int) -> None:
+    """Raise ValueError unless gamma_at_integer accepts m."""
+    if not isinstance(m, int) or m < 1:
+        raise ValueError("m must be a positive integer")
+    if m > MAX_GAMMA_M:
+        raise ValueError(f"m must be at most {MAX_GAMMA_M}")
 
 
 def gamma_at_integer(m: int, params: EvalParams) -> SeriesValue:
@@ -400,42 +407,36 @@ def gamma_at_integer(m: int, params: EvalParams) -> SeriesValue:
     with psi(m+1) summed at m itself: both guard pairs take their exact eps=0
     limits and the double series its closed inner form
     -2 pi sum_k k e^{-2 pi k m} (gamma + Re psi(1+ik))."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("m must be a positive integer")
-    if m > MAX_GAMMA_M:
-        raise ValueError(f"m must be at most {MAX_GAMMA_M}")
+    _check_gamma_m(m)
     harmonic = math.fsum(1.0 / j for j in range(1, m + 1))
-    pieces, trunc, n_used = _psi_pieces(float(m), params)
-    mass = math.fsum(abs(p) for p in pieces) + harmonic
-    return SeriesValue(
-        value=harmonic - math.fsum(pieces),
-        error_estimate=trunc + 4.0 * _EPS * mass,
-        k_used=params.k_terms,
-        n_used=n_used,
-    )
+    pieces, trunc, k_used, n_used = _psi_pieces(float(m), params)
+    return _close([harmonic] + [-p for p in pieces], trunc, k_used, n_used)
 
 
-def _re_psi_rest(x: float, params: EvalParams) -> tuple[list[float], float]:
+def _re_psi_rest(x: float, params: EvalParams) -> tuple[list[float], float, int]:
     """Re psi(1+ix) + S(x), the non-S part of the all-arguments identity
     -gamma = Re psi(1+ix) - sum_n x^2/(n(n^2+x^2)), as (pieces, k-sum tail
-    bound), evaluated at x itself outside the guard bands."""
+    bound, last k reached before the weights underflow), evaluated at x
+    itself outside the guard bands."""
     pieces = [
         (math.pi / 3.0) * math.log(x),
         1.0 / (4.0 * math.pi * x * x),
         math.pi * _log_2sinpi_abs(x) * _csch2(math.pi * x) / 2.0,
     ]
+    k_used = 0
     for k in range(1, params.k_terms + 1):
         q = _inv_expm1(_TWO_PI * k)
         csch = _csch2(math.pi * k)
         if q == 0.0 and csch == 0.0:
             break
+        k_used = k
         pieces.append(2.0 * k * q / (float(k) * k + x * x))
         pieces.append(
             -(math.pi / 2.0) * planner.log_abs_quartic_gap(float(k), x) * csch
         )
     first = params.k_terms + 1
     tail = 2.0 * planner.bound_lambert(-1, first)
-    return pieces, tail + planner.bound_log_csch2(first, x)
+    return pieces, tail + planner.bound_log_csch2(first, x), k_used
 
 
 def gamma_any_x(x: float, params: EvalParams) -> SeriesValue:
@@ -463,13 +464,10 @@ def gamma_any_x(x: float, params: EvalParams) -> SeriesValue:
         x += 0.5
     s = _double_series_at(x, params)
     x_sum, x_sum_err = _partial_fraction_gamma_sum(x)
-    pieces, tail = _re_psi_rest(x, params)
-    pieces += [-x_sum, -s.value]
-    mass = math.fsum(abs(p) for p in pieces)
-    err = s.error_estimate + x_sum_err + tail + 4.0 * _EPS * mass
-    return SeriesValue(
-        value=-math.fsum(pieces), error_estimate=err, k_used=params.k_terms, n_used=s.n_used
-    )
+    pieces, tail, k_used = _re_psi_rest(x, params)
+    pieces = [-p for p in pieces] + [x_sum, s.value]
+    bound = s.error_estimate + x_sum_err + tail
+    return _close(pieces, bound, max(k_used, s.k_used), s.n_used)
 
 
 def re_psi_complex_ramanujan(x: float, params: EvalParams) -> SeriesValue:
@@ -486,16 +484,9 @@ def re_psi_complex_ramanujan(x: float, params: EvalParams) -> SeriesValue:
             suggestion="shift x outside the guard band",
         )
     s = double_series_S(x, params)
-    pieces, tail = _re_psi_rest(x, params)
+    pieces, tail, k_used = _re_psi_rest(x, params)
     pieces.append(-s.value)
-    mass = math.fsum(abs(p) for p in pieces)
-    err = s.error_estimate + tail + 4.0 * _EPS * mass
-    return SeriesValue(
-        value=math.fsum(pieces),
-        error_estimate=err,
-        k_used=params.k_terms,
-        n_used=s.n_used,
-    )
+    return _close(pieces, s.error_estimate + tail, max(k_used, s.k_used), s.n_used)
 
 
 def _trigamma_tail_term(k: int, y: float, guard_delta: float) -> float:
@@ -540,11 +531,13 @@ def psi_prime_ramanujan(x: float, params: EvalParams) -> SeriesValue:
         1.0 / (_TWO_PI * y * y * y),
         -math.pi * math.pi / (sp * sp) * _inv_expm1(_TWO_PI * y),
     ]
+    k_used = 0
     for k in range(1, params.k_terms + 1):
         q = _inv_expm1(_TWO_PI * k)
         csch = _csch2(math.pi * k)
         if q == 0.0 and csch == 0.0:
             break
+        k_used = k
         d = (k - y) * (k + y)
         pieces.append(4.0 * k * y * q / (d * d))
         # 2 pi y^3 / (sinh^2(pi k)(k^4 - y^4)) in overflow-free ratio form
@@ -555,7 +548,6 @@ def psi_prime_ramanujan(x: float, params: EvalParams) -> SeriesValue:
             r = k / y
             pieces.append(-_TWO_PI * csch / (y * (1.0 - r**4)))
     pieces.extend(1.0 / (x + i) ** 2 for i in range(1, shift + 1))
-    mass = math.fsum(abs(p) for p in pieces)
     first = params.k_terms + 1
     f2 = max(first, math.ceil(y) + 2)
     # explicit tail terms up to F2 = max(first, ceil(y)+2), with
@@ -564,16 +556,13 @@ def psi_prime_ramanujan(x: float, params: EvalParams) -> SeriesValue:
     tail = planner.walk_tail(
         first, f2, y, 0, params.guard_delta, _trigamma_tail_term, _trigamma_tail_rest
     )
-    err = (
+    bound = (
         tail
         + 0.25 * planner.bound_lambert(0, f2)
         + math.pi * y**3 / float(f2) ** 3 * planner.bound_csch2(f2)
-        + 4.0 * _EPS * mass
         + lift_err
     )
-    return SeriesValue(
-        value=math.fsum(pieces), error_estimate=err, k_used=params.k_terms, n_used=0
-    )
+    return _close(pieces, bound, k_used, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -609,9 +598,10 @@ def _summand_rounding(t: float, scale_err: float) -> float:
 
 def _power_csch2_sum(
     power: int, scale: float, k_terms: int, scale_err: float = 0.0
-) -> tuple[float, float, float]:
-    """(value, tail bound, rounding bound) for sum_k k^power/sinh^2(scale k)
-    over k <= k_terms, power <= 0; scale_err bounds scale's relative error."""
+) -> tuple[float, float, float, int]:
+    """(value, tail bound, rounding bound, last k before underflow) for
+    sum_k k^power/sinh^2(scale k) over k <= k_terms, power <= 0; scale_err
+    bounds scale's relative error."""
     pieces = []
     rounding = 0.0
     for k in range(1, k_terms + 1):
@@ -622,14 +612,14 @@ def _power_csch2_sum(
         pieces.append(float(k) ** power * c)
         rounding += pieces[-1] * _summand_rounding(t, scale_err)
     tail = planner.bound_csch2(k_terms + 1, power, scale)
-    return math.fsum(pieces), tail, rounding
+    return math.fsum(pieces), tail, rounding, len(pieces)
 
 
 def _power_lambert_sum(
     power: int, scale: float, k_terms: int
-) -> tuple[float, float, float]:
-    """(value, tail bound, rounding bound) for sum_k k^power/(e^{2 scale k}-1)
-    over k <= k_terms."""
+) -> tuple[float, float, float, int]:
+    """(value, tail bound, rounding bound, last k before underflow) for
+    sum_k k^power/(e^{2 scale k}-1) over k <= k_terms."""
     pieces = []
     rounding = 0.0
     for k in range(1, k_terms + 1):
@@ -639,7 +629,7 @@ def _power_lambert_sum(
         pieces.append(float(k) ** power * q)
         rounding += pieces[-1] * _summand_rounding(scale * k, 0.0)
     tail = planner.bound_lambert(power, k_terms + 1, scale)
-    return math.fsum(pieces), tail, rounding
+    return math.fsum(pieces), tail, rounding, len(pieces)
 
 
 def zeta_odd(N: int, table: BernoulliTable, params: EvalParams) -> SeriesValue:
@@ -654,7 +644,7 @@ def zeta_odd(N: int, table: BernoulliTable, params: EvalParams) -> SeriesValue:
     j_part = (_TWO_PI) ** (2 * N + 1) * float(_zeta_odd_j_sum(N, table))
     # the k-sums' own rounding, below 0.3 eps once divided by 2N, is inside
     # the final 4 eps
-    lam, lam_tail, _ = _power_lambert_sum(-2 * N - 1, math.pi, params.k_terms)
+    lam, lam_tail, _, k_used = _power_lambert_sum(-2 * N - 1, math.pi, params.k_terms)
     value = j_part - 4.0 * N * lam
     # fl(2 pi) carries a relative error of at most eps/2 into each of the
     # 2N+1 factors of the power and pow adds an ulp of its own (Higham, Accuracy
@@ -662,15 +652,11 @@ def zeta_odd(N: int, table: BernoulliTable, params: EvalParams) -> SeriesValue:
     # 2 eps the conversion of J and the product
     err = 4.0 * N * lam_tail + (2.0 * N + 4.0) * _EPS * abs(j_part)
     if N % 2 == 0:
-        hyp, hyp_tail, _ = _power_csch2_sum(-2 * N, math.pi, params.k_terms)
+        hyp, hyp_tail, _, k_hyp = _power_csch2_sum(-2 * N, math.pi, params.k_terms)
         value -= 2.0 * math.pi * hyp
         err += 2.0 * math.pi * hyp_tail
-    return SeriesValue(
-        value=value / (2.0 * N),
-        error_estimate=err / (2.0 * N) + 4.0 * _EPS,
-        k_used=params.k_terms,
-        n_used=0,
-    )
+        k_used = max(k_used, k_hyp)
+    return SeriesValue(value / (2.0 * N), err / (2.0 * N) + 4.0 * _EPS, k_used, 0)
 
 
 def zeta_odd_general(
@@ -710,9 +696,9 @@ def zeta_odd_general(
         )
         rhs_terms.append(sign * (2 * j - 1) * a ** (N + 1 - j) * b**j * ratio)
     rhs = 2.0 ** (2 * N + 1) * math.fsum(rhs_terms)
-    lam_a, lam_a_tail, lam_a_rnd = _power_lambert_sum(-2 * N - 1, a, k_eff)
-    s_a, s_a_tail, s_a_rnd = _power_csch2_sum(-2 * N, a, k_eff)
-    s_b, s_b_tail, s_b_rnd = _power_csch2_sum(-2 * N, b, k_eff, b_err)
+    lam_a, lam_a_tail, lam_a_rnd, k_lam = _power_lambert_sum(-2 * N - 1, a, k_eff)
+    s_a, s_a_tail, s_a_rnd, k_a = _power_csch2_sum(-2 * N, a, k_eff)
+    s_b, s_b_tail, s_b_rnd, k_b = _power_csch2_sum(-2 * N, b, k_eff, b_err)
     sign_b = 1.0 if (1 - N) % 2 == 0 else -1.0
     pow_a, pow_b = a ** (1 - N), b ** (1 - N)
     lhs_a = pow_a * s_a
@@ -735,8 +721,5 @@ def zeta_odd_general(
     tails = pow_a * s_a_tail + pow_b * s_b_tail
     err = (tails + rounding) * a**N / (2.0 * N) + 2.0 * (lam_a_tail + lam_a_rnd)
     return SeriesValue(
-        value=value,
-        error_estimate=err + 4.0 * _EPS * (abs(value) + 2.0 * lam_a + 1.0),
-        k_used=k_eff,
-        n_used=0,
+        value, err + 4.0 * _EPS * (abs(value) + 2.0 * lam_a + 1.0), max(k_lam, k_a, k_b), 0
     )

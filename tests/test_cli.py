@@ -87,14 +87,22 @@ def test_terms_above_the_cap_are_a_one_line_input_error(capsys):
     assert "6000" in err
 
 
-@pytest.mark.parametrize("m", ["100001", "1000000000000"])
-def test_gamma_m_above_the_cap_is_a_one_line_input_error(capsys, m):
-    # H_m is summed term by term; 10^12 terms would run for hours
+@pytest.mark.parametrize(
+    "m, named",
+    [
+        pytest.param("100001", "100000", id="100001"),
+        pytest.param("1000000000000", "100000", id="1000000000000"),
+        pytest.param("0", "m must be a positive integer", id="0"),
+    ],
+)
+def test_gamma_m_above_the_cap_is_a_one_line_input_error(capsys, m, named):
+    # H_m is summed term by term; 10^12 terms would run for hours. m is
+    # checked before the counts are planned at x = m, so m = 0 names m.
     code, out, err = run_cli(capsys, ["gamma", "--m", m])
     assert code == cli.EXIT_INPUT
     assert out == ""
     assert len(err.strip().splitlines()) == 1
-    assert "100000" in err
+    assert named in err
 
 
 def test_terms_past_the_underflow_index_do_not_lengthen_inner_sums(capsys):
@@ -105,6 +113,63 @@ def test_terms_past_the_underflow_index_do_not_lengthen_inner_sums(capsys):
         _, out, _ = run_cli(capsys, ["psi", "--x", "2.5", "--tol", "1e-15", "--terms", terms])
         n_used.append(rows(out)[0]["n_used"])
     assert n_used[0] == n_used[1] < 1000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["psi", "--x", "2.5"],
+        ["psi-prime", "--x", "2.5"],
+        ["gamma", "--x", "2.5"],
+        ["gamma", "--m", "1"],
+        ["zeta-odd", "--n", "3"],
+    ],
+)
+def test_terms_past_the_underflow_index_report_the_terms_that_ran(capsys, argv):
+    # every k-loop stops where its weight underflows (k = 111, or 118 for the
+    # double series at x = 1), so asking for 6000 runs what that count runs
+    def record(terms):
+        code, out, _ = run_cli(capsys, argv + ["--tol", "1e-15", "--terms", terms])
+        assert code == cli.EXIT_OK
+        r = rows(out)[0]
+        r.pop("elapsed_nanoseconds")
+        return r
+
+    wide = record("6000")
+    assert wide["k_used"] <= 118
+    assert record(str(wide["k_used"])) == wide
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["psi", "--x", "2.5"],
+        ["psi", "--x", "2.5", "--terms", "5"],
+        ["psi", "--x", "2.5", "--method", "classical"],
+        ["psi-prime", "--x", "2.5"],
+        ["gamma", "--x", "2.5"],
+        ["zeta-odd", "--n", "3"],
+        ["bench", "--x", "2.5"],
+    ],
+)
+@pytest.mark.parametrize(
+    "tol, code, named",
+    [
+        ("1e-16", cli.EXIT_TOLERANCE, "unattainable"),
+        ("0", cli.EXIT_INPUT, "tol must be positive and finite"),
+        ("-1e-6", cli.EXIT_INPUT, "tol must be positive and finite"),
+        ("nan", cli.EXIT_INPUT, "tol must be positive and finite"),
+        ("inf", cli.EXIT_INPUT, "tol must be positive and finite"),
+    ],
+)
+def test_one_tolerance_rule_with_or_without_the_planner(capsys, argv, tol, code, named):
+    # EvalParams, plan and the classical route apply the same check, so
+    # --terms, zeta-odd and the oracle exit as the planned calls do
+    got, out, err = run_cli(capsys, argv + [f"--tol={tol}"])
+    assert got == code
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert named in err
 
 
 def test_psi_at_integer_reports_no_inner_terms(capsys):

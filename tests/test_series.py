@@ -591,7 +591,7 @@ def test_power_sums_within_rounding_of_mpmath(scale, power):
             (series._power_csch2_sum, lambda k: mpmath.csch(s * k) ** 2),
             (series._power_lambert_sum, lambda k: 1 / mpmath.expm1(2 * s * k)),
         ):
-            value, _, rounding = loop(power, scale, k_terms)
+            value, _, rounding, _ = loop(power, scale, k_terms)
             partial = mpmath.fsum(mpmath.mpf(k) ** power * term(k) for k in range(1, k_terms + 1))
             assert abs(mpmath.mpf(value) - partial) <= rounding
 
