@@ -274,15 +274,19 @@ def tail_bound(family: str, first_omitted: int, x: float = 1.0, power: int = 1) 
     return TailBound(family=family, first_omitted_index=first_omitted, bound=b)
 
 
-def outer_weights(x: float, k_terms: int) -> list[float]:
+def outer_weights(x: float, k_terms: int, tol: float) -> list[float]:
     """The weights e^{-2 pi k x} of the double series for k = 1..k_terms,
-    ending before the first one that underflows (2 pi k x >= 745): the outer
-    indices the double series sums, and the only ones an inner budget is
-    split over."""
+    ending before the first one that underflows (2 pi k x >= 745) or whose
+    outer tail bound_exp_envelope(k, x) is at most tol/8: the outer indices
+    the double series sums, and the only ones an inner budget is split over.
+    S sizes itself from tol this way, and k_terms only caps it. Its
+    truncation is held to tol/4, half for this outer tail and half for the
+    inner remainders (_inner_lengths). The underflow test comes first, so
+    large x never computes an envelope."""
     out = []
     for k in range(1, k_terms + 1):
         t = _TWO_PI * k * x
-        if t >= 745.0:
+        if t >= 745.0 or bound_exp_envelope(k, x) <= tol / 8.0:
             break
         out.append(math.exp(-t))
     return out
@@ -292,11 +296,11 @@ def _inner_lengths(tol: float, weights: list[float]) -> list[tuple[int, int]]:
     """Per-outer-index inner series lengths (sine length, cosine length) for
     the outer weights e^{-2 pi k x} of outer_weights.
 
-    The inner budget tol/4 is split evenly over the weighted outer terms and
+    The inner budget tol/8 is split evenly over the outer terms that run and
     the two inner series; lengths solve 2 pi weight * tail(N) <= share with
     tail_sin(N) <= 1/(3 N^3) and tail_cos(N) <= 1/(2 N^4).
     """
-    share = tol / (8.0 * max(1, len(weights)))
+    share = tol / (16.0 * max(1, len(weights)))
     out = []
     for k, w in enumerate(weights, 1):
         w = _TWO_PI * w
@@ -333,8 +337,10 @@ def plan(tol: float, x: float) -> EvalParams:
     The counts are sized for x + lift_shift(x), where the evaluators sum the
     series (see EvalParams). k_terms starts at the envelope floor
     ceil(log(40/tol)/(2 pi)) and grows until the four outer families (k-sum,
-    csch2, log-weighted csch2, double series envelope) all fit; n_terms
-    covers the largest inner length.
+    csch2, log-weighted csch2, double series envelope) all fit. The double
+    series stops at its own envelope (outer_weights), usually after 0-2 of
+    those k_terms; n_terms covers the largest inner length of the terms it
+    runs.
     """
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
@@ -359,7 +365,7 @@ def plan(tol: float, x: float) -> EvalParams:
             raise ToleranceError(
                 f"outer tails cannot reach tol={tol} at x={x} within {MAX_K_TERMS} terms"
             )
-    n = max((max(pair) for pair in _inner_lengths(tol, outer_weights(y, k))),
+    n = max((max(pair) for pair in _inner_lengths(tol, outer_weights(y, k, tol))),
             default=MIN_N_TERMS)
     if n > MAX_N_TERMS:
         raise ToleranceError(

@@ -165,7 +165,14 @@ def _cosine_row_at_zero(k: int) -> tuple[float, float]:
     return value / k2, err / k2
 
 
-def _inner_pair(k: int, theta: float, n_sin: int, n_cos: int):
+def _closed_rows(theta: float) -> tuple[float, float]:
+    """(Cl(|theta|), I(|theta|)), the k-independent closed forms that every
+    _inner_pair at this theta splits against."""
+    at = abs(theta)
+    return _clausen_sin2(at), _one_minus_cos_sum3(at)
+
+
+def _inner_pair(k: int, theta: float, n_sin: int, n_cos: int, closed=None):
     """(A_k, C_k, err_A, err_C) for signed theta in [-pi, pi], where
     A_k = sum_n sin(n theta)/(k^2+n^2) and C_k = sum_n cos(n theta)/(n(n^2+k^2)).
 
@@ -174,21 +181,23 @@ def _inner_pair(k: int, theta: float, n_sin: int, n_cos: int):
       A_k = Cl(theta) - k^2 sum_n sin(n theta)/(n^2(n^2+k^2)),
       C_k = C_k(0) - I(theta) + k^2 sum_n (1-cos(n theta))/(n^3(n^2+k^2)),
     with Cl = _clausen_sin2, I = _one_minus_cos_sum3 and
-    C_k(0) = (gamma + Re psi(1+ik))/k^2 (_cosine_row_at_zero).
+    C_k(0) = (gamma + Re psi(1+ik))/k^2 (_cosine_row_at_zero). closed is
+    _closed_rows(theta), which a caller looping over k computes once.
     """
     k2 = float(k) * float(k)
     c0, c0_err = _cosine_row_at_zero(k)
     at = abs(theta)
     if at == 0.0:
         return 0.0, c0, 0.0, c0_err
+    cl, i3 = closed or _closed_rows(theta)
     n = np.arange(1.0, n_sin + 1.0)
     q_sum = float(np.sum(np.sin(n * at) / (n * n * (n * n + k2))))
     n = np.arange(1.0, n_cos + 1.0)
     p_sum = float(np.sum((1.0 - np.cos(n * at)) / (n * n * n * (n * n + k2))))
-    a = _clausen_sin2(at) - k2 * q_sum
+    a = cl - k2 * q_sum
     if theta < 0.0:
         a = -a
-    c = c0 - _one_minus_cos_sum3(at) + k2 * p_sum
+    c = c0 - i3 + k2 * p_sum
     err_a = k2 / (3.0 * float(n_sin) ** 3) + 4.0 * _EPS * (1.1 + k2 * abs(q_sum))
     err_c = (
         k2 / (2.0 * float(n_cos) ** 4)
@@ -199,14 +208,19 @@ def _inner_pair(k: int, theta: float, n_sin: int, n_cos: int):
 
 
 def _double_series_at(x: float, params: EvalParams) -> SeriesValue:
-    """S(x) summed directly at x, without the recurrence lift. At integer x
-    the inner sums collapse to C_k(0), so none is sized and n_used is 0."""
+    """S(x) summed directly at x, without the recurrence lift. The outer sum
+    stops at its own envelope (planner.outer_weights), so where no term is
+    needed S is 0, charged bound_exp_envelope(1, x), with k_used and n_used
+    0. At integer x the inner sums collapse to C_k(0), so none is sized and
+    n_used is 0."""
     theta = _TWO_PI * _dist(x)
-    weights = planner.outer_weights(x, params.k_terms)
-    if theta:
+    weights = planner.outer_weights(x, params.k_terms, params.tol)
+    if theta and weights:
         lengths = planner._inner_lengths(params.tol, weights)
+        closed = _closed_rows(theta)
     else:
         lengths = [(0, 0)] * len(weights)
+        closed = None
     pieces = []
     trunc = 0.0
     mass = 0.0
@@ -214,7 +228,7 @@ def _double_series_at(x: float, params: EvalParams) -> SeriesValue:
     for k, (w, (n_sin, n_cos)) in enumerate(zip(weights, lengths), 1):
         n_sin = min(n_sin, params.n_terms)
         n_cos = min(n_cos, params.n_terms)
-        a, c, err_a, err_c = _inner_pair(k, theta, n_sin, n_cos)
+        a, c, err_a, err_c = _inner_pair(k, theta, n_sin, n_cos, closed)
         k2 = float(k) ** 2
         k3 = float(k) ** 3
         pieces.append(w * (k2 * a - k3 * c))
@@ -242,7 +256,10 @@ def double_series_S(x: float, params: EvalParams) -> SeriesValue:
     """2 pi sum_k e^{-2 pi k x} (k^2 A_k - k^3 C_k), the exponentially
     weighted double series; the inner sums see x only through the reduced
     angle theta = 2 pi (x - round(x)), and at integer x they collapse to the
-    closed form C_k = (gamma + Re psi(1+ik))/k^2 with A_k = 0.
+    closed form C_k = (gamma + Re psi(1+ik))/k^2 with A_k = 0. The outer sum
+    sizes itself from tol: it stops at the first k whose envelope tail
+    planner.bound_exp_envelope(k, x) is at most tol/8, and k_terms only caps
+    it (planner.outer_weights).
 
     Below planner.LIFT_TARGET the terms are summed at x + j instead, with
     j = planner.lift_shift(x) (k_terms and n_terms refer to x + j), and

@@ -153,6 +153,56 @@ def test_planned_psi_at_large_x_within_estimate_of_mpmath(tol):
             assert abs(mpmath.mpf(sv.value) - truth) <= sv.error_estimate, x
 
 
+# x summed where it stands, without the lift: just above 3 the double series
+# runs 1-2 outer terms, further up none; and guard points around integers
+UNLIFTED_X = (
+    [3.0015, 3.01, 3.1, 3.5]
+    + [3.0 * 20.0 ** ((i + 0.5) / 16) for i in range(16)]
+    + [m + off for m in (3, 4, 7, 20, 59) for off in (-5e-4, 5e-4) if m + off >= 3.0]
+)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-15])
+def test_planned_psi_at_small_x_within_estimate_of_mpmath(tol):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for x in UNLIFTED_X:
+            assert planner.lift_shift(x) == 0
+            sv = series.psi_ramanujan(x, planner.plan(tol, x))
+            truth = mpmath.digamma(mpmath.mpf(x) + 1)
+            assert abs(mpmath.mpf(sv.value) - truth) <= sv.error_estimate, x
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-15])
+def test_double_series_runs_only_the_terms_its_envelope_needs(tol):
+    # S stops at the first outer index whose envelope tail is at most tol/8,
+    # never past the planned k_terms; at tol 1e-6 that is no term once y > 3.003
+    for y in UNLIFTED_X + LARGE_X:
+        p = planner.plan(tol, y)
+        sv = series.double_series_S(y, p)
+        needed = 0
+        while planner.bound_exp_envelope(needed + 1, y) > tol / 8.0:
+            needed += 1
+        assert sv.k_used == needed <= p.k_terms, y
+        if needed == 0:
+            assert (sv.value, sv.n_used) == (0.0, 0)
+            assert sv.error_estimate == planner.bound_exp_envelope(1, y)
+        if tol == 1e-6 and y > 3.003:
+            assert needed == 0, y
+    assert max(
+        series.double_series_S(y, planner.plan(1e-15, y)).k_used for y in UNLIFTED_X
+    ) == 2
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+def test_planned_psi_estimate_is_within_tol(tol):
+    # tol 1e-15 is below the rounding floor of the summed magnitude, so it is
+    # not asked here
+    lifted = [1e-8, 0.01, 0.25, 0.9995, 2.0003, 2.5]
+    for x in lifted + UNLIFTED_X + LARGE_X + [1e100, 1e300]:
+        assert series.psi_ramanujan(x, planner.plan(tol, x)).error_estimate <= tol, x
+
+
 # accuracy of the in-repo oracles at the points below, measured against
 # 30-digit mpmath (quadrature of the integral form for S): all within 1e-15
 ORACLE_SLACK = 1e-14
@@ -235,13 +285,17 @@ def test_double_series_estimate_covers_short_k_truncation():
 
 
 def test_double_series_at_integer_collapses_to_cosine_row():
-    # at integer x the sine row vanishes and the cosine row is gamma + Re psi(1+ik)
-    sv = series.double_series_S(2.0, P12)
+    # at integer x the sine row vanishes and the cosine row is gamma + Re psi(1+ik).
+    # S stops at its own envelope for tol, so the 1e-16 bar is asked of tol
+    # 1e-15; at tol 1e-12 the value is held to its own estimate
     closed = -2.0 * math.pi * math.fsum(
         k * math.exp(-4.0 * math.pi * k) * gamma_plus_re_psi(float(k))
         for k in range(1, P12.k_terms + 1)
     )
+    sv = series.double_series_S(2.0, dataclasses.replace(P12, tol=1e-15))
     assert abs(sv.value - closed) <= 1e-16
+    sv = series.double_series_S(2.0, P12)
+    assert abs(sv.value - closed) <= sv.error_estimate
 
 
 def test_cosine_row_matches_the_oracle():
