@@ -38,7 +38,8 @@ class EvalParams:
     The evaluators sum the double series at x + planner.lift_shift(x), so
     k_terms and n_terms refer to that lifted argument, not to x. k_terms is
     the outer count of the k-sums and a cap for the double series, which
-    stops earlier once its own envelope tail is at most tol/8.
+    stops earlier once its own envelope tail is at most tol/8
+    (planner.S_TAIL_SHARE).
     """
 
     tol: float = 1e-12

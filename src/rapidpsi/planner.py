@@ -25,6 +25,10 @@ MIN_N_TERMS = 16
 # double-series term carries e^{-2 pi k x}, so at x >= 3 the outer count is set
 # by the x-independent k-sums and the inner series stay short
 LIFT_TARGET = 3.0
+# the double series' truncation is held to tol/4: this share of tol for its
+# outer envelope tail (outer_weights, and plan's envelope family) and the same
+# share for its inner remainders (_inner_lengths)
+S_TAIL_SHARE = 1.0 / 8.0
 
 
 def _geom(first: int, q: float) -> float:
@@ -277,16 +281,16 @@ def tail_bound(family: str, first_omitted: int, x: float = 1.0, power: int = 1) 
 def outer_weights(x: float, k_terms: int, tol: float) -> list[float]:
     """The weights e^{-2 pi k x} of the double series for k = 1..k_terms,
     ending before the first one that underflows (2 pi k x >= 745) or whose
-    outer tail bound_exp_envelope(k, x) is at most tol/8: the outer indices
-    the double series sums, and the only ones an inner budget is split over.
-    S sizes itself from tol this way, and k_terms only caps it. Its
-    truncation is held to tol/4, half for this outer tail and half for the
-    inner remainders (_inner_lengths). The underflow test comes first, so
-    large x never computes an envelope."""
+    outer tail bound_exp_envelope(k, x) is at most tol * S_TAIL_SHARE: the
+    outer indices the double series sums, and the only ones an inner budget
+    is split over. S sizes itself from tol this way, and k_terms only caps
+    it; plan holds the envelope to the same share, so the cap never cuts S
+    short of this stop. The underflow test comes first, so large x never
+    computes an envelope."""
     out = []
     for k in range(1, k_terms + 1):
         t = _TWO_PI * k * x
-        if t >= 745.0 or bound_exp_envelope(k, x) <= tol / 8.0:
+        if t >= 745.0 or bound_exp_envelope(k, x) <= tol * S_TAIL_SHARE:
             break
         out.append(math.exp(-t))
     return out
@@ -296,11 +300,12 @@ def _inner_lengths(tol: float, weights: list[float]) -> list[tuple[int, int]]:
     """Per-outer-index inner series lengths (sine length, cosine length) for
     the outer weights e^{-2 pi k x} of outer_weights.
 
-    The inner budget tol/8 is split evenly over the outer terms that run and
+    The inner budget tol * S_TAIL_SHARE is split evenly over the outer terms
+    that run and
     the two inner series; lengths solve 2 pi weight * tail(N) <= share with
     tail_sin(N) <= 1/(3 N^3) and tail_cos(N) <= 1/(2 N^4).
     """
-    share = tol / (16.0 * max(1, len(weights)))
+    share = tol * S_TAIL_SHARE / (2.0 * max(1, len(weights)))
     out = []
     for k, w in enumerate(weights, 1):
         w = _TWO_PI * w
@@ -332,7 +337,8 @@ def lift_shift(x: float) -> int:
 
 
 def plan(tol: float, x: float) -> EvalParams:
-    """Pick term counts so every tail family is individually below tol/4.
+    """Pick term counts so every tail family is individually below tol/4
+    (the double series envelope below tol * S_TAIL_SHARE).
 
     The counts are sized for x + lift_shift(x), where the evaluators sum the
     series (see EvalParams). k_terms starts at the envelope floor
@@ -356,9 +362,8 @@ def plan(tol: float, x: float) -> EvalParams:
             bound_psi_k_sum(k + 1, y, skip=guard),
             bound_csch2(k + 1),
             bound_log_csch2(k + 1, y, skip=guard),
-            bound_exp_envelope(k + 1, y),
         )
-        if worst <= budget:
+        if worst <= budget and bound_exp_envelope(k + 1, y) <= tol * S_TAIL_SHARE:
             break
         k += 1
         if k > MAX_K_TERMS:

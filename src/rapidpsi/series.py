@@ -165,14 +165,7 @@ def _cosine_row_at_zero(k: int) -> tuple[float, float]:
     return value / k2, err / k2
 
 
-def _closed_rows(theta: float) -> tuple[float, float]:
-    """(Cl(|theta|), I(|theta|)), the k-independent closed forms that every
-    _inner_pair at this theta splits against."""
-    at = abs(theta)
-    return _clausen_sin2(at), _one_minus_cos_sum3(at)
-
-
-def _inner_pair(k: int, theta: float, n_sin: int, n_cos: int, closed=None):
+def _inner_pair(k: int, theta: float, n_sin: int, n_cos: int):
     """(A_k, C_k, err_A, err_C) for signed theta in [-pi, pi], where
     A_k = sum_n sin(n theta)/(k^2+n^2) and C_k = sum_n cos(n theta)/(n(n^2+k^2)).
 
@@ -181,23 +174,21 @@ def _inner_pair(k: int, theta: float, n_sin: int, n_cos: int, closed=None):
       A_k = Cl(theta) - k^2 sum_n sin(n theta)/(n^2(n^2+k^2)),
       C_k = C_k(0) - I(theta) + k^2 sum_n (1-cos(n theta))/(n^3(n^2+k^2)),
     with Cl = _clausen_sin2, I = _one_minus_cos_sum3 and
-    C_k(0) = (gamma + Re psi(1+ik))/k^2 (_cosine_row_at_zero). closed is
-    _closed_rows(theta), which a caller looping over k computes once.
+    C_k(0) = (gamma + Re psi(1+ik))/k^2 (_cosine_row_at_zero).
     """
     k2 = float(k) * float(k)
     c0, c0_err = _cosine_row_at_zero(k)
     at = abs(theta)
     if at == 0.0:
         return 0.0, c0, 0.0, c0_err
-    cl, i3 = closed or _closed_rows(theta)
     n = np.arange(1.0, n_sin + 1.0)
     q_sum = float(np.sum(np.sin(n * at) / (n * n * (n * n + k2))))
     n = np.arange(1.0, n_cos + 1.0)
     p_sum = float(np.sum((1.0 - np.cos(n * at)) / (n * n * n * (n * n + k2))))
-    a = cl - k2 * q_sum
+    a = _clausen_sin2(at) - k2 * q_sum
     if theta < 0.0:
         a = -a
-    c = c0 - i3 + k2 * p_sum
+    c = c0 - _one_minus_cos_sum3(at) + k2 * p_sum
     err_a = k2 / (3.0 * float(n_sin) ** 3) + 4.0 * _EPS * (1.1 + k2 * abs(q_sum))
     err_c = (
         k2 / (2.0 * float(n_cos) ** 4)
@@ -215,12 +206,10 @@ def _double_series_at(x: float, params: EvalParams) -> SeriesValue:
     n_used is 0."""
     theta = _TWO_PI * _dist(x)
     weights = planner.outer_weights(x, params.k_terms, params.tol)
-    if theta and weights:
+    if theta:
         lengths = planner._inner_lengths(params.tol, weights)
-        closed = _closed_rows(theta)
     else:
         lengths = [(0, 0)] * len(weights)
-        closed = None
     pieces = []
     trunc = 0.0
     mass = 0.0
@@ -228,7 +217,7 @@ def _double_series_at(x: float, params: EvalParams) -> SeriesValue:
     for k, (w, (n_sin, n_cos)) in enumerate(zip(weights, lengths), 1):
         n_sin = min(n_sin, params.n_terms)
         n_cos = min(n_cos, params.n_terms)
-        a, c, err_a, err_c = _inner_pair(k, theta, n_sin, n_cos, closed)
+        a, c, err_a, err_c = _inner_pair(k, theta, n_sin, n_cos)
         k2 = float(k) ** 2
         k3 = float(k) ** 3
         pieces.append(w * (k2 * a - k3 * c))
@@ -258,8 +247,8 @@ def double_series_S(x: float, params: EvalParams) -> SeriesValue:
     angle theta = 2 pi (x - round(x)), and at integer x they collapse to the
     closed form C_k = (gamma + Re psi(1+ik))/k^2 with A_k = 0. The outer sum
     sizes itself from tol: it stops at the first k whose envelope tail
-    planner.bound_exp_envelope(k, x) is at most tol/8, and k_terms only caps
-    it (planner.outer_weights).
+    planner.bound_exp_envelope(k, x) is at most tol * planner.S_TAIL_SHARE,
+    and k_terms only caps it (planner.outer_weights).
 
     Below planner.LIFT_TARGET the terms are summed at x + j instead, with
     j = planner.lift_shift(x) (k_terms and n_terms refer to x + j), and

@@ -217,6 +217,18 @@ def test_plan_floor_and_split():
         assert planner.bound_log_csch2(first, y) <= tol / 4.0
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-15])
+def test_planned_cap_never_cuts_the_double_series_short(tol):
+    # plan holds the envelope to the same share of tol that outer_weights
+    # stops at, so the double series ends at its own envelope, not at k_terms
+    for x in (1e-8, 0.3, 1.0, 2.9999, 3.0, 3.0015, 3.2, 5.5, 17.0, 60.0, 1e6):
+        p = planner.plan(tol, x)
+        y = x + planner.lift_shift(x)
+        share = tol * planner.S_TAIL_SHARE
+        assert planner.bound_exp_envelope(p.k_terms + 1, y) <= share, x
+        assert len(planner.outer_weights(y, planner.MAX_K_TERMS, tol)) <= p.k_terms, x
+
+
 def test_plan_validation():
     with pytest.raises(ValueError):
         planner.plan(1e-12, 0.0)

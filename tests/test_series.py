@@ -175,13 +175,14 @@ def test_planned_psi_at_small_x_within_estimate_of_mpmath(tol):
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-15])
 def test_double_series_runs_only_the_terms_its_envelope_needs(tol):
-    # S stops at the first outer index whose envelope tail is at most tol/8,
-    # never past the planned k_terms; at tol 1e-6 that is no term once y > 3.003
+    # S stops at the first outer index whose envelope tail is at most
+    # tol * S_TAIL_SHARE (tol/8), never past the planned k_terms; at tol 1e-6
+    # that is no term once y > 3.003
     for y in UNLIFTED_X + LARGE_X:
         p = planner.plan(tol, y)
         sv = series.double_series_S(y, p)
         needed = 0
-        while planner.bound_exp_envelope(needed + 1, y) > tol / 8.0:
+        while planner.bound_exp_envelope(needed + 1, y) > tol * planner.S_TAIL_SHARE:
             needed += 1
         assert sv.k_used == needed <= p.k_terms, y
         if needed == 0:
