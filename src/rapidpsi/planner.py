@@ -2,7 +2,11 @@
 
 Every bound is a closed-form overestimate of the true tail: soundness over
 tightness (looseness up to roughly a factor of 10 is accepted by design).
-The evaluators in series.py reuse these bounds to assemble honest error
+The k-sum tails whose terms depend on x (bound_psi_k_sum, bound_log_csch2,
+and psi_prime_ramanujan's tail in series.py) take only floor(x) and ceil(x)
+at their actual size and bound every other index, at least 1 from x, by a
+geometric envelope in e^{-2 pi k}; no tail is walked term by term. The
+evaluators in series.py reuse these bounds to assemble honest error
 estimates, so nothing here may depend on series.py.
 """
 
@@ -41,38 +45,25 @@ def _geom_k(first: int, q: float) -> float:
     return q**first * (first - (first - 1) * q) / (1.0 - q) ** 2
 
 
-def _geom_k_shift(first: int, q: float) -> float:
-    """sum_{k>=first} (k - first) q^k."""
-    return q**first * q / (1.0 - q) ** 2
-
-
 def _geom_k_centered(first: int, q: float) -> float:
     """sum_{k>=first} k (k - first) q^k."""
     return q**first * (q * (1.0 + q) / (1.0 - q) ** 3 + first * q / (1.0 - q) ** 2)
 
 
 def _inv_expm1(t: float) -> float:
-    """1/(e^t - 1) for t > 0, underflowing to 0 instead of overflowing."""
+    """1/(e^t - 1) for t > 0, underflowing to 0 instead of overflowing;
+    expm1 keeps 1 - e^{-t} accurate at small t."""
     if t > 700.0:
         return 0.0
-    q = math.exp(-t)
-    return q / (1.0 - q)
+    return math.exp(-t) / -math.expm1(-t)
 
 
 def _csch2(t: float) -> float:
-    """1/sinh^2(t) for t > 0."""
+    """1/sinh^2(t) for t > 0, as 4 e^{-2t}/(1 - e^{-2t})^2 with the
+    difference from expm1."""
     if t > 350.0:
         return 0.0
-    q = math.exp(-2.0 * t)
-    return 4.0 * q / (1.0 - q) ** 2
-
-
-# e^{-2 pi k} and csch^2(pi k) underflow to exactly 0 past k ~ 119, so no
-# tail walk needs to go as far as this, even for huge x; the tables hold both
-# for every k a walk can reach (csch^2(0) is infinite)
-_WALK_END = 130
-_Q_POW = tuple(math.exp(-_TWO_PI * k) for k in range(_WALK_END))
-_CSCH2_PI = (math.inf,) + tuple(_csch2(math.pi * k) for k in range(1, _WALK_END))
+    return 4.0 * math.exp(-2.0 * t) / math.expm1(-2.0 * t) ** 2
 
 
 def _guard_index(x: float, guard_delta: float) -> int:
@@ -153,110 +144,93 @@ def log_abs_quartic_gap(k: float, x: float) -> float:
     return 4.0 * math.log(hi) + math.log1p(-((lo / hi) ** 4))
 
 
-def _nearest(x: float, lo: int, hi: int, skip: int) -> int:
-    """The integer in [lo, hi) other than skip that lies nearest to x; lo
-    itself is in the range and is not skip."""
-    c = min(max(round(x), lo), hi - 1)
-    if c != skip:
-        return c
-    # c > lo here, so c - 1 is in the range
-    return c + 1 if c + 1 < hi and c + 1 - x < x - (c - 1) else c - 1
+# e^{-2 pi k} < 1e-354 from k = 130 on: a tail term at such an index is below
+# the smallest subnormal even within guard_delta of x, so none is evaluated
+_NEAR_END = 130
 
 
-def walk_tail(first: int, end: int, x: float, skip: int, floor: float, term, rest) -> float:
-    """sum of term(k, x, floor) over first <= k < min(end, _WALK_END) with
-    k != skip, times (1 + 1e-12) for its rounding.
+def _split_tail(first: int, x: float, skip: int = 0) -> tuple[list[int], bool, int]:
+    """How a k-sum tail from first falls around x, as (near, below, h).
 
-    The terms fall like e^{-2 pi k}, so after a few of them the rest is below
-    one ulp of the partial sum. The walk stops at the first index K where
-    rest(K, x, g) is at most eps times the partial sum, and adds it in place
-    of the terms it leaves. rest(K, x, g) must bound the sum of the terms
-    over every k >= K (k != skip) that lies at least g from x; g is the
-    distance from x to the nearest such index below end, and never below
-    floor.
+    near holds floor(x) and ceil(x) where they are >= first, != skip and
+    below _NEAR_END: the closed tails take these at their actual size. Every
+    other index lies at least 1 from x. below is true when the tail has
+    indices first <= k <= floor(x) - 1, and h = max(first, ceil(x) + 1) is
+    its first index past x.
     """
-    end = min(end, _WALK_END)
-    partial = 0.0
-    for k in range(first, end):
-        if k == skip:
-            continue
-        t = term(k, x, floor)
-        # rest(k, x, g) >= term(k, x, floor), so only a term this small can
-        # end the walk
-        if t <= _EPS * partial:
-            g = max(abs(_nearest(x, k, end, skip) - x), floor)
-            left = rest(k, x, g)
-            if left <= _EPS * partial:
-                partial += left
-                break
-        partial += t
-    return partial * (1.0 + 1e-12)
-
-
-def _log_csch2_term(k: int, x: float, floor: float) -> float:
-    return abs(log_abs_quartic_gap(float(k), x)) * _CSCH2_PI[k]
-
-
-def _log_csch2_rest(k: int, x: float, g: float) -> float:
-    """g (k+x)^3/2 <= |k^4 - x^4| <= (k+x)^4, so |log|k^4 - x^4|| is at most
-    4 log(k+x) + max(0, log(2/g)), with log(k+x) linearized at k; and
-    csch^2(pi k) <= 4 q^k/(1-q)^2."""
-    q = _Q_UNIT
-    lead = 4.0 * math.log(k + x) + max(0.0, math.log(2.0 / g))
-    return (4.0 / (1.0 - q) ** 2) * (lead * _geom(k, q) + (4.0 / (k + x)) * _geom_k_shift(k, q))
+    lo = math.floor(x)
+    hi = lo if lo == x else lo + 1
+    near = []
+    # at large x no index is near; skip building an empty range
+    if first <= hi and lo < _NEAR_END:
+        near = [k for k in range(max(first, lo), min(hi + 1, _NEAR_END)) if k != skip]
+    return near, first < lo, max(first, hi + 1)
 
 
 def bound_log_csch2(first: int, x: float, skip: int = 0) -> float:
-    """Tail of (pi/2) sum_k |log|k^4 - x^4|| / sinh^2(pi k).
+    """Tail of (pi/2) sum_k |log|k^4 - x^4|| / sinh^2(pi k) from k = first,
+    in closed form around x (_split_tail); an index excluded from the series
+    by the singularity guard is passed as skip. With q = e^{-2 pi} and
+    csch^2(pi k) <= 4 q^k/(1-q^F)^2 for k >= F:
 
-    Terms with k possibly below x+2 are bounded individually (infinite if one
-    sits exactly on x), until the rest of them is provably below eps times
-    their sum; beyond F2 = max(first, ceil(x)+2) the log is positive and at
-    most 4 log k, linearized at F2, against the geometric csch^2 envelope. An
-    index excluded from the series by the singularity guard is passed as
-    skip.
+    - floor(x) and ceil(x) at their actual size (infinite if one is x itself);
+    - below x, x - k >= 1 gives 15 <= x^4 - k^4 <= x^4, so each log is at
+      most 4 log x;
+    - from h = max(first, ceil(x)+1) on, 8 <= k^4 - x^4 <= k^4, so each log
+      is at most 4 log k <= 4 (log h + (k-h)/h).
+
+    The 1e-12 factor covers the rounding of the terms taken at their size.
     """
     if not x > 0:
         raise ValueError("x must be positive")
-    f2 = max(first, math.ceil(x) + 2)
-    if first <= x < min(f2, _WALK_END) and x == round(x) and x != skip:
-        return math.inf
-    explicit = walk_tail(first, f2, x, skip, 0.0, _log_csch2_term, _log_csch2_rest)
+    near, below, h = _split_tail(first, x, skip)
+    total = 0.0
+    for k in near:
+        if k == x:
+            return math.inf
+        total += abs(log_abs_quartic_gap(float(k), x)) * _csch2(math.pi * k)
     q = _Q_UNIT
-    closed = (4.0 / (1.0 - q**f2) ** 2) * (
-        4.0 * math.log(f2) * _geom(f2, q) + (4.0 / f2) * _geom_k_shift(f2, q)
-    )
-    return (math.pi / 2.0) * (explicit + closed)
-
-
-def _psi_k_sum_term(k: int, x: float, guard_delta: float) -> float:
-    gap = max(abs(float(k) ** 2 - x * x), guard_delta * (k + x))
-    q = _Q_POW[k]
-    return 2.0 * k * q / ((1.0 - q) * gap)
-
-
-def _psi_k_sum_rest(k: int, x: float, g: float) -> float:
-    """gap >= g (j+x) >= g (k+x) for every j >= k, and 1/(1-q^j) <= 1/(1-q)."""
-    return 2.0 * _geom_k(k, _Q_UNIT) / (g * (k + x) * (1.0 - _Q_UNIT))
+    if below:
+        qf = q**first
+        total += 16.0 * math.log(x) * qf / ((1.0 - q) * (1.0 - qf) ** 2)
+    qh = q**h
+    if qh:
+        total += 16.0 * qh / ((1.0 - q) * (1.0 - qh) ** 2) * (math.log(h) + q / ((1.0 - q) * h))
+    return (math.pi / 2.0) * total * (1.0 + 1e-12)
 
 
 def bound_psi_k_sum(
     first: int, x: float, guard_delta: float = DEFAULT_GUARD_DELTA, skip: int = 0
 ) -> float:
-    """Tail of sum_k 2k/((e^{2 pi k}-1)(k^2-x^2)) from k=first.
+    """Tail of sum_k 2k/((e^{2 pi k}-1)(k^2-x^2)) from k = first, in closed
+    form around x (_split_tail). With t_k the k-th term's magnitude and
+    q = e^{-2 pi}:
 
-    Terms up to F2 = max(first, ceil(x)+2) are taken at their actual size,
-    with |k^2-x^2| floored at guard_delta*(k+x) (an index inside the guard
-    band is excluded from the plain sum and handled by the regularized pair,
-    so the floor never understates a term that is actually summed), until the
-    rest of them is provably below eps times their sum; past F2, k - x >= 2
-    makes the factor 2k/(k^2-x^2) at most 1.
+    - floor(x) and ceil(x) at their actual size, with |k^2-x^2| floored at
+      guard_delta (k+x): an index inside the guard band is skipped here and
+      handled by the regularized pair, so the floor never understates a
+      term that is summed;
+    - below x, (x-k)/(x-k-1) <= 2 up to k = floor(x)-1 gives
+      t_{k+1} <= 4q t_k, so those terms sum to at most t_first/(1-4q);
+    - from h = max(first, ceil(x)+1) on, 2k/(k^2-x^2) falls with k, and
+      sum_{k>=h} 1/(e^{2 pi k}-1) <= q^h/((1-q)(1-q^h)).
+
+    The 1e-12 factor covers the rounding of the terms taken at their size.
     """
     if not x > 0:
         raise ValueError("x must be positive")
-    f2 = max(first, math.ceil(x) + 2)
-    explicit = walk_tail(first, f2, x, skip, guard_delta, _psi_k_sum_term, _psi_k_sum_rest)
-    return explicit + bound_lambert(0, f2)
+    near, below, h = _split_tail(first, x, skip)
+    total = 0.0
+    for k in near:
+        total += 2.0 * k * _inv_expm1(_TWO_PI * k) / (max(abs(k - x), guard_delta) * (k + x))
+    q = _Q_UNIT
+    if below:
+        t = 2.0 * first * _inv_expm1(_TWO_PI * first) / (x - first) / (x + first)
+        total += t / (1.0 - 4.0 * q)
+    qh = q**h
+    if qh:
+        total += 2.0 * h * qh / ((1.0 - q) * (1.0 - qh) * max(h - x, 1.0) * (h + x))
+    return total * (1.0 + 1e-12)
 
 
 def tail_bound(family: str, first_omitted: int, x: float = 1.0, power: int = 1) -> TailBound:

@@ -495,21 +495,41 @@ def re_psi_complex_ramanujan(x: float, params: EvalParams) -> SeriesValue:
     return _close(pieces, s.error_estimate + tail, max(k_used, s.k_used), s.n_used)
 
 
-def _trigamma_tail_term(k: int, y: float, guard_delta: float) -> float:
-    """The k-th omitted term of psi_prime_ramanujan's two k-sums, with
-    csch^2(pi k) = 4q/(1-q)^2 and |k^2-y^2| floored at guard_delta (k+y)."""
-    gap = max(abs((k - y) * (k + y)), guard_delta * (k + y))
-    qk = planner._Q_POW[k]
-    return (
-        4.0 * k * y / (gap * gap) + _TWO_PI * y**3 / (gap * (k * k + y * y)) * 4.0 / (1.0 - qk)
-    ) * qk / (1.0 - qk)
+def _trigamma_tail(first: int, y: float, guard_delta: float) -> float:
+    """Tail from k = first of psi_prime_ramanujan's two k-sums, whose k-th
+    terms have magnitude A_k/(e^{2 pi k}-1) + B_k csch^2(pi k) with
+    A_k = 4ky/(k^2-y^2)^2 and B_k = 2 pi y^3/|k^4-y^4|, in the closed form of
+    planner.bound_psi_k_sum around y (planner._split_tail):
 
+    - floor(y) and ceil(y) at their actual size, |k^2-y^2| floored at
+      guard_delta (k+y);
+    - below y, (y-k)/(y-k-1) <= 2 up to k = floor(y)-1 makes each term at
+      most 8 e^{-2 pi} times the one before, so they sum to at most the first
+      over 1 - 8 e^{-2 pi};
+    - past y, A_k and B_k fall with k, so from h = max(first, ceil(y)+1)
+      they are at most their values at h against bound_lambert(0, h) and
+      bound_csch2(h).
+    """
 
-def _trigamma_tail_rest(k: int, y: float, g: float) -> float:
-    """gap >= g (k+y) with 4ky <= (k+y)^2 and (k+y)(k^2+y^2) >= y^3 bounds
-    the two factors by 1/g^2 and 2 pi/g; 1/(1-q^k) <= 1/(1-q)."""
-    q = _Q_UNIT
-    return (1.0 / (g * g) + 8.0 * math.pi / (g * (1.0 - q))) * q**k / (1.0 - q) ** 2
+    def a_b(k: int, floor: float) -> tuple[float, float]:
+        # in r = k/y, overflow-free at any y
+        g = max(abs(k - y), floor)
+        r = k / y
+        return 4.0 * r / ((1.0 + r) ** 2 * g * g), _TWO_PI / ((1.0 + r) * (1.0 + r * r) * g)
+
+    def term(k: int) -> float:
+        a, b = a_b(k, guard_delta)
+        return a * _inv_expm1(_TWO_PI * k) + b * _csch2(math.pi * k)
+
+    near, below, h = planner._split_tail(first, y)
+    total = sum(term(k) for k in near)
+    if below:
+        total += term(first) / (1.0 - 8.0 * _Q_UNIT)
+    lam = planner.bound_lambert(0, h)
+    if lam:
+        a, b = a_b(h, 1.0)
+        total += a * lam + b * planner.bound_csch2(h)
+    return total * (1.0 + 1e-12)
 
 
 def psi_prime_ramanujan(x: float, params: EvalParams) -> SeriesValue:
@@ -554,20 +574,7 @@ def psi_prime_ramanujan(x: float, params: EvalParams) -> SeriesValue:
             r = k / y
             pieces.append(-_TWO_PI * csch / (y * (1.0 - r**4)))
     pieces.extend(1.0 / (x + i) ** 2 for i in range(1, shift + 1))
-    first = params.k_terms + 1
-    f2 = max(first, math.ceil(y) + 2)
-    # explicit tail terms up to F2 = max(first, ceil(y)+2), with
-    # csch^2(pi k) = 4q/(1-q)^2; past F2, k - y >= 2 makes 4ky/(k^2-y^2)^2
-    # <= ky/(k+y)^2 <= 1/4 and 2y^3/(k^4-y^4) <= y^3/F2^3
-    tail = planner.walk_tail(
-        first, f2, y, 0, params.guard_delta, _trigamma_tail_term, _trigamma_tail_rest
-    )
-    bound = (
-        tail
-        + 0.25 * planner.bound_lambert(0, f2)
-        + math.pi * y**3 / float(f2) ** 3 * planner.bound_csch2(f2)
-        + lift_err
-    )
+    bound = _trigamma_tail(params.k_terms + 1, y, params.guard_delta) + lift_err
     return _close(pieces, bound, k_used, 0)
 
 

@@ -70,10 +70,43 @@ def test_soundness_by_oversummation(family):
         assert _brute_tail(family, first, x) <= bound * (1.0 + 1e-12)
 
 
+# no e^{-2 pi k} or csch^2(pi k) weight above this index is a nonzero double
+BRUTE_END = 120
+
+
+def _brute_psi_k_sum(first, x, skip, delta):
+    """The k-sum tail by direct summation, |k^2 - x^2| floored at
+    delta (k + x) as bound_psi_k_sum floors it (a no-op off the guard bands)."""
+    return math.fsum(
+        2.0 * k * _inv_expm1(TWO_PI * k) / max(abs(k - x), delta) / (k + x)
+        for k in range(first, BRUTE_END)
+        if k != skip
+    )
+
+
+def _brute_log_csch2(first, x, skip):
+    return (math.pi / 2.0) * math.fsum(
+        abs(planner.log_abs_quartic_gap(float(k), x)) * _csch2(math.pi * k)
+        for k in range(first, BRUTE_END)
+        if k != skip
+    )
+
+
+def _brute_trigamma_tail(first, y, delta):
+    """The two k-sums psi_prime_ramanujan drops, term by term in r = k/y,
+    with |k - y| floored at delta as in the bound."""
+    total = []
+    for k in range(first, BRUTE_END):
+        r, g = k / y, max(abs(k - y), delta)
+        total.append(4.0 * r * _inv_expm1(TWO_PI * k) / ((1.0 + r) ** 2 * g * g))
+        total.append(TWO_PI * _csch2(math.pi * k) / ((1.0 + r) * (1.0 + r * r) * g))
+    return math.fsum(total)
+
+
 def test_psi_k_sum_soundness_by_oversummation():
-    # the only tail that walks explicit terms at their actual size; near an
-    # integer m inside the guard band the k = m term is skipped, as _psi_rest
-    # skips it, and the floor guard_delta (k + x) must not undercut the rest
+    # near an integer m inside the guard band the k = m term is skipped, as
+    # _psi_rest skips it, and the floor guard_delta (k + x) must not undercut
+    # the rest
     rng = random.Random(11)
     delta = EvalParams.guard_delta
     for _ in range(300):
@@ -86,18 +119,13 @@ def test_psi_k_sum_soundness_by_oversummation():
             x = math.exp(rng.uniform(math.log(0.1), math.log(1e12)))
             if abs(x - round(x)) < delta:
                 continue
-        brute = math.fsum(
-            abs(2.0 * k * _inv_expm1(TWO_PI * k) / ((k - x) * (k + x)))
-            for k in range(first, first + 300)
-            if k != skip
-        )
+        brute = _brute_psi_k_sum(first, x, skip, delta)
         assert brute <= planner.bound_psi_k_sum(first, x, delta, skip)
 
 
 def test_log_csch2_soundness_by_oversummation():
-    # the walk ends early with a geometric remainder, so its bound must still
-    # cover the full tail at large x, past k ~ 119 where csch^2 underflows, and
-    # with the k = m index of a guard band skipped
+    # the bound must cover the full tail at large x, past k ~ 119 where
+    # csch^2 underflows, and with the k = m index of a guard band skipped
     rng = random.Random(12)
     delta = EvalParams.guard_delta
     for _ in range(300):
@@ -110,24 +138,93 @@ def test_log_csch2_soundness_by_oversummation():
             x = math.exp(rng.uniform(math.log(0.1), math.log(1e12)))
             if abs(x - round(x)) < delta:
                 continue
-        brute = (math.pi / 2.0) * math.fsum(
-            abs(planner.log_abs_quartic_gap(float(k), x)) * _csch2(math.pi * k)
-            for k in range(first, first + 300)
-            if k != skip
-        )
-        assert brute <= planner.bound_log_csch2(first, x, skip)
+        assert _brute_log_csch2(first, x, skip) <= planner.bound_log_csch2(first, x, skip)
 
 
-def test_walks_end_with_a_geometric_remainder(monkeypatch):
-    # past the first few terms of each walk the rest is below an ulp of the
-    # partial sum; walking to k ~ 130 made 251 of these calls at x = 1e12
+def _edge_points():
+    """(x, skip) where the closed tails change form: the guard-band edges
+    m +- {0.99, 1.01} guard_delta with and without m skipped, x up to
+    ~119 where e^{-2 pi k} underflows, x in [125, 135] where floor(x) and
+    ceil(x) pass _NEAR_END, and x up to 1e300."""
+    delta = EvalParams.guard_delta
+    points = []
+    for m in (1, 2, 3, 4, 7, 10, 59, 128, 129, 130, 131, 1000):
+        for off in (-1.01, -0.99, 0.99, 1.01):
+            x = m + off * delta
+            points += [(x, m), (x, 0)]
+    points += [(x, 0) for x in (99.5, 111.5, 117.5, 118.5, 119.5)]
+    points += [(x, 0) for x in (125.3, 127.5, 128.9, 129.5, 130.5, 132.25, 134.7)]
+    points += [(130.0, 130), (135.0, 135), (0.4, 0), (1.5, 0), (2.5, 0)]
+    points += [(x, 0) for x in (1e3 + 0.5, 1e6 + 0.25, 1e12 + 0.5)]
+    points += [(x, round(x)) for x in (1e12, 1e100, 1e300)]
+    return points
+
+
+def _edge_firsts(x):
+    lo, hi = math.floor(x), math.ceil(x)
+    return sorted({f for f in (1, lo // 2, lo // 2 + 1, lo, hi, hi + 1) if f >= 1})
+
+
+@pytest.mark.parametrize("tail", ["psi_k_sum", "log_csch2", "trigamma"])
+def test_closed_tails_sound_at_their_edges(tail):
+    delta = EvalParams.guard_delta
+    for x, skip in _edge_points():
+        for first in _edge_firsts(x):
+            if tail == "psi_k_sum":
+                brute = _brute_psi_k_sum(first, x, skip, delta)
+                bound = planner.bound_psi_k_sum(first, x, delta, skip)
+            elif tail == "log_csch2":
+                brute = _brute_log_csch2(first, x, skip)
+                bound = planner.bound_log_csch2(first, x, skip)
+            elif x >= 3.0 and x < 1e100:
+                # psi_prime_ramanujan sums at y >= 3 and skips no index
+                brute = _brute_trigamma_tail(first, x, delta)
+                bound = series._trigamma_tail(first, x, delta)
+            else:
+                continue
+            assert 0.0 <= brute <= bound, (x, skip, first)
+
+
+@pytest.mark.parametrize("tail", ["psi_k_sum", "log_csch2", "trigamma"])
+def test_closed_tails_stay_within_100x_of_the_tail(tail):
+    # one more outer term shrinks a tail ~e^{2 pi} ~ 535x, so a bound within
+    # 100x of the tail it covers costs plan at most one term over the tail
+    delta = EvalParams.guard_delta
+    rng = random.Random(13)
+    xs = [x for x, _ in _edge_points() if x >= 1.0]
+    xs += [math.exp(rng.uniform(0.0, math.log(300.0))) for _ in range(200)]
+    worst = 0.0
+    for x in xs:
+        if planner._guard_index(x, delta) or (tail == "trigamma" and x < 3.0):
+            continue
+        for first in _edge_firsts(x) + [rng.randint(1, 112)]:
+            if tail == "psi_k_sum":
+                brute = _brute_psi_k_sum(first, x, 0, delta)
+                bound = planner.bound_psi_k_sum(first, x, delta)
+            elif tail == "log_csch2":
+                brute = _brute_log_csch2(first, x, 0)
+                bound = planner.bound_log_csch2(first, x)
+            else:
+                brute = _brute_trigamma_tail(first, x, delta)
+                bound = series._trigamma_tail(first, x, delta)
+            # a subnormal tail carries too few bits to compare against
+            if brute > 1e-300:
+                worst = max(worst, bound / brute)
+    assert 1.0 <= worst <= 100.0
+
+
+def test_closed_tails_take_few_quartic_gaps(monkeypatch):
+    # only floor(x) and ceil(x) below 130 take log|k^4 - x^4| at their size,
+    # so at x = 1e12 every call is the evaluator's own k-loop; walking each
+    # tail term by term to k ~ 130 made 251 of these calls here
     calls = []
     gap = planner.log_abs_quartic_gap
     monkeypatch.setattr(
         planner, "log_abs_quartic_gap", lambda k, x: calls.append(k) or gap(k, x)
     )
-    series.psi_ramanujan(1e12, planner.plan(1e-15, 1e12))
-    assert len(calls) <= 30
+    p = planner.plan(1e-15, 1e12)
+    series.psi_ramanujan(1e12, p)
+    assert len(calls) <= p.k_terms + 4
 
 
 def test_lambert_soundness_all_powers():

@@ -143,8 +143,8 @@ LARGE_X = [60.0 * (1e12 / 60.0) ** (i / 24) for i in range(25)] + [
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-15])
 def test_planned_psi_at_large_x_within_estimate_of_mpmath(tol):
-    # the range where the planner's tail walks end with a geometric
-    # remainder, and guard bands around the last walked indices and past them
+    # the range where the closed tails take floor(x) and ceil(x) at their
+    # actual size only below 130, and guard bands on both sides of that edge
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         for x in LARGE_X:
@@ -220,6 +220,37 @@ def test_lifted_corollaries_within_estimate(x, tol):
     assert abs(g.value - euler_gamma_reference()) <= g.error_estimate + ORACLE_SLACK
     r = series.re_psi_complex_ramanujan(x, p)
     assert abs(r.value - re_psi_one_plus_ik(x)) <= r.error_estimate + ORACLE_SLACK
+
+
+def _r_of_x_mpmath(mpmath, x):
+    """R(x) = psi(x+1) + S(x), the non-S part of the representation, for
+    0 < x < 1 in mpmath: the k-sums are taken to k = 39, past 1e-100."""
+    x, pi = mpmath.mpf(x), mpmath.pi
+    v = pi / 3 * mpmath.log(x) + 1 / (2 * x) - 1 / (4 * pi * x * x)
+    v += pi * mpmath.cot(pi * x) / mpmath.expm1(2 * pi * x)
+    v += pi / 2 * mpmath.log(abs(2 * mpmath.sin(pi * x))) * mpmath.csch(pi * x) ** 2
+    for k in range(1, 40):
+        v += 2 * k / (mpmath.expm1(2 * pi * k) * (k * k - x * x))
+        v -= pi / 2 * mpmath.log(abs(k**4 - x**4)) * mpmath.csch(pi * k) ** 2
+    return v
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+def test_small_x_double_series_and_re_psi_within_estimate_of_mpmath(tol):
+    # both evaluate R(x) at x itself, where its pieces grow like 1/x^2 and
+    # 1 - e^{-t} must not be formed by subtraction; only the estimate is
+    # asked here, not that it meets tol
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        for e in range(-32, -7):
+            x = 10.0 ** (e / 4)
+            p = planner.plan(tol, x)
+            s = series.double_series_S(x, p)
+            truth = _r_of_x_mpmath(mpmath, x) - mpmath.digamma(mpmath.mpf(x) + 1)
+            assert abs(mpmath.mpf(s.value) - truth) <= s.error_estimate, x
+            r = series.re_psi_complex_ramanujan(x, p)
+            truth = mpmath.digamma(mpmath.mpc(1, x)).real
+            assert abs(mpmath.mpf(r.value) - truth) <= r.error_estimate, x
 
 
 def test_shift_is_an_exact_identity():
