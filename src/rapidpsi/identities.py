@@ -71,10 +71,7 @@ def digamma_partial_fraction_rhs(x: float, params: EvalParams) -> float:
         math.pi * series._cotpi(x) * series._inv_expm1(_TWO_PI * x),
         pf,
     ]
-    for k in range(1, params.k_terms + 1):
-        q = series._inv_expm1(_TWO_PI * k)
-        if q == 0.0:
-            break
+    for k, q, _ in series._PI_WEIGHTS[: params.k_terms]:
         d = (float(k) * k - x * x) * (float(k) * k + x * x)
         pieces.append(4.0 * k * x * x * q / d)
     return math.fsum(pieces)

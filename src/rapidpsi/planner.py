@@ -23,15 +23,16 @@ _EPS = math.ulp(1.0)
 
 FAMILIES = ("exp_envelope", "csch2", "lambert", "log_csch2")
 
+# caps each inner sum of the double series, which sizes them itself
 MAX_N_TERMS = 500_000
 MIN_N_TERMS = 16
 # the evaluators lift arguments below this with the digamma recurrence: every
 # double-series term carries e^{-2 pi k x}, so at x >= 3 the outer count is set
 # by the x-independent k-sums and the inner series stay short
 LIFT_TARGET = 3.0
-# the double series' truncation is held to tol/4: this share of tol for its
-# outer envelope tail (outer_weights, and plan's envelope family) and the same
-# share for its inner remainders (_inner_lengths)
+# the double series sizes itself and holds its truncation to tol/4: this share
+# of tol for its outer envelope tail (outer_weights) and the same share for its
+# inner remainders (_inner_lengths)
 S_TAIL_SHARE = 1.0 / 8.0
 
 
@@ -124,6 +125,8 @@ def bound_exp_envelope(first: int, x: float) -> float:
     if not x > 0:
         raise ValueError("x must be positive")
     q = math.exp(-_TWO_PI * x)
+    if q == 0.0:
+        return 0.0
     if q >= 1.0:
         return math.inf
     lead = (3.1 + math.log(first)) * _geom_k(first, q)
@@ -252,22 +255,22 @@ def tail_bound(family: str, first_omitted: int, x: float = 1.0, power: int = 1) 
     return TailBound(family=family, first_omitted_index=first_omitted, bound=b)
 
 
-def outer_weights(x: float, k_terms: int, tol: float) -> list[float]:
-    """The weights e^{-2 pi k x} of the double series for k = 1..k_terms,
-    ending before the first one that underflows (2 pi k x >= 745) or whose
-    outer tail bound_exp_envelope(k, x) is at most tol * S_TAIL_SHARE: the
-    outer indices the double series sums, and the only ones an inner budget
-    is split over. S sizes itself from tol this way, and k_terms only caps
-    it; plan holds the envelope to the same share, so the cap never cuts S
-    short of this stop. The underflow test comes first, so large x never
-    computes an envelope."""
-    out = []
+def outer_weights(x: float, k_terms: int, tol: float) -> tuple[list[float], float]:
+    """(weights, tail): the weights e^{-2 pi k x} of the double series for
+    k = 1..k_terms, ending before the first one that underflows
+    (2 pi k x >= 745) or whose outer tail bound_exp_envelope(k, x) is at most
+    tol * S_TAIL_SHARE, and bound_exp_envelope at the index it stopped on
+    (k_terms + 1 at the cap). These are the outer indices the double series
+    sums, and the only ones an inner budget is split over: S sizes itself
+    from tol this way, and k_terms only caps it."""
+    weights = []
     for k in range(1, k_terms + 1):
         t = _TWO_PI * k * x
-        if t >= 745.0 or bound_exp_envelope(k, x) <= tol * S_TAIL_SHARE:
-            break
-        out.append(math.exp(-t))
-    return out
+        tail = bound_exp_envelope(k, x)
+        if t >= 745.0 or tail <= tol * S_TAIL_SHARE:
+            return weights, tail
+        weights.append(math.exp(-t))
+    return weights, bound_exp_envelope(k_terms + 1, x)
 
 
 def _inner_lengths(tol: float, weights: list[float]) -> list[tuple[int, int]]:
@@ -275,9 +278,9 @@ def _inner_lengths(tol: float, weights: list[float]) -> list[tuple[int, int]]:
     the outer weights e^{-2 pi k x} of outer_weights.
 
     The inner budget tol * S_TAIL_SHARE is split evenly over the outer terms
-    that run and
-    the two inner series; lengths solve 2 pi weight * tail(N) <= share with
-    tail_sin(N) <= 1/(3 N^3) and tail_cos(N) <= 1/(2 N^4).
+    that run and the two inner series; lengths solve
+    2 pi weight * tail(N) <= share with tail_sin(N) <= 1/(3 N^3) and
+    tail_cos(N) <= 1/(2 N^4).
     """
     share = tol * S_TAIL_SHARE / (2.0 * max(1, len(weights)))
     out = []
@@ -311,16 +314,15 @@ def lift_shift(x: float) -> int:
 
 
 def plan(tol: float, x: float) -> EvalParams:
-    """Pick term counts so every tail family is individually below tol/4
-    (the double series envelope below tol * S_TAIL_SHARE).
+    """Pick the outer count k_terms so each k-sum tail family (k-sum, csch2,
+    log-weighted csch2) is individually below tol/4.
 
-    The counts are sized for x + lift_shift(x), where the evaluators sum the
-    series (see EvalParams). k_terms starts at the envelope floor
-    ceil(log(40/tol)/(2 pi)) and grows until the four outer families (k-sum,
-    csch2, log-weighted csch2, double series envelope) all fit. The double
-    series stops at its own envelope (outer_weights), usually after 0-2 of
-    those k_terms; n_terms covers the largest inner length of the terms it
-    runs.
+    The count is sized for x + lift_shift(x), where the evaluators sum the
+    series (see EvalParams). k_terms starts at the floor
+    ceil(log(40/tol)/(2 pi)) and grows until the three families fit. The
+    double series sizes its own outer and inner sums from tol
+    (outer_weights, _inner_lengths), so n_terms is only the cap
+    MAX_N_TERMS.
     """
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
@@ -330,24 +332,18 @@ def plan(tol: float, x: float) -> EvalParams:
     # an index inside the guard band is handled by the regularized pair, not
     # the plain sums, so its singular bound terms are skipped
     guard = _guard_index(y, DEFAULT_GUARD_DELTA)
+    # the double series' envelope needs no check here: at y >= LIFT_TARGET
+    # its tail at k + 1 carries e^{-2 pi (k+1) y} <= e^{-6 pi} (e^{-2 pi k})^3,
+    # so from this floor it is below 1e-13 tol at every admissible tol
     k = max(1, math.ceil(math.log(40.0 / tol) / _TWO_PI))
-    while True:
-        worst = max(
-            bound_psi_k_sum(k + 1, y, skip=guard),
-            bound_csch2(k + 1),
-            bound_log_csch2(k + 1, y, skip=guard),
-        )
-        if worst <= budget and bound_exp_envelope(k + 1, y) <= tol * S_TAIL_SHARE:
-            break
+    while max(
+        bound_psi_k_sum(k + 1, y, skip=guard),
+        bound_csch2(k + 1),
+        bound_log_csch2(k + 1, y, skip=guard),
+    ) > budget:
         k += 1
         if k > MAX_K_TERMS:
             raise ToleranceError(
                 f"outer tails cannot reach tol={tol} at x={x} within {MAX_K_TERMS} terms"
             )
-    n = max((max(pair) for pair in _inner_lengths(tol, outer_weights(y, k, tol))),
-            default=MIN_N_TERMS)
-    if n > MAX_N_TERMS:
-        raise ToleranceError(
-            f"inner series need {n} terms for tol={tol} at x={x} (cap {MAX_N_TERMS})"
-        )
-    return EvalParams(tol=tol, k_terms=k, n_terms=n)
+    return EvalParams(tol=tol, k_terms=k, n_terms=MAX_N_TERMS)

@@ -37,6 +37,9 @@ from .params import MAX_GAMMA_M, EvalParams, ModularPair, SeriesValue
 from .planner import _EPS, _Q_UNIT, _csch2, _guard_index, _inv_expm1
 
 _TWO_PI = 2.0 * math.pi
+# (k, 1/(e^{2 pi k} - 1), csch^2(pi k)), the weights of the pi-scaled k-sums;
+# both underflow to 0 from k = 112 on, so no such k-loop runs past this table
+_PI_WEIGHTS = tuple((k, _inv_expm1(_TWO_PI * k), _csch2(math.pi * k)) for k in range(1, 112))
 
 
 def zeta_even(N: int, table: BernoulliTable) -> float:
@@ -200,12 +203,12 @@ def _inner_pair(k: int, theta: float, n_sin: int, n_cos: int):
 
 def _double_series_at(x: float, params: EvalParams) -> SeriesValue:
     """S(x) summed directly at x, without the recurrence lift. The outer sum
-    stops at its own envelope (planner.outer_weights), so where no term is
-    needed S is 0, charged bound_exp_envelope(1, x), with k_used and n_used
-    0. At integer x the inner sums collapse to C_k(0), so none is sized and
-    n_used is 0."""
+    stops at its own envelope (planner.outer_weights), which also gives the
+    outer tail it is charged; where no term is needed S is 0, charged
+    bound_exp_envelope(1, x), with k_used and n_used 0. At integer x the
+    inner sums collapse to C_k(0), so none is sized and n_used is 0."""
     theta = _TWO_PI * _dist(x)
-    weights = planner.outer_weights(x, params.k_terms, params.tol)
+    weights, tail = planner.outer_weights(x, params.k_terms, params.tol)
     if theta:
         lengths = planner._inner_lengths(params.tol, weights)
     else:
@@ -226,11 +229,7 @@ def _double_series_at(x: float, params: EvalParams) -> SeriesValue:
         n_used = max(n_used, n_sin, n_cos)
     k_used = len(weights)
     value = _TWO_PI * math.fsum(pieces)
-    err = (
-        planner.bound_exp_envelope(k_used + 1, x)
-        + _TWO_PI * trunc
-        + 4.0 * _EPS * _TWO_PI * mass
-    )
+    err = tail + _TWO_PI * trunc + 4.0 * _EPS * _TWO_PI * mass
     return SeriesValue(value=value, error_estimate=err, k_used=k_used, n_used=n_used)
 
 
@@ -358,21 +357,15 @@ def _psi_rest(x: float, params: EvalParams) -> tuple[list[float], float, int]:
         eps = x - m
         pieces.append(_guard_pole_pair(m, eps))
         pieces.append(_guard_log_pair(m, eps))
-    k_used = 0
-    for k in range(1, params.k_terms + 1):
-        q = _inv_expm1(_TWO_PI * k)
-        if q == 0.0:
-            break
-        k_used = k
+    weights = _PI_WEIGHTS[: params.k_terms]
+    for k, q, csch in weights:
         if k == m:
             continue
         pieces.append(2.0 * k * q / (float(k) * k - x * x))
-        pieces.append(
-            -(math.pi / 2.0) * planner.log_abs_quartic_gap(float(k), x) * _csch2(math.pi * k)
-        )
+        pieces.append(-(math.pi / 2.0) * planner.log_abs_quartic_gap(float(k), x) * csch)
     first = params.k_terms + 1
     tail = planner.bound_psi_k_sum(first, x, params.guard_delta, skip=m)
-    return pieces, tail + planner.bound_log_csch2(first, x, skip=m), k_used
+    return pieces, tail + planner.bound_log_csch2(first, x, skip=m), len(weights)
 
 
 def _psi_pieces(y: float, params: EvalParams) -> tuple[list[float], float, int, int]:
@@ -429,20 +422,13 @@ def _re_psi_rest(x: float, params: EvalParams) -> tuple[list[float], float, int]
         1.0 / (4.0 * math.pi * x * x),
         math.pi * _log_2sinpi_abs(x) * _csch2(math.pi * x) / 2.0,
     ]
-    k_used = 0
-    for k in range(1, params.k_terms + 1):
-        q = _inv_expm1(_TWO_PI * k)
-        csch = _csch2(math.pi * k)
-        if q == 0.0 and csch == 0.0:
-            break
-        k_used = k
+    weights = _PI_WEIGHTS[: params.k_terms]
+    for k, q, csch in weights:
         pieces.append(2.0 * k * q / (float(k) * k + x * x))
-        pieces.append(
-            -(math.pi / 2.0) * planner.log_abs_quartic_gap(float(k), x) * csch
-        )
+        pieces.append(-(math.pi / 2.0) * planner.log_abs_quartic_gap(float(k), x) * csch)
     first = params.k_terms + 1
     tail = 2.0 * planner.bound_lambert(-1, first)
-    return pieces, tail + planner.bound_log_csch2(first, x), k_used
+    return pieces, tail + planner.bound_log_csch2(first, x), len(weights)
 
 
 def gamma_any_x(x: float, params: EvalParams) -> SeriesValue:
@@ -557,13 +543,8 @@ def psi_prime_ramanujan(x: float, params: EvalParams) -> SeriesValue:
         1.0 / (_TWO_PI * y * y * y),
         -math.pi * math.pi / (sp * sp) * _inv_expm1(_TWO_PI * y),
     ]
-    k_used = 0
-    for k in range(1, params.k_terms + 1):
-        q = _inv_expm1(_TWO_PI * k)
-        csch = _csch2(math.pi * k)
-        if q == 0.0 and csch == 0.0:
-            break
-        k_used = k
+    weights = _PI_WEIGHTS[: params.k_terms]
+    for k, q, csch in weights:
         d = (k - y) * (k + y)
         pieces.append(4.0 * k * y * q / (d * d))
         # 2 pi y^3 / (sinh^2(pi k)(k^4 - y^4)) in overflow-free ratio form
@@ -575,7 +556,7 @@ def psi_prime_ramanujan(x: float, params: EvalParams) -> SeriesValue:
             pieces.append(-_TWO_PI * csch / (y * (1.0 - r**4)))
     pieces.extend(1.0 / (x + i) ** 2 for i in range(1, shift + 1))
     bound = _trigamma_tail(params.k_terms + 1, y, params.guard_delta) + lift_err
-    return _close(pieces, bound, k_used, 0)
+    return _close(pieces, bound, len(weights), 0)
 
 
 # ---------------------------------------------------------------------------

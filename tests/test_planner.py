@@ -299,7 +299,10 @@ def test_log_csch2_singular_omitted_term_is_unbounded():
 def test_plan_examples():
     assert planner.plan(1e-13, 1.0).k_terms <= 8
     assert planner.plan(1e-6, 1.0).k_terms <= 4
-    assert planner.plan(1e-13, 10.0).n_terms < planner.plan(1e-13, 1.0).n_terms
+    # the double series sizes its inner sums itself: off the integers, where
+    # they collapse to a closed form, they shorten as y grows
+    n_used = lambda y: series.double_series_S(y, planner.plan(1e-13, y)).n_used
+    assert n_used(10.25) < n_used(3.25)
 
 
 def test_plan_floor_and_split():
@@ -314,16 +317,42 @@ def test_plan_floor_and_split():
         assert planner.bound_log_csch2(first, y) <= tol / 4.0
 
 
-@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-15])
+@pytest.mark.parametrize("tol", [1e-3, 1.0, 1e3, 1e-6, 1e-9, 1e-12, 1e-15])
 def test_planned_cap_never_cuts_the_double_series_short(tol):
-    # plan holds the envelope to the same share of tol that outer_weights
-    # stops at, so the double series ends at its own envelope, not at k_terms
-    for x in (1e-8, 0.3, 1.0, 2.9999, 3.0, 3.0015, 3.2, 5.5, 17.0, 60.0, 1e6):
+    # plan sizes only the k-sums; at the lifted y >= 3 the envelope of the
+    # double series is below tol/8 from the planned floor on (k = 1 for
+    # tol >= 1e-3), so S ends at its own envelope, not at k_terms
+    for x in (1e-8, 0.3, 1.0, 2.9999, 3.0, 3.0015, 3.2, 5.5, 17.0, 60.0, 1e6, 1e100):
         p = planner.plan(tol, x)
         y = x + planner.lift_shift(x)
         share = tol * planner.S_TAIL_SHARE
         assert planner.bound_exp_envelope(p.k_terms + 1, y) <= share, x
-        assert len(planner.outer_weights(y, planner.MAX_K_TERMS, tol)) <= p.k_terms, x
+        assert len(planner.outer_weights(y, planner.MAX_K_TERMS, tol)[0]) <= p.k_terms, x
+
+
+def test_plan_leaves_the_double_series_to_size_itself(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("plan sizes only the k-sums")
+
+    for name in ("bound_exp_envelope", "outer_weights", "_inner_lengths"):
+        monkeypatch.setattr(planner, name, forbidden)
+    for x, tol in ((1e-8, 1e-15), (2.5, 1e-12), (3.0015, 1e-6), (1e12, 1e-9)):
+        assert planner.plan(tol, x).n_terms == planner.MAX_N_TERMS
+
+
+@pytest.mark.parametrize(
+    "x,k_terms", [(3.0, 6000), (3.0, 1), (60.0, 6000), (118.5, 6000), (118.7, 6000), (1e6, 6000)]
+)
+def test_outer_weights_return_the_tail_they_stop_on(x, k_terms):
+    # the envelope stop, the underflow stop (2 pi k x >= 745) and the cap
+    # k_terms each hand back bound_exp_envelope at the first index not summed
+    tol = 1e-15
+    weights, tail = planner.outer_weights(x, k_terms, tol)
+    assert tail == planner.bound_exp_envelope(len(weights) + 1, x)
+    if len(weights) == k_terms:
+        assert tail > tol * planner.S_TAIL_SHARE
+    if TWO_PI * x >= 745.0:
+        assert weights == [] and tail == 0.0
 
 
 def test_plan_validation():
@@ -332,11 +361,12 @@ def test_plan_validation():
     with pytest.raises(ToleranceError):
         planner.plan(1e-16, 1.0)
     # unlifted, x = 0.05 would need more inner terms than the cap allows; the
-    # recurrence lift must keep the plan under the cap and the result sound
+    # recurrence lift must keep the double series under the cap and the
+    # result sound
     p = planner.plan(1e-12, 0.05)
     assert planner.lift_shift(0.05) >= 1
-    assert p.n_terms <= planner.MAX_N_TERMS
     sv = series.psi_ramanujan(0.05, p)
+    assert sv.n_used < p.n_terms == planner.MAX_N_TERMS
     assert abs(sv.value - psi_oracle(0.05)) <= sv.error_estimate
 
 
@@ -351,8 +381,10 @@ def test_eval_params_caps_the_outer_count():
 
 def test_plan_handles_extreme_arguments():
     assert planner.plan(1e-12, 1e6).k_terms >= 1
-    # every double-series weight underflows, so no inner sum is sized
-    assert planner.plan(1e-15, 1e6).n_terms == planner.MIN_N_TERMS
+    # every double-series weight underflows, so no outer or inner term runs
+    for x in (1e6, 1e6 + 0.5):
+        sv = series.double_series_S(x, planner.plan(1e-15, x))
+        assert (sv.k_used, sv.n_used) == (0, 0)
     assert planner.plan(1e-12, 1e100).k_terms >= 1
 
 

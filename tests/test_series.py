@@ -97,13 +97,7 @@ def test_psi_error_estimate_is_genuine():
         p = planner.plan(1e-10, x)
         coarse = series.psi_ramanujan(x, p)
         fine = series.psi_ramanujan(
-            x,
-            dataclasses.replace(
-                p,
-                tol=p.tol / 2.0,
-                k_terms=2 * p.k_terms,
-                n_terms=min(2 * p.n_terms, planner.MAX_N_TERMS),
-            ),
+            x, dataclasses.replace(p, tol=p.tol / 2.0, k_terms=2 * p.k_terms)
         )
         assert abs(coarse.value - fine.value) <= coarse.error_estimate
 
@@ -661,6 +655,17 @@ def test_lambert_negative_power_window():
 def test_csch2_closed_form():
     value = series._power_csch2_sum(0, math.pi, P12.k_terms)[0]
     assert abs(value - (1.0 / 6.0 - 1.0 / (2.0 * math.pi))) <= 1e-14
+
+
+def test_pi_weight_table_ends_where_both_weights_underflow():
+    # the pi-scaled k-loops read their weights from one table; past its last
+    # index both weights are 0, so a longer table would add only zero terms
+    two_pi = series._TWO_PI
+    for k, q, csch in series._PI_WEIGHTS:
+        assert (q, csch) == (planner._inv_expm1(two_pi * k), planner._csch2(math.pi * k))
+        assert q > 0.0 and csch > 0.0
+    end = len(series._PI_WEIGHTS) + 1
+    assert planner._inv_expm1(two_pi * end) == planner._csch2(math.pi * end) == 0.0
 
 
 @pytest.mark.parametrize("scale", [0.002, 0.05, 1.0, math.pi, 30.0])
