@@ -2,11 +2,12 @@
 
 Every bound is a closed-form overestimate of the true tail: soundness over
 tightness (looseness up to roughly a factor of 10 is accepted by design).
-The k-sum tails whose terms depend on x (bound_psi_k_sum, bound_log_csch2,
-and psi_prime_ramanujan's tail in series.py) take only floor(x) and ceil(x)
-at their actual size and bound every other index, at least 1 from x, by a
-geometric envelope in e^{-2 pi k}; no tail is walked term by term. The
-evaluators in series.py reuse these bounds to assemble honest error
+The k-sum tails whose terms depend on x (k_sum_tails, and
+psi_prime_ramanujan's tail in series.py) take only floor(x) and ceil(x) at
+their actual size and bound every other index, at least 1 from x, by a
+geometric envelope in e^{-2 pi k}; no tail is walked term by term. One pass
+of k_sum_tails gives both the k-sum's tail and the log-weighted csch2 tail.
+The evaluators in series.py reuse these bounds to assemble honest error
 estimates, so nothing here may depend on series.py.
 """
 
@@ -170,70 +171,62 @@ def _split_tail(first: int, x: float, skip: int = 0) -> tuple[list[int], bool, i
     return near, first < lo, max(first, hi + 1)
 
 
-def bound_log_csch2(first: int, x: float, skip: int = 0) -> float:
-    """Tail of (pi/2) sum_k |log|k^4 - x^4|| / sinh^2(pi k) from k = first,
-    in closed form around x (_split_tail); an index excluded from the series
-    by the singularity guard is passed as skip. With q = e^{-2 pi} and
-    csch^2(pi k) <= 4 q^k/(1-q^F)^2 for k >= F:
+def k_sum_tails(
+    first: int, x: float, guard_delta: float = DEFAULT_GUARD_DELTA, skip: int = 0
+) -> tuple[float, float]:
+    """(psi_tail, log_tail): the tails from k = first of
+    sum_k 2k/((e^{2 pi k}-1)(k^2-x^2)) and (pi/2) sum_k |log|k^4-x^4|| csch^2(pi k),
+    in one closed-form pass around x (_split_tail); an index excluded from the
+    series by the singularity guard is passed as skip. With q = e^{-2 pi}:
 
-    - floor(x) and ceil(x) at their actual size (infinite if one is x itself);
-    - below x, x - k >= 1 gives 15 <= x^4 - k^4 <= x^4, so each log is at
-      most 4 log x;
-    - from h = max(first, ceil(x)+1) on, 8 <= k^4 - x^4 <= k^4, so each log
-      is at most 4 log k <= 4 (log h + (k-h)/h).
+    - floor(x) and ceil(x) at their actual size. The k-sum floors |k^2-x^2|
+      at guard_delta (k+x): an index inside the guard band is skipped here and
+      handled by the regularized pair, so the floor never understates a term
+      that is summed. The log tail is infinite if one of them is x itself.
+    - below x, up to k = floor(x)-1: (x-k)/(x-k-1) <= 2 gives
+      t_{k+1} <= 4q t_k for the k-sum's terms t_k, so they sum to at most
+      t_first/(1-4q); and x - k >= 1 gives 15 <= x^4 - k^4 <= x^4, so each
+      log is at most 4 log x against csch^2(pi k) <= 4 q^k/(1-q^F)^2, k >= F.
+    - from h = max(first, ceil(x)+1) on, 2k/(k^2-x^2) falls with k against
+      sum_{k>=h} 1/(e^{2 pi k}-1) <= q^h/((1-q)(1-q^h)); and
+      8 <= k^4 - x^4 <= k^4, so each log is at most 4 (log h + (k-h)/h).
 
-    The 1e-12 factor covers the rounding of the terms taken at their size.
+    The 1e-12 factors cover the rounding of the terms taken at their size.
     """
     if not x > 0:
         raise ValueError("x must be positive")
     near, below, h = _split_tail(first, x, skip)
-    total = 0.0
+    psi = log = 0.0
     for k in near:
+        psi += 2.0 * k * _inv_expm1(_TWO_PI * k) / (max(abs(k - x), guard_delta) * (k + x))
         if k == x:
-            return math.inf
-        total += abs(log_abs_quartic_gap(float(k), x)) * _csch2(math.pi * k)
+            log = math.inf
+        else:
+            log += abs(log_abs_quartic_gap(float(k), x)) * _csch2(math.pi * k)
     q = _Q_UNIT
     if below:
+        t = 2.0 * first * _inv_expm1(_TWO_PI * first) / (x - first) / (x + first)
+        psi += t / (1.0 - 4.0 * q)
         qf = q**first
-        total += 16.0 * math.log(x) * qf / ((1.0 - q) * (1.0 - qf) ** 2)
+        log += 16.0 * math.log(x) * qf / ((1.0 - q) * (1.0 - qf) ** 2)
     qh = q**h
     if qh:
-        total += 16.0 * qh / ((1.0 - q) * (1.0 - qh) ** 2) * (math.log(h) + q / ((1.0 - q) * h))
-    return (math.pi / 2.0) * total * (1.0 + 1e-12)
+        psi += 2.0 * h * qh / ((1.0 - q) * (1.0 - qh) * max(h - x, 1.0) * (h + x))
+        log += 16.0 * qh / ((1.0 - q) * (1.0 - qh) ** 2) * (math.log(h) + q / ((1.0 - q) * h))
+    return psi * (1.0 + 1e-12), (math.pi / 2.0) * log * (1.0 + 1e-12)
 
 
 def bound_psi_k_sum(
     first: int, x: float, guard_delta: float = DEFAULT_GUARD_DELTA, skip: int = 0
 ) -> float:
-    """Tail of sum_k 2k/((e^{2 pi k}-1)(k^2-x^2)) from k = first, in closed
-    form around x (_split_tail). With t_k the k-th term's magnitude and
-    q = e^{-2 pi}:
+    """Tail of sum_k 2k/((e^{2 pi k}-1)(k^2-x^2)) from k = first (k_sum_tails)."""
+    return k_sum_tails(first, x, guard_delta, skip)[0]
 
-    - floor(x) and ceil(x) at their actual size, with |k^2-x^2| floored at
-      guard_delta (k+x): an index inside the guard band is skipped here and
-      handled by the regularized pair, so the floor never understates a
-      term that is summed;
-    - below x, (x-k)/(x-k-1) <= 2 up to k = floor(x)-1 gives
-      t_{k+1} <= 4q t_k, so those terms sum to at most t_first/(1-4q);
-    - from h = max(first, ceil(x)+1) on, 2k/(k^2-x^2) falls with k, and
-      sum_{k>=h} 1/(e^{2 pi k}-1) <= q^h/((1-q)(1-q^h)).
 
-    The 1e-12 factor covers the rounding of the terms taken at their size.
-    """
-    if not x > 0:
-        raise ValueError("x must be positive")
-    near, below, h = _split_tail(first, x, skip)
-    total = 0.0
-    for k in near:
-        total += 2.0 * k * _inv_expm1(_TWO_PI * k) / (max(abs(k - x), guard_delta) * (k + x))
-    q = _Q_UNIT
-    if below:
-        t = 2.0 * first * _inv_expm1(_TWO_PI * first) / (x - first) / (x + first)
-        total += t / (1.0 - 4.0 * q)
-    qh = q**h
-    if qh:
-        total += 2.0 * h * qh / ((1.0 - q) * (1.0 - qh) * max(h - x, 1.0) * (h + x))
-    return total * (1.0 + 1e-12)
+def bound_log_csch2(first: int, x: float, skip: int = 0) -> float:
+    """Tail of (pi/2) sum_k |log|k^4 - x^4|| / sinh^2(pi k) from k = first
+    (k_sum_tails)."""
+    return k_sum_tails(first, x, skip=skip)[1]
 
 
 def tail_bound(family: str, first_omitted: int, x: float = 1.0, power: int = 1) -> TailBound:
@@ -319,10 +312,10 @@ def plan(tol: float, x: float) -> EvalParams:
 
     The count is sized for x + lift_shift(x), where the evaluators sum the
     series (see EvalParams). k_terms starts at the floor
-    ceil(log(40/tol)/(2 pi)) and grows until the three families fit. The
-    double series sizes its own outer and inner sums from tol
-    (outer_weights, _inner_lengths), so n_terms is only the cap
-    MAX_N_TERMS.
+    ceil(log(40/tol)/(2 pi)), where the csch2 family already fits, and grows
+    until both x-dependent tails of k_sum_tails fit. The double series sizes
+    its own outer and inner sums from tol (outer_weights, _inner_lengths), so
+    n_terms is only the cap MAX_N_TERMS.
     """
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
@@ -334,13 +327,11 @@ def plan(tol: float, x: float) -> EvalParams:
     guard = _guard_index(y, DEFAULT_GUARD_DELTA)
     # the double series' envelope needs no check here: at y >= LIFT_TARGET
     # its tail at k + 1 carries e^{-2 pi (k+1) y} <= e^{-6 pi} (e^{-2 pi k})^3,
-    # so from this floor it is below 1e-13 tol at every admissible tol
+    # so from this floor it is below 1e-13 tol at every admissible tol. Nor
+    # does the csch2 family: the floor has q^k <= tol/40 with q = e^{-2 pi},
+    # so bound_csch2(k + 1) <= 4q (tol/40)/(1-q)^3 ~ 1.9e-4 tol < tol/4
     k = max(1, math.ceil(math.log(40.0 / tol) / _TWO_PI))
-    while max(
-        bound_psi_k_sum(k + 1, y, skip=guard),
-        bound_csch2(k + 1),
-        bound_log_csch2(k + 1, y, skip=guard),
-    ) > budget:
+    while max(k_sum_tails(k + 1, y, skip=guard)) > budget:
         k += 1
         if k > MAX_K_TERMS:
             raise ToleranceError(

@@ -201,14 +201,22 @@ def _inner_pair(k: int, theta: float, n_sin: int, n_cos: int):
     return a, c, err_a, err_c
 
 
+# S where every weight e^{-2 pi k x} underflows (x >= ~118.6): no term, no tail
+_ZERO_SERIES = SeriesValue(0.0, 0.0, 0, 0)
+
+
 def _double_series_at(x: float, params: EvalParams) -> SeriesValue:
     """S(x) summed directly at x, without the recurrence lift. The outer sum
     stops at its own envelope (planner.outer_weights), which also gives the
     outer tail it is charged; where no term is needed S is 0, charged
     bound_exp_envelope(1, x), with k_used and n_used 0. At integer x the
     inner sums collapse to C_k(0), so none is sized and n_used is 0."""
-    theta = _TWO_PI * _dist(x)
+    if math.exp(-_TWO_PI * x) == 0.0:
+        return _ZERO_SERIES
     weights, tail = planner.outer_weights(x, params.k_terms, params.tol)
+    if not weights:
+        return SeriesValue(0.0, tail, 0, 0)
+    theta = _TWO_PI * _dist(x)
     if theta:
         lengths = planner._inner_lengths(params.tol, weights)
     else:
@@ -236,7 +244,7 @@ def _double_series_at(x: float, params: EvalParams) -> SeriesValue:
 def _close(pieces: list[float], bound: float, k_used: int, n_used: int) -> SeriesValue:
     """The fsum of pieces, with the truncation bound plus the rounding
     allowance 4 eps sum|piece| as its error estimate."""
-    mass = math.fsum(abs(p) for p in pieces)
+    mass = math.fsum(map(abs, pieces))
     return SeriesValue(math.fsum(pieces), bound + 4.0 * _EPS * mass, k_used, n_used)
 
 
@@ -363,9 +371,8 @@ def _psi_rest(x: float, params: EvalParams) -> tuple[list[float], float, int]:
             continue
         pieces.append(2.0 * k * q / (float(k) * k - x * x))
         pieces.append(-(math.pi / 2.0) * planner.log_abs_quartic_gap(float(k), x) * csch)
-    first = params.k_terms + 1
-    tail = planner.bound_psi_k_sum(first, x, params.guard_delta, skip=m)
-    return pieces, tail + planner.bound_log_csch2(first, x, skip=m), len(weights)
+    tail, log_tail = planner.k_sum_tails(params.k_terms + 1, x, params.guard_delta, skip=m)
+    return pieces, tail + log_tail, len(weights)
 
 
 def _psi_pieces(y: float, params: EvalParams) -> tuple[list[float], float, int, int]:
@@ -428,7 +435,7 @@ def _re_psi_rest(x: float, params: EvalParams) -> tuple[list[float], float, int]
         pieces.append(-(math.pi / 2.0) * planner.log_abs_quartic_gap(float(k), x) * csch)
     first = params.k_terms + 1
     tail = 2.0 * planner.bound_lambert(-1, first)
-    return pieces, tail + planner.bound_log_csch2(first, x), len(weights)
+    return pieces, tail + planner.k_sum_tails(first, x)[1], len(weights)
 
 
 def gamma_any_x(x: float, params: EvalParams) -> SeriesValue:
@@ -485,7 +492,7 @@ def _trigamma_tail(first: int, y: float, guard_delta: float) -> float:
     """Tail from k = first of psi_prime_ramanujan's two k-sums, whose k-th
     terms have magnitude A_k/(e^{2 pi k}-1) + B_k csch^2(pi k) with
     A_k = 4ky/(k^2-y^2)^2 and B_k = 2 pi y^3/|k^4-y^4|, in the closed form of
-    planner.bound_psi_k_sum around y (planner._split_tail):
+    planner.k_sum_tails around y (planner._split_tail):
 
     - floor(y) and ceil(y) at their actual size, |k^2-y^2| floored at
       guard_delta (k+y);

@@ -294,6 +294,10 @@ def test_log_csch2_singular_omitted_term_is_unbounded():
     # truncating just below an integer x leaves the singular term in the tail
     assert planner.tail_bound("log_csch2", 2, 5.0).bound == math.inf
     assert math.isfinite(planner.bound_log_csch2(2, 5.0, skip=5))
+    # the fused pass still finishes the k-sum's tail past the singular index
+    psi_tail, log_tail = planner.k_sum_tails(2, 5.0)
+    assert log_tail == math.inf
+    assert math.isfinite(psi_tail) and psi_tail == planner.bound_psi_k_sum(2, 5.0)
 
 
 def test_plan_examples():
@@ -328,6 +332,36 @@ def test_planned_cap_never_cuts_the_double_series_short(tol):
         share = tol * planner.S_TAIL_SHARE
         assert planner.bound_exp_envelope(p.k_terms + 1, y) <= share, x
         assert len(planner.outer_weights(y, planner.MAX_K_TERMS, tol)[0]) <= p.k_terms, x
+
+
+@pytest.mark.parametrize("tol", [1e3, 1.0, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15])
+def test_csch2_family_fits_at_the_planned_floor(tol):
+    # plan checks only k_sum_tails: from its floor, where q^k <= tol/40 with
+    # q = e^{-2 pi}, the csch2 tail is at most 4q (tol/40)/(1-q)^3 < tol/4
+    q = math.exp(-TWO_PI)
+    k = max(1, math.ceil(math.log(40.0 / tol) / TWO_PI))
+    assert q**k <= tol / 40.0
+    assert planner.bound_csch2(k + 1) <= 4.0 * q * (tol / 40.0) / (1.0 - q) ** 3 < tol / 4.0
+
+
+@pytest.mark.parametrize("x", [2.5, 75.3, 1e6 + 0.3])
+def test_planned_psi_takes_both_tails_in_one_pass_each(monkeypatch, x):
+    # one k_sum_tails call when plan's floor fits, one in the evaluator, and
+    # no csch2 bound anywhere on the way
+    calls = []
+    fused = planner.k_sum_tails
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fused(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the csch2 family never binds in plan")
+
+    monkeypatch.setattr(planner, "k_sum_tails", counted)
+    monkeypatch.setattr(planner, "bound_csch2", forbidden)
+    series.psi_ramanujan(x, planner.plan(1e-12, x))
+    assert len(calls) == 2
 
 
 def test_plan_leaves_the_double_series_to_size_itself(monkeypatch):

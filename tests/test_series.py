@@ -657,6 +657,33 @@ def test_csch2_closed_form():
     assert abs(value - (1.0 / 6.0 - 1.0 / (2.0 * math.pi))) <= 1e-14
 
 
+@pytest.mark.parametrize("x", [118.7, 1e6, 1e300])
+def test_underflowed_double_series_does_no_work(monkeypatch, x):
+    # every weight e^{-2 pi k x} is 0, so S is 0 with a 0 tail, unsized
+    def forbidden(*args, **kwargs):
+        raise AssertionError("S sizes nothing once its weights underflow")
+
+    monkeypatch.setattr(planner, "outer_weights", forbidden)
+    monkeypatch.setattr(planner, "_inner_lengths", forbidden)
+    sv = series._double_series_at(x, EvalParams(tol=1e-15))
+    assert (sv.value, sv.error_estimate, sv.k_used, sv.n_used) == (0.0, 0.0, 0, 0)
+
+
+def test_double_series_with_no_outer_term_sizes_no_inner_sum(monkeypatch):
+    # below the underflow the envelope can stop before k = 1; S is then 0,
+    # charged that envelope tail
+    x = 15.25
+    assert planner.outer_weights(x, 6000, 1e-12)[0] == []
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no outer term, no inner lengths")
+
+    monkeypatch.setattr(planner, "_inner_lengths", forbidden)
+    sv = series._double_series_at(x, EvalParams(tol=1e-12))
+    assert sv.error_estimate == planner.bound_exp_envelope(1, x) > 0.0
+    assert (sv.value, sv.k_used, sv.n_used) == (0.0, 0, 0)
+
+
 def test_pi_weight_table_ends_where_both_weights_underflow():
     # the pi-scaled k-loops read their weights from one table; past its last
     # index both weights are 0, so a longer table would add only zero terms
