@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ToleranceError
-from .params import DEFAULT_GUARD_DELTA, MAX_K_TERMS, EvalParams, TailBound, check_tol
+from .params import DEFAULT_GUARD_DELTA, EvalParams, TailBound, check_tol
 
 _TWO_PI = 2.0 * math.pi
 _Q_UNIT = math.exp(-_TWO_PI)  # common ratio of the pi-scaled k-series envelopes
@@ -308,33 +307,31 @@ def lift_shift(x: float) -> int:
 
 def plan(tol: float, x: float) -> EvalParams:
     """Pick the outer count k_terms so each k-sum tail family (k-sum, csch2,
-    log-weighted csch2) is individually below tol/4.
+    log-weighted csch2) is individually below tol/4, in closed form:
+    k_terms = max(1, ceil(log(max(40, log(x)/5)/tol)/(2 pi))).
 
-    The count is sized for x + lift_shift(x), where the evaluators sum the
-    series (see EvalParams). k_terms starts at the floor
-    ceil(log(40/tol)/(2 pi)), where the csch2 family already fits, and grows
-    until both x-dependent tails of k_sum_tails fit. The double series sizes
-    its own outer and inner sums from tol (outer_weights, _inner_lengths), so
-    n_terms is only the cap MAX_N_TERMS.
+    Every k-term carries e^{-2 pi k}, so the count depends on x only through
+    the log x weight of the log-csch2 tail. The evaluators sum at
+    x + lift_shift(x) (see EvalParams), but below LIFT_TARGET log(x)/5 < 40,
+    so the lift never moves the count. plan evaluates no bound: the
+    evaluators charge the real tails at k_terms + 1. The double series sizes
+    its own sums from tol (outer_weights), so n_terms is the cap MAX_N_TERMS.
     """
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
     check_tol(tol)
-    y = x + lift_shift(x)
-    budget = tol / 4.0
-    # an index inside the guard band is handled by the regularized pair, not
-    # the plain sums, so its singular bound terms are skipped
-    guard = _guard_index(y, DEFAULT_GUARD_DELTA)
-    # the double series' envelope needs no check here: at y >= LIFT_TARGET
-    # its tail at k + 1 carries e^{-2 pi (k+1) y} <= e^{-6 pi} (e^{-2 pi k})^3,
-    # so from this floor it is below 1e-13 tol at every admissible tol. Nor
-    # does the csch2 family: the floor has q^k <= tol/40 with q = e^{-2 pi},
-    # so bound_csch2(k + 1) <= 4q (tol/40)/(1-q)^3 ~ 1.9e-4 tol < tol/4
-    k = max(1, math.ceil(math.log(40.0 / tol) / _TWO_PI))
-    while max(k_sum_tails(k + 1, y, skip=guard)) > budget:
-        k += 1
-        if k > MAX_K_TERMS:
-            raise ToleranceError(
-                f"outer tails cannot reach tol={tol} at x={x} within {MAX_K_TERMS} terms"
-            )
+    # Why it fits, with q = e^{-2 pi}, y the lifted argument and F = k + 1,
+    # so that q^F <= q tol/max(40, log(y)/5):
+    # - csch2: bound_csch2(F) <= 4q (tol/40)/(1-q)^3 ~ 1.9e-4 tol.
+    # - k-sum: the in-band index is skipped, so the near terms sum to at most
+    #   q^F/guard_delta (1+o(1)), and the below and past pieces to at most
+    #   3q^F; together below 0.05 tol.
+    # - log-csch2: near terms exist only at y < _NEAR_END = 130, and with them
+    #   the tail is ~270 q^F ~ 0.013 tol at most. At y >= 130 q^h underflows
+    #   and only the below piece is left:
+    #   8 pi log(y) q^F/((1-q)(1-q^F)^2) (1+1e-12) <= 0.0472 * 5 tol < tol/4.
+    # - the double series: at y >= LIFT_TARGET its envelope tail at k + 1
+    #   carries e^{-2 pi (k+1) y} <= e^{-6 pi} (e^{-2 pi k})^3, below 1e-13 tol
+    #   with q^k <= tol/40 at every admissible tol.
+    k = max(1, math.ceil(math.log(max(40.0, math.log(x) / 5.0) / tol) / _TWO_PI))
     return EvalParams(tol=tol, k_terms=k, n_terms=MAX_N_TERMS)

@@ -33,7 +33,7 @@ import numpy as np
 from . import planner
 from .bernoulli import BernoulliTable, bernoulli_over_factorial, shared_table
 from .errors import GuardBandError, ToleranceError
-from .params import MAX_GAMMA_M, EvalParams, ModularPair, SeriesValue
+from .params import MAX_GAMMA_M, MAX_K_TERMS, EvalParams, ModularPair, SeriesValue
 from .planner import _EPS, _Q_UNIT, _csch2, _guard_index, _inv_expm1
 
 _TWO_PI = 2.0 * math.pi
@@ -678,9 +678,9 @@ def zeta_odd_general(
     # the pi-scaled families and acts as a floor. The cap is checked before
     # the ceiling, which fails once 2 min(a,b) underflows.
     span = math.log(400.0 / params.tol) / (2.0 * min(a, b))
-    if not span <= planner.MAX_K_TERMS - 2:
+    if not span <= MAX_K_TERMS - 2:
         raise ToleranceError(
-            f"alpha={a} needs more than {planner.MAX_K_TERMS} hyperbolic terms "
+            f"alpha={a} needs more than {MAX_K_TERMS} hyperbolic terms "
             f"for tol={params.tol}"
         )
     k_eff = max(params.k_terms, 2 + math.ceil(span))

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from rapidpsi import cli, identities, planner, series
+from rapidpsi import cli, identities, series
 from rapidpsi.oracles import euler_gamma_reference, psi_oracle
+from rapidpsi.params import MAX_K_TERMS
 
 SCHEMA = [
     "quantity",
@@ -474,7 +475,7 @@ def test_zeta_odd_at_extreme_alpha_is_a_tolerance_error(alpha):
     assert done.returncode == cli.EXIT_TOLERANCE
     assert done.stdout == ""
     assert len(done.stderr.strip().splitlines()) == 1
-    assert str(planner.MAX_K_TERMS) in done.stderr
+    assert str(MAX_K_TERMS) in done.stderr
 
 
 def test_parse_errors_exit_with_input_code(capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from rapidpsi import planner, series
 from rapidpsi.errors import ToleranceError
 from rapidpsi.oracles import psi_oracle
-from rapidpsi.params import EvalParams, TailBound
+from rapidpsi.params import DEFAULT_GUARD_DELTA, MAX_K_TERMS, EvalParams, TailBound
 
 TWO_PI = 2.0 * math.pi
 
@@ -331,23 +331,70 @@ def test_planned_cap_never_cuts_the_double_series_short(tol):
         y = x + planner.lift_shift(x)
         share = tol * planner.S_TAIL_SHARE
         assert planner.bound_exp_envelope(p.k_terms + 1, y) <= share, x
-        assert len(planner.outer_weights(y, planner.MAX_K_TERMS, tol)[0]) <= p.k_terms, x
+        assert len(planner.outer_weights(y, MAX_K_TERMS, tol)[0]) <= p.k_terms, x
 
 
 @pytest.mark.parametrize("tol", [1e3, 1.0, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15])
 def test_csch2_family_fits_at_the_planned_floor(tol):
-    # plan checks only k_sum_tails: from its floor, where q^k <= tol/40 with
-    # q = e^{-2 pi}, the csch2 tail is at most 4q (tol/40)/(1-q)^3 < tol/4
+    # from plan's floor, where q^k <= tol/40 with q = e^{-2 pi}, the csch2
+    # tail is at most 4q (tol/40)/(1-q)^3 < tol/4
     q = math.exp(-TWO_PI)
     k = max(1, math.ceil(math.log(40.0 / tol) / TWO_PI))
     assert q**k <= tol / 40.0
     assert planner.bound_csch2(k + 1) <= 4.0 * q * (tol / 40.0) / (1.0 - q) ** 3 < tol / 4.0
 
 
+def _minimal_k(tol, x):
+    """The smallest outer count from the csch2 floor on whose k-sum tails at
+    the lifted argument both fit tol/4: the k-loop plan's closed form
+    replaces, kept as its reference."""
+    y = x + planner.lift_shift(x)
+    guard = planner._guard_index(y, DEFAULT_GUARD_DELTA)
+    k = max(1, math.ceil(math.log(40.0 / tol) / TWO_PI))
+    while max(planner.k_sum_tails(k + 1, y, skip=guard)) > tol / 4.0:
+        k += 1
+        assert k <= MAX_K_TERMS
+    return k
+
+
+def _plan_grid():
+    tols = [10.0 ** (3 - 18 * i / 24) for i in range(25)]
+    xs = [10.0 ** (-8 + 316.25 * i / 400) for i in range(401)]
+    xs += [1.7976931348623157e308, 2.9999, 3.0, 3.0015]
+    for m in (1, 2, 3, 4, 10, 59, 129, 130, 131, 199, 500, 1000, 10**6):
+        for d in (0.0, 5e-4, 9.99e-4, 1.01e-3, 0.3, 0.5):
+            xs += [m - d, m + d]
+    return tols, xs
+
+
+def test_plan_matches_the_minimal_k_loop():
+    # the closed form is the loop's count until log(x)/5 outgrows 40
+    # (x ~ 7e86), and past that it adds at most one term
+    tols, xs = _plan_grid()
+    for x in xs:
+        for tol in tols:
+            k, ref = planner.plan(tol, x).k_terms, _minimal_k(tol, x)
+            if x < 1e86:
+                assert k == ref, (x, tol)
+            else:
+                assert ref <= k <= ref + 1, (x, tol)
+
+
+def test_planned_count_fits_every_k_sum_tail():
+    tols, xs = _plan_grid()
+    for x in xs:
+        y = x + planner.lift_shift(x)
+        guard = planner._guard_index(y, DEFAULT_GUARD_DELTA)
+        for tol in tols:
+            first = planner.plan(tol, x).k_terms + 1
+            assert max(planner.k_sum_tails(first, y, skip=guard)) <= tol / 4.0, (x, tol)
+            assert planner.bound_csch2(first) <= tol / 4.0, (x, tol)
+
+
 @pytest.mark.parametrize("x", [2.5, 75.3, 1e6 + 0.3])
 def test_planned_psi_takes_both_tails_in_one_pass_each(monkeypatch, x):
-    # one k_sum_tails call when plan's floor fits, one in the evaluator, and
-    # no csch2 bound anywhere on the way
+    # plan evaluates no bound, so the evaluator's k_sum_tails call is the
+    # only one, and no csch2 bound runs anywhere on the way
     calls = []
     fused = planner.k_sum_tails
 
@@ -356,12 +403,17 @@ def test_planned_psi_takes_both_tails_in_one_pass_each(monkeypatch, x):
         return fused(*args, **kwargs)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the csch2 family never binds in plan")
+        raise AssertionError("plan evaluates no bound")
 
+    for name in ("k_sum_tails", "_guard_index", "lift_shift", "bound_csch2"):
+        monkeypatch.setattr(planner, name, forbidden)
+    params = planner.plan(1e-12, x)
+    monkeypatch.undo()
     monkeypatch.setattr(planner, "k_sum_tails", counted)
     monkeypatch.setattr(planner, "bound_csch2", forbidden)
-    series.psi_ramanujan(x, planner.plan(1e-12, x))
-    assert len(calls) == 2
+    series.psi_ramanujan(x, params)
+    assert len(calls) == 1
+    assert calls[0][0] == params.k_terms + 1
 
 
 def test_plan_leaves_the_double_series_to_size_itself(monkeypatch):
@@ -407,8 +459,8 @@ def test_plan_validation():
 def test_eval_params_caps_the_outer_count():
     # the evaluators size one inner-length pair per outer index, so an
     # unbounded count would allocate before any loop stops
-    assert EvalParams(k_terms=planner.MAX_K_TERMS).k_terms == 6000
-    for bad in (planner.MAX_K_TERMS + 1, 10**9):
+    assert EvalParams(k_terms=MAX_K_TERMS).k_terms == 6000
+    for bad in (MAX_K_TERMS + 1, 10**9):
         with pytest.raises(ValueError, match="6000"):
             EvalParams(k_terms=bad)
 
