@@ -369,7 +369,9 @@ def _psi_rest(x: float, params: EvalParams) -> tuple[list[float], float, int]:
     for k, q, csch in weights:
         if k == m:
             continue
-        pieces.append(2.0 * k * q / (float(k) * k - x * x))
+        # (k-x)(k+x), not k^2 - x^2: fl(x*x) carries eps/2 of x^2, which
+        # k^2 - x^2 would magnify by ~x/(2|k-x|) on a term of size ~q/|k-x|
+        pieces.append(2.0 * k * q / ((k - x) * (k + x)))
         pieces.append(-(math.pi / 2.0) * planner.log_abs_quartic_gap(float(k), x) * csch)
     tail, log_tail = planner.k_sum_tails(params.k_terms + 1, x, params.guard_delta, skip=m)
     return pieces, tail + log_tail, len(weights)

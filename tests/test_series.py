@@ -218,7 +218,7 @@ def test_lifted_corollaries_within_estimate(x, tol):
 
 def _r_of_x_mpmath(mpmath, x):
     """R(x) = psi(x+1) + S(x), the non-S part of the representation, for
-    0 < x < 1 in mpmath: the k-sums are taken to k = 39, past 1e-100."""
+    0 < x < 3 in mpmath: the k-sums are taken to k = 39, past 1e-100."""
     x, pi = mpmath.mpf(x), mpmath.pi
     v = pi / 3 * mpmath.log(x) + 1 / (2 * x) - 1 / (4 * pi * x * x)
     v += pi * mpmath.cot(pi * x) / mpmath.expm1(2 * pi * x)
@@ -232,12 +232,15 @@ def _r_of_x_mpmath(mpmath, x):
 @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
 def test_small_x_double_series_and_re_psi_within_estimate_of_mpmath(tol):
     # both evaluate R(x) at x itself, where its pieces grow like 1/x^2 and
-    # 1 - e^{-t} must not be formed by subtraction; only the estimate is
-    # asked here, not that it meets tol
+    # 1 - e^{-t} must not be formed by subtraction; just outside the guard
+    # bands of 1 and 2 the k = m term is ~q/|x - m|, so k^2 - x^2 must not
+    # carry the rounding of x*x. Only the estimate is asked here, not that
+    # it meets tol
     mpmath = pytest.importorskip("mpmath")
+    xs = [10.0 ** (e / 4) for e in range(-32, -7)]
+    xs += [m + s * d for m in (1, 2) for s in (-1, 1) for d in (1.01e-3, 2e-3, 5e-3, 1e-2)]
     with mpmath.workdps(60):
-        for e in range(-32, -7):
-            x = 10.0 ** (e / 4)
+        for x in xs:
             p = planner.plan(tol, x)
             s = series.double_series_S(x, p)
             truth = _r_of_x_mpmath(mpmath, x) - mpmath.digamma(mpmath.mpf(x) + 1)
