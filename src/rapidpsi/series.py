@@ -435,9 +435,10 @@ def _re_psi_rest(x: float, params: EvalParams) -> tuple[list[float], float, int]
     for k, q, csch in weights:
         pieces.append(2.0 * k * q / (float(k) * k + x * x))
         pieces.append(-(math.pi / 2.0) * planner.log_abs_quartic_gap(float(k), x) * csch)
-    first = params.k_terms + 1
-    tail = 2.0 * planner.bound_lambert(-1, first)
-    return pieces, tail + planner.k_sum_tails(first, x)[1], len(weights)
+    # k^2 + x^2 >= max(|k-x|, guard_delta)(k+x) for k >= 1, so the k-sum
+    # tail of k_sum_tails, which skips no index here, also bounds this one
+    tail, log_tail = planner.k_sum_tails(params.k_terms + 1, x, params.guard_delta)
+    return pieces, tail + log_tail, len(weights)
 
 
 def gamma_any_x(x: float, params: EvalParams) -> SeriesValue:
