@@ -37,9 +37,11 @@ class EvalParams:
 
     The evaluators sum the double series at x + planner.lift_shift(x), so
     k_terms and n_terms refer to that lifted argument, not to x. k_terms is
-    the outer count of the k-sums. The double series sizes its outer and
-    inner sums itself from tol (planner.outer_weights), and both counts only
-    cap it: plan sets n_terms to planner.MAX_N_TERMS.
+    the outer count of the k-sums, which plan sets in closed form from tol
+    and log x; the evaluators charge the k-sum tails from k_terms + 1. The
+    double series sizes its outer and inner sums itself from tol
+    (planner.outer_weights), and both counts only cap it: plan sets n_terms
+    to planner.MAX_N_TERMS.
     """
 
     tol: float = 1e-12
