@@ -537,6 +537,23 @@ def test_re_psi_guard_band():
         series.re_psi_complex_ramanujan(3.0002, P12)
 
 
+@pytest.mark.parametrize("evaluator", ["re_psi_complex_ramanujan", "gamma_any_x"])
+def test_re_psi_charges_both_tails_of_its_one_pass(monkeypatch, evaluator):
+    # k^2 + x^2 >= |k^2 - x^2|, so the k-sum half of k_sum_tails bounds the
+    # Re psi k-sum's tail as well: one pass, both halves in the estimate
+    calls = []
+
+    def tails(first, x, guard_delta=EvalParams.guard_delta, skip=0):
+        calls.append((first, skip))
+        return 0.5, 0.25
+
+    p = planner.plan(1e-12, 7.3)
+    monkeypatch.setattr(planner, "k_sum_tails", tails)
+    sv = getattr(series, evaluator)(7.3, p)
+    assert calls == [(p.k_terms + 1, 0)]
+    assert sv.error_estimate >= 0.75
+
+
 # --------------------------------------------------------------- zeta odd
 
 
