@@ -2,13 +2,15 @@
 
 The defining recurrence sum_{k=0}^{n} C(n+1,k) B_k = 0 (with B_0 = 1) is run
 in ``fractions.Fraction`` arithmetic, so every stored value is exact; nothing
-here ever rounds.
+here ever rounds. A table's values are exact and immutable; the floats the
+zeta evaluators derive from them are memoized on the table, one entry per N,
+so their exact arithmetic runs once per table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -18,10 +20,16 @@ SHARED_MAX_INDEX = 90
 
 @dataclass(frozen=True)
 class BernoulliTable:
-    """B_0 .. B_max_index as exact rationals, immutable after construction."""
+    """B_0 .. B_max_index as exact rationals, exact and immutable.
+
+    ``derived`` memoizes floats computed from the values, keyed by N and
+    filled lazily by the zeta evaluators; it takes no part in equality, the
+    hash or the repr, so a used table still equals a fresh one.
+    """
 
     max_index: int
     values: tuple[Fraction, ...]
+    derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.values) != self.max_index + 1:

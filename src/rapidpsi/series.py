@@ -139,14 +139,18 @@ def _cot_pole_remainder(eps: float) -> float:
 # the double series
 
 
+# the partial-fraction sum adds n = 1.._PF_CUT directly; those n and their n^2
+_PF_CUT = 2048
+_PF_N = np.arange(1.0, _PF_CUT + 1.0)
+_PF_N2 = _PF_N * _PF_N
+
+
 def _partial_fraction_gamma_sum(x: float) -> tuple[float, float]:
     """(value, error) for sum_{n>=1} x^2/(n(n^2+x^2)), by direct summation
     plus an Euler-Maclaurin tail whose integral term is log-exact. Works for
     any x > 0; the remainder heuristic is far below double rounding."""
-    n_cut = 2048
-    n = np.arange(1.0, n_cut + 1.0)
-    partial = float(np.sum(x * x / (n * (n * n + x * x))))
-    big_m = n_cut + 1.0
+    partial = float(np.sum(x * x / (_PF_N * (_PF_N2 + x * x))))
+    big_m = _PF_CUT + 1.0
     z = complex(big_m, -x)
     integral = 0.5 * math.log1p((x / big_m) ** 2)
     f0 = 1.0 / big_m - (1.0 / z).real
@@ -589,6 +593,19 @@ def _zeta_odd_j_sum(N: int, table: BernoulliTable) -> Fraction:
     return total
 
 
+def _zeta_odd_coefficients(N: int, table: BernoulliTable) -> tuple[float, tuple[float, ...]]:
+    """(J, ratios) for zeta(2N+1): J = _zeta_odd_j_sum(N, table) and the N+2
+    ratios B_{2j}/(2j)! B_{2N+2-2j}/(2N+2-2j)!, each formed exactly and then
+    rounded once. They depend on N and the table alone, so the first call for
+    an N computes them and stores them in table.derived[N] for later calls."""
+    coefficients = table.derived.get(N)
+    if coefficients is None:
+        over_factorial = [bernoulli_over_factorial(table, 2 * j) for j in range(N + 2)]
+        ratios = tuple(float(over_factorial[j] * over_factorial[N + 1 - j]) for j in range(N + 2))
+        coefficients = table.derived[N] = (float(_zeta_odd_j_sum(N, table)), ratios)
+    return coefficients
+
+
 def _summand_rounding(t: float, scale_err: float) -> float:
     """First-order relative rounding bound (Higham, Accuracy and Stability of
     Numerical Algorithms, 3.1) of one summand k^p/sinh^2(t) or k^p/(e^{2t}-1)
@@ -640,12 +657,13 @@ def zeta_odd(N: int, table: BernoulliTable, params: EvalParams) -> SeriesValue:
     """zeta(2N+1) solved from the even-index Bernoulli convolution identity:
     2N zeta(2N+1) = (2 pi)^{2N+1} J - 4N sum_k k^{-2N-1}/(e^{2 pi k}-1)
     - (1+(-1)^N) pi sum_k k^{-2N}/sinh^2(pi k), with J the exact-rational
-    j-sum converted to floating point once."""
+    j-sum rounded to floating point once. The table's values stay exact; J's
+    float is memoized on the table per N, so later calls skip the rationals."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     if table.max_index < 2 * N + 2:
         raise ValueError(f"table holds B_0..B_{table.max_index}, need B_{2 * N + 2}")
-    j_part = (_TWO_PI) ** (2 * N + 1) * float(_zeta_odd_j_sum(N, table))
+    j_part = (_TWO_PI) ** (2 * N + 1) * _zeta_odd_coefficients(N, table)[0]
     # the k-sums' own rounding, below 0.3 eps once divided by 2N, is inside
     # the final 4 eps
     lam, lam_tail, _, k_used = _power_lambert_sum(-2 * N - 1, math.pi, params.k_terms)
@@ -670,7 +688,9 @@ def zeta_odd_general(
     2N a^{-N}(zeta(2N+1) + 2 L_a) + a^{1-N} S_a - (-b)^{1-N} S_b = RHS,
     where L_a is the a-scaled Lambert sum, S_a/S_b the scaled csch^2 sums,
     a b = pi^2, and RHS = 2^{2N+1} sum_j (-1)^{j+1}(2j-1) a^{N+1-j} b^j
-    (B-ratios exact, parameter powers in floating point)."""
+    times the B-ratios. Each ratio is formed exactly from the table's exact,
+    immutable values and rounded once; the floats are memoized on the table
+    per N. The parameter powers are in floating point."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     if table.max_index < 2 * N + 2:
@@ -692,12 +712,8 @@ def zeta_odd_general(
     pi2 = math.pi * math.pi
     b_err = abs(a * b - pi2) / pi2 + 2.0 * _EPS
     rhs_terms = []
-    for j in range(N + 2):
+    for j, ratio in enumerate(_zeta_odd_coefficients(N, table)[1]):
         sign = -1.0 if j % 2 == 0 else 1.0
-        ratio = float(
-            bernoulli_over_factorial(table, 2 * j)
-            * bernoulli_over_factorial(table, 2 * N + 2 - 2 * j)
-        )
         rhs_terms.append(sign * (2 * j - 1) * a ** (N + 1 - j) * b**j * ratio)
     rhs = 2.0 ** (2 * N + 1) * math.fsum(rhs_terms)
     lam_a, lam_a_tail, lam_a_rnd, k_lam = _power_lambert_sum(-2 * N - 1, a, k_eff)

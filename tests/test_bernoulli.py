@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rapidpsi import series
 from rapidpsi.bernoulli import BernoulliTable, bernoulli_over_factorial, build_bernoulli_table
+from rapidpsi.params import EvalParams, ModularPair
 
 TABLE = build_bernoulli_table(64)
 
@@ -82,6 +84,21 @@ def test_build_rejects_bad_max_index(bad):
 def test_table_validates_length():
     with pytest.raises(ValueError):
         BernoulliTable(max_index=4, values=(Fraction(1),))
+
+
+def test_used_table_still_equals_hashes_and_prints_as_a_fresh_one():
+    # the memo of derived floats is no part of the table's identity
+    used = BernoulliTable(max_index=TABLE.max_index, values=TABLE.values)
+    fresh = build_bernoulli_table(64)
+    before = repr(used)
+    p = EvalParams(tol=1e-12, k_terms=10)
+    for N in range(1, 32):
+        series.zeta_odd(N, used, p)
+        series.zeta_odd_general(N, ModularPair.from_alpha(2.0), used, p)
+    assert sorted(used.derived) == list(range(1, 32)) and not fresh.derived
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == before == repr(fresh)
 
 
 @settings(max_examples=25, deadline=None)

@@ -15,7 +15,12 @@ from hypothesis import strategies as st
 from fractions import Fraction
 
 from rapidpsi import identities, planner, series
-from rapidpsi.bernoulli import build_bernoulli_table, shared_table
+from rapidpsi.bernoulli import (
+    BernoulliTable,
+    bernoulli_over_factorial,
+    build_bernoulli_table,
+    shared_table,
+)
 from rapidpsi.errors import GuardBandError, ToleranceError
 from rapidpsi.oracles import (
     DEFAULT_ORACLE,
@@ -582,11 +587,88 @@ def test_zeta_odd_within_estimate_of_mpmath(tol):
             assert abs(mpmath.mpf(zv.value) - mpmath.zeta(2 * N + 1)) <= zv.error_estimate
 
 
-def test_zeta_odd_validation():
-    with pytest.raises(ValueError):
-        series.zeta_odd(0, TABLE, P12)
-    with pytest.raises(ValueError):
-        series.zeta_odd(1, build_bernoulli_table(2), P12)
+def test_zeta_odd_validation(monkeypatch):
+    # both evaluators reject N < 1 and a short table before reading the memo
+    def unreachable(N, table):
+        raise AssertionError("the memo was read before the arguments were checked")
+
+    monkeypatch.setattr(series, "_zeta_odd_coefficients", unreachable)
+    pair = ModularPair.from_alpha(2.0)
+    for N, table in ((0, TABLE), (-1, TABLE), (1, build_bernoulli_table(2))):
+        with pytest.raises(ValueError):
+            series.zeta_odd(N, table, P12)
+        with pytest.raises(ValueError):
+            series.zeta_odd_general(N, pair, table, P12)
+
+
+def _fresh(table):
+    """A table with the same exact values and an empty memo."""
+    return BernoulliTable(max_index=table.max_index, values=table.values)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-15])
+def test_zeta_odd_memo_repeats_the_first_call_and_a_fresh_table(tol):
+    # zeta_odd fills the memo for N and zeta_odd_general reads it; a second
+    # call, and a call on a table that has never been used, give equal floats
+    p = EvalParams(tol=tol, k_terms=10)
+    pairs = [ModularPair.from_alpha(alpha) for alpha in (1.0, math.pi, 9.0)]
+    table = _fresh(shared_table())
+    for N in range(1, 45):
+        calls = [lambda t: series.zeta_odd(N, t, p)]
+        calls += [lambda t, pair=pair: series.zeta_odd_general(N, pair, t, p) for pair in pairs]
+        for call in calls:
+            first = call(table)
+            assert call(table) == first
+            assert call(_fresh(shared_table())) == first
+
+
+def test_zeta_odd_j_sum_runs_once_per_table_and_n(monkeypatch):
+    j_sum = series._zeta_odd_j_sum
+    calls = []
+
+    def counted(N, table):
+        calls.append((N, id(table)))
+        return j_sum(N, table)
+
+    monkeypatch.setattr(series, "_zeta_odd_j_sum", counted)
+    pair = ModularPair.from_alpha(2.0)
+    tables = [_fresh(shared_table()), _fresh(shared_table())]
+    ns = (1, 2, 16, 44)
+    for table in tables:
+        for _ in range(3):
+            for N in ns:
+                series.zeta_odd(N, table, P12)
+                series.zeta_odd_general(N, pair, table, P12)
+    assert sorted(calls) == sorted((N, id(t)) for t in tables for N in ns)
+    for table in tables:
+        assert sorted(table.derived) == list(ns)
+        for N in ns:
+            assert table.derived[N] == (
+                float(j_sum(N, table)),
+                tuple(
+                    float(
+                        bernoulli_over_factorial(table, 2 * j)
+                        * bernoulli_over_factorial(table, 2 * N + 2 - 2 * j)
+                    )
+                    for j in range(N + 2)
+                ),
+            )
+
+
+def test_zeta_odd_memo_is_kept_per_table():
+    # a table with B_4 moved gets its own coefficients, even after a table of
+    # the same size has filled its memo for the same N
+    values = list(TABLE.values)
+    values[4] += Fraction(1, 1000)
+    moved = BernoulliTable(max_index=TABLE.max_index, values=tuple(values))
+    table = _fresh(TABLE)
+    pair = ModularPair.from_alpha(2.0)
+    true = series.zeta_odd(1, table, P12), series.zeta_odd_general(1, pair, table, P12)
+    off = series.zeta_odd(1, moved, P12), series.zeta_odd_general(1, pair, moved, P12)
+    assert off[0].value != true[0].value and off[1].value != true[1].value
+    assert moved.derived[1][0] == float(series._zeta_odd_j_sum(1, moved))
+    assert moved.derived[1][0] != table.derived[1][0]
+    assert moved.derived[1][1][0] == float(Fraction(values[4], 24))
 
 
 @pytest.mark.parametrize("alpha", [math.pi, math.pi**2 / 2.0, 2.0 * math.pi**2])
