@@ -6,6 +6,10 @@ deterministic run-to-run except the elapsed_nanoseconds field.
 
 Exit codes: 0 success, 1 input error, 2 verification failure, 3 tolerance
 unattainable.
+
+numpy and the check-only modules (identities, oracles) are imported by the
+commands that use them, verify, bench and psi --method classical, so the
+evaluation commands start without them.
 """
 
 from __future__ import annotations
@@ -17,12 +21,9 @@ import math
 import sys
 import time
 
-import numpy as np
-
-from . import identities, planner, series
+from . import planner, series
 from .bernoulli import shared_table
 from .errors import GuardBandError, ToleranceError
-from .oracles import OracleConfig, euler_gamma_reference, psi_oracle
 from .params import (
     DEFAULT_GUARD_DELTA, MAX_GAMMA_M, EvalParams, ModularPair, SeriesValue, check_tol
 )
@@ -108,6 +109,8 @@ def _params_for(x: float, tol: float, terms: int | None) -> EvalParams:
 def cmd_psi(args) -> int:
     t0 = time.perf_counter_ns()
     if args.method == "classical":
+        from .oracles import OracleConfig, psi_oracle
+
         check_tol(args.tol)
         cfg = OracleConfig(target_tolerance=min(args.tol, 1e-13))
         sv = SeriesValue(psi_oracle(args.x, cfg), cfg.target_tolerance, 0, 0)
@@ -164,6 +167,8 @@ def cmd_zeta_odd(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import identities
+
     suite = getattr(args, "suite", "identities")
     failures = []
     # the suite runs each check as it is drawn, so each record is timed from
@@ -195,6 +200,10 @@ def _classical_naive(x: float, tol: float) -> tuple[SeriesValue, bool]:
     ascending until its monotone tail bound x/N meets tol, capped at 1e8
     terms. Returns (result, cap_reached); the estimate is the tail bound plus
     1e-13 and n_used the number of terms."""
+    import numpy as np
+
+    from .oracles import euler_gamma_reference
+
     cap = 100_000_000
     needed = math.ceil(x / tol)
     n_total = min(needed, cap)
@@ -276,7 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_z.set_defaults(func=cmd_zeta_odd)
 
     p_v = sub.add_parser("verify", help="run identity verification suites")
-    p_v.add_argument("--suite", choices=identities.SUITES, default="all")
+    # identities.run_suite rejects an unknown name (exit 1) and lists the
+    # suites; naming them here would import the check modules for every command
+    p_v.add_argument("--suite", default="all",
+                     help="suite of checks (default: all); an unknown name lists them")
     p_v.add_argument("--format", choices=("json", "plain"), default="json")
     p_v.set_defaults(func=cmd_verify)
 

@@ -41,7 +41,9 @@ class EvalParams:
     and log x; the evaluators charge the k-sum tails from k_terms + 1. The
     double series sizes its outer and inner sums itself from tol
     (planner.outer_weights), and both counts only cap it: plan sets n_terms
-    to planner.MAX_N_TERMS.
+    to planner.MAX_N_TERMS. psi_ramanujan sums no double series: it takes
+    its moments over K = min(k_terms, 111) outer terms and lifts x to
+    max(16, 2K + 2) by its own shift.
     """
 
     tol: float = 1e-12

@@ -26,9 +26,11 @@ FAMILIES = ("exp_envelope", "csch2", "lambert", "log_csch2")
 # caps each inner sum of the double series, which sizes them itself
 MAX_N_TERMS = 500_000
 MIN_N_TERMS = 16
-# the evaluators lift arguments below this with the digamma recurrence: every
-# double-series term carries e^{-2 pi k x}, so at x >= 3 the outer count is set
-# by the x-independent k-sums and the inner series stay short
+# the evaluators that sum the double series, and psi', lift arguments below
+# this with the digamma recurrence: every double-series term carries
+# e^{-2 pi k x}, so at x >= 3 the outer count is set by the x-independent
+# k-sums and the inner series stay short. psi_ramanujan lifts further, to
+# max(16, 2K + 2) for its K <= 111 outer terms, and sums no double series
 LIFT_TARGET = 3.0
 # the double series sizes itself and holds its truncation to tol/4: this share
 # of tol for its outer envelope tail (outer_weights) and the same share for its
@@ -296,7 +298,8 @@ def _solve_length(weight: float, share: float, order: int, coeff: float) -> int:
 
 def lift_shift(x: float) -> int:
     """The smallest j >= 0 with x + j >= LIFT_TARGET (in floating point): the
-    recurrence shift every evaluator applies before summing at x + j."""
+    recurrence shift the double series, gamma_any_x and psi' apply before
+    summing at x + j."""
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
     shift = 0
@@ -311,9 +314,10 @@ def plan(tol: float, x: float) -> EvalParams:
     k_terms = max(1, ceil(log(max(40, log(x)/5)/tol)/(2 pi))).
 
     Every k-term carries e^{-2 pi k}, so the count depends on x only through
-    the log x weight of the log-csch2 tail. The evaluators sum at
-    x + lift_shift(x) (see EvalParams), but below LIFT_TARGET log(x)/5 < 40,
-    so the lift never moves the count. plan evaluates no bound: the
+    the log x weight of the log-csch2 tail. The evaluators sum at a lifted
+    argument (see EvalParams): x + lift_shift(x), or for psi x lifted to
+    max(16, 2K + 2) <= 224. Below 224 log(x)/5 < 40, so the lift never moves
+    the count. plan evaluates no bound: the
     evaluators charge the real tails at k_terms + 1. The double series sizes
     its own sums from tol (outer_weights), so n_terms is the cap MAX_N_TERMS.
     """

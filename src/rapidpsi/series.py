@@ -7,6 +7,12 @@ corollaries (Euler's constant at and away from integers, odd zeta values,
 trigamma, Lambert-type sums) are rearrangements of the same machinery.
 
 Numerical strategy notes:
+- psi_ramanujan sums the representation only in its moment form, at an
+  argument lifted to y >= max(16, 2K + 2) for K outer terms: the identity
+  sum_k csch^2(pi k) = 1/6 - 1/(2 pi) makes log y exact, and the K-term
+  k-sums expand in 1/y^2 with x-independent moments tabulated once per K.
+  What it does not sum there (S(y), the trigonometric terms and every index
+  near or past y) carries e^{-2 pi (y-1)} and is charged as one constant;
 - every trig argument is reduced to the signed distance from the nearest
   integer before multiplying by pi, so the k-series stay accurate for large x;
 - inside |x - m| < guard_delta the two singular pairings (the cot pole
@@ -16,7 +22,7 @@ Numerical strategy notes:
 - the inner sine/cosine sums of S(x) are split against the closed forms
   sum sin(n t)/n^2 and sum (1-cos(n t))/n^3, leaving remainders whose terms
   decay like n^-4 and n^-5, so double precision targets need ~10^4 terms
-  instead of ~10^11;
+  instead of ~10^11; numpy, which sums them, is imported on first use;
 - error_estimate fields combine the planner's rigorous tail bounds with a
   rounding allowance proportional to the summed magnitude; the evaluators
   that end in one fsum of their pieces add it in _close.
@@ -27,8 +33,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from . import planner
 from .bernoulli import BernoulliTable, bernoulli_over_factorial, shared_table
@@ -139,17 +143,28 @@ def _cot_pole_remainder(eps: float) -> float:
 # the double series
 
 
-# the partial-fraction sum adds n = 1.._PF_CUT directly; those n and their n^2
+# the partial-fraction sum adds n = 1.._PF_CUT directly
 _PF_CUT = 2048
-_PF_N = np.arange(1.0, _PF_CUT + 1.0)
-_PF_N2 = _PF_N * _PF_N
+
+
+@lru_cache(maxsize=1)
+def _pf_grid():
+    """The n = 1.._PF_CUT of the partial-fraction sum and their n^2, built on
+    first use so that importing this module does not load numpy."""
+    import numpy as np
+
+    n = np.arange(1.0, _PF_CUT + 1.0)
+    return n, n * n
 
 
 def _partial_fraction_gamma_sum(x: float) -> tuple[float, float]:
     """(value, error) for sum_{n>=1} x^2/(n(n^2+x^2)), by direct summation
     plus an Euler-Maclaurin tail whose integral term is log-exact. Works for
     any x > 0; the remainder heuristic is far below double rounding."""
-    partial = float(np.sum(x * x / (_PF_N * (_PF_N2 + x * x))))
+    import numpy as np
+
+    n, n2 = _pf_grid()
+    partial = float(np.sum(x * x / (n * (n2 + x * x))))
     big_m = _PF_CUT + 1.0
     z = complex(big_m, -x)
     integral = 0.5 * math.log1p((x / big_m) ** 2)
@@ -188,6 +203,8 @@ def _inner_pair(k: int, theta: float, n_sin: int, n_cos: int):
     at = abs(theta)
     if at == 0.0:
         return 0.0, c0, 0.0, c0_err
+    import numpy as np
+
     n = np.arange(1.0, n_sin + 1.0)
     q_sum = float(np.sum(np.sin(n * at) / (n * n * (n * n + k2))))
     n = np.arange(1.0, n_cos + 1.0)
@@ -261,21 +278,21 @@ def double_series_S(x: float, params: EvalParams) -> SeriesValue:
     planner.bound_exp_envelope(k, x) is at most tol * planner.S_TAIL_SHARE,
     and k_terms only caps it (planner.outer_weights).
 
-    Below planner.LIFT_TARGET the terms are summed at x + j instead, with
-    j = planner.lift_shift(x) (k_terms and n_terms refer to x + j), and
-    carried back through the representation
-    S(x) = R(x) - psi(x+1), where R is the non-S part (_psi_rest) and psi(x+1)
-    comes from the recurrence-lifted psi_ramanujan. Equivalently
-    S(x) = S(x+j) + R(x) - R(x+j) + sum_{i=1..j} 1/(x+i).
+    At integer x, where no inner sum runs, and from planner.LIFT_TARGET on,
+    S is summed where it stands. Below LIFT_TARGET off the integers it comes
+    from the representation instead: S(x) = R(x) - psi(x+1), with R the
+    non-S part (_psi_rest, at x itself) and psi(x+1) from psi_ramanujan,
+    whose moment form sums no double series. k_used is the larger of their
+    outer counts, and n_used is 0.
     """
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
-    if planner.lift_shift(x) == 0:
+    if planner.lift_shift(x) == 0 or x == round(x):
         return _double_series_at(x, params)
     psi = psi_ramanujan(x, params)
     pieces, tail, k_used = _psi_rest(x, params)
     pieces.append(-psi.value)
-    return _close(pieces, psi.error_estimate + tail, max(k_used, psi.k_used), psi.n_used)
+    return _close(pieces, psi.error_estimate + tail, max(k_used, psi.k_used), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -381,29 +398,152 @@ def _psi_rest(x: float, params: EvalParams) -> tuple[list[float], float, int]:
     return pieces, tail + log_tail, len(weights)
 
 
-def _psi_pieces(y: float, params: EvalParams) -> tuple[list[float], float, int, int]:
-    """psi(y+1) = R(y) - S(y) at y itself, as (summands, truncation bound,
-    k_used, n_used), for _close."""
-    s = _double_series_at(y, params)
-    pieces, tail, k_used = _psi_rest(y, params)
-    pieces.append(-s.value)
-    return pieces, s.error_estimate + tail, max(k_used, s.k_used), s.n_used
+# psi sums its moment form at y >= max(_PSI_Y_FLOOR, 2K + 2) for K outer
+# terms: every summed k then has k/y < 1/2, and every index from floor(y) on
+# carries e^{-2 pi (y-1)} <= e^{-30 pi}
+_PSI_Y_FLOOR = 16.0
+# moments tabulated per K: M_{2j+1} and L_{4j}/j for j < _J_CAP. At y >= 16
+# the k = 1, 2, 3 parts of the terms fall at least 256x, 64x and 28x per term
+# and the rest start below 1e-16, so at every admissible tol both j-series
+# stop within six terms (at most 5 and 2 over x in 1e-12..1e12, K <= 111);
+# past the table _moment_series charges a closed bound instead
+_J_CAP = 10
+
+
+def _far_bound(y: float) -> float:
+    """What psi(y+1) at y >= 16 charges rather than sums, bounded at y. With
+    m = round(y), eps = y - m, q = e^{-2 pi}, E = e^{-2 pi (y-1)} and
+    c(t) = csch^2(pi t) <= 4.0001 e^{-2 pi t}:
+
+    - S(y), at most bound_exp_envelope(1, y), whose uniform form (the one it
+      takes at integer y) grows with e^{-2 pi y};
+    - the cot piece with the k = m pole term, in _guard_pole_pair's form: at
+      most q(y) ((1 + 2m g phi(1/2))/(2m - 1/2) + 2) <= 48 q(y), since
+      phi(1/2) = 2 (e^pi - 1), m >= 16 and |pi cot(pi eps) - 1/eps| <= 2;
+    - the other k-sum terms from floor(y) on, |k - y| >= 1/2, each at most
+      4 q_k: 4.01 E/(1 - q) together;
+    - the log piece with the k = m log term, split as
+      (c(y) - c(m)) log|eps| + c(y) log(2 sin(pi|eps|)/|eps|)
+      - c(m) log((1 + m/y)(1 + (m/y)^2)/y): at most (pi/2) 4.0001 E
+      (2 pi/e + 1.84 q + (1.44 + log y) e^{-pi}), using |eps log|eps|| <= 1/e
+      and |c'(t)| <= 2 pi c(m - 1/2) on the band;
+    - the other log terms from floor(y) on, where
+      |log|1 - (k/y)^4|| <= log(2y) + (k - floor(y))/4: at most
+      (pi/2) 4.0001 E (log(2y)/(1 - q) + q/(4 (1 - q)^2)).
+
+    Each bound falls with y from 16 on (E log(2y) does), so the value at 16,
+    _PSI_FAR, bounds them all."""
+    q = _Q_UNIT
+    big_e = math.exp(-_TWO_PI * (y - 1.0))
+    log_pair = _TWO_PI / math.e + 1.84 * q + (1.44 + math.log(y)) * math.exp(-math.pi)
+    log_rest = math.log(2.0 * y) / (1.0 - q) + q / (4.0 * (1.0 - q) ** 2)
+    k_sum = 48.01 * q + 4.01 / (1.0 - q)
+    far = big_e * (k_sum + (math.pi / 2.0) * 4.0001 * (log_pair + log_rest))
+    return planner.bound_exp_envelope(1, y) + far
+
+
+_PSI_FAR = _far_bound(_PSI_Y_FLOOR)
+
+
+@lru_cache(maxsize=None)  # one entry per K <= len(_PI_WEIGHTS)
+def _moments(K: int) -> tuple[tuple[float, ...], tuple[float, ...], float, float, float]:
+    """(M, L, rel, a, b) for psi's k-sums cut at K <= 111, from _PI_WEIGHTS:
+    M[j] = M_{2j+1} = sum_{k<=K} k^{2j+1}/(e^{2 pi k} - 1) and
+    L[j] = L_{4j+4}/(j+1) with L_p = sum_{k<=K} k^p csch^2(pi k), for
+    j < _J_CAP. k^p stays below 1e82, so nothing overflows. Each moment is
+    within rel of its exact value: the largest _summand_rounding of its
+    positive terms, (6 + 2 pi k + 1/(pi k)) eps at t = pi k.
+
+    a and b give the closed tails from F = K + 1 up to y - 1 (psi_ramanujan):
+    the k-sum's is a/((y - F)(y + F)) and the log family's b s/(1 - s) with
+    s = (F/y)^4. Up to k <= y - 1, (y - k)/(y - k - 1) <= 2 makes each
+    k-sum term at most 4q times the one before, q = e^{-2 pi}, and each
+    csch^2(pi k) s_k/(1 - s_k) >= |log(1 - s_k)| csch^2(pi k) at most
+    ((k+1)/k)^4 2 q <= 32 q times the one before."""
+    weights = _PI_WEIGHTS[:K]
+    moment_m = tuple(
+        math.fsum(float(k) ** (2 * j + 1) * q for k, q, _ in weights) for j in range(_J_CAP)
+    )
+    moment_l = tuple(
+        math.fsum(float(k) ** (4 * j + 4) * c for k, _, c in weights) / (j + 1)
+        for j in range(_J_CAP)
+    )
+    rel = (7.0 + _TWO_PI * K) * _EPS
+    # the weights at F straight from exp: past k = 111 _PI_WEIGHTS' helpers
+    # flush them to 0, and e^{-2 pi 112} is still a normal double
+    f = K + 1
+    e = math.exp(-_TWO_PI * f)
+    a = 2.0 * f * e / -math.expm1(-_TWO_PI * f) / (1.0 - 4.0 * _Q_UNIT) * (1.0 + 1e-12)
+    b = (math.pi / 2.0) * 4.0 * e / math.expm1(-_TWO_PI * f) ** 2 / (1.0 - 32.0 * _Q_UNIT)
+    return moment_m, moment_l, rel, a, b * (1.0 + 1e-12)
+
+
+def _moment_series(
+    coeffs: tuple[float, ...], first: float, step: float, ratio: float, share: float
+) -> tuple[float, float, int]:
+    """(value, remainder bound, terms summed) of sum_j coeffs[j] first step^j,
+    whose terms are nonnegative and each at most ratio < 1 times the one
+    before. It stops before the first term t with t/(1 - ratio) <= share,
+    which bounds the rest; past the table the last term summed times
+    ratio/(1 - ratio) does. The 1e-12 covers the rounding of the bound."""
+    total = 0.0
+    t = 0.0
+    for n, c in enumerate(coeffs):
+        t = c * first
+        if t <= share * (1.0 - ratio):
+            return total, t / (1.0 - ratio) * (1.0 + 1e-12), n
+        total += t
+        first *= step
+    return total, t * ratio / (1.0 - ratio) * (1.0 + 1e-12), len(coeffs)
 
 
 def psi_ramanujan(x: float, params: EvalParams) -> SeriesValue:
-    """psi(x+1) from the hyperbolic-series representation R(y) - S(y) at
-    y = x + shift, shift = planner.lift_shift(x), lowered by the recurrence
-    psi(x+1) = psi(y+1) - sum_{i=1..shift} 1/(x+i).
+    """psi(x+1) from the moment form of the representation at y >= Y,
+    Y = max(16, 2K + 2) with K = min(k_terms, 111), lowered by the recurrence
+    psi(x+1) = psi(y+1) - sum_{i=1..shift} 1/(x+i), shift the smallest with
+    fl(x + shift) >= Y. With u = 1/y^2:
 
-    k_terms and n_terms refer to y. The harmonic terms join the summed pieces,
-    so their rounding is inside the 4 eps * mass allowance; the rounding of
-    x + shift itself is added by _lift.
+      psi(y+1) = log y + 1/(2y) - u/(4 pi) - 2u sum_j M_{2j+1} u^j
+                 + (pi/2) sum_{j>=1} (L_{4j}/j) u^{2j} + (dropped terms),
+
+    with the moments of _moments(K). log y is exact: the representation's
+    (pi/3) log y and the -2 pi log y csch^2(pi k) of every k's log term sum
+    to log y by sum_k csch^2(pi k) = 1/6 - 1/(2 pi); what is left of each log
+    term is -(pi/2) log(1 - (k/y)^4) csch^2(pi k). For k <= K < y/2 this and
+    the k-sum term 2k/((e^{2 pi k} - 1)(k^2 - y^2)) expand in u, so each
+    j-series stops at its own closed remainder (_moment_series) within tol/4.
+
+    The estimate charges those remainders; the k > K terms up to y - 1 in
+    closed form (_moments' a and b); S(y), the trigonometric pieces and every
+    index from floor(y) on as the constant _PSI_FAR; the rounding of x + shift
+    (_lift); and the rounding of each j-series, its moments' rel plus
+    (3n + 2) eps for its n terms and the powers of u (Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.1 and 5.1), on top of _close's
+    4 eps sum|piece|, which also covers the harmonic terms. k_used is K and
+    n_used 0: no inner sum runs.
     """
-    shift = planner.lift_shift(x)
+    if not 0.0 < x < math.inf:
+        raise ValueError("x must be positive and finite")
+    k = min(params.k_terms, len(_PI_WEIGHTS))
+    moment_m, moment_l, rel, a, b = _moments(k)
+    target = max(_PSI_Y_FLOOR, 2.0 * k + 2.0)
+    shift = math.ceil(target - x) if x < target else 0
+    if x + shift < target:
+        shift += 1
     y, lift_err = _lift(x, shift)
-    pieces, trunc, k_used, n_used = _psi_pieces(y, params)
-    pieces.extend(-1.0 / (x + i) for i in range(1, shift + 1))
-    return _close(pieces, trunc + lift_err, k_used, n_used)
+    u = 1.0 / (y * y)
+    r = k * k * u
+    share = params.tol / 4.0
+    k_sum, k_rem, n_k = _moment_series(moment_m, 2.0 * u, u, r, share)
+    log_sum, log_rem, n_log = _moment_series(moment_l, (math.pi / 2.0) * u * u, u * u, r * r, share)
+    f = k + 1.0
+    s = (f * f * u) ** 2
+    tails = a / ((y - f) * (y + f)) + b * s / (1.0 - s)
+    rounding = ((3 * n_k + 2) * _EPS + rel) * k_sum + ((3 * n_log + 2) * _EPS + rel) * log_sum
+    pieces = [math.log(y), 0.5 / y, -u / (4.0 * math.pi), -k_sum, log_sum]
+    pieces.extend([-1.0 / (x + i) for i in range(1, shift + 1)])
+    bound = k_rem + log_rem + tails + _PSI_FAR + lift_err + rounding
+    return _close(pieces, bound, k, 0)
 
 
 def _check_gamma_m(m: int) -> None:
@@ -421,8 +561,10 @@ def gamma_at_integer(m: int, params: EvalParams) -> SeriesValue:
     -2 pi sum_k k e^{-2 pi k m} (gamma + Re psi(1+ik))."""
     _check_gamma_m(m)
     harmonic = math.fsum(1.0 / j for j in range(1, m + 1))
-    pieces, trunc, k_used, n_used = _psi_pieces(float(m), params)
-    return _close([harmonic] + [-p for p in pieces], trunc, k_used, n_used)
+    s = _double_series_at(float(m), params)
+    pieces, tail, k_used = _psi_rest(float(m), params)
+    pieces = [harmonic, s.value] + [-p for p in pieces]
+    return _close(pieces, s.error_estimate + tail, max(k_used, s.k_used), s.n_used)
 
 
 def _re_psi_rest(x: float, params: EvalParams) -> tuple[list[float], float, int]:
@@ -577,32 +719,36 @@ def psi_prime_ramanujan(x: float, params: EvalParams) -> SeriesValue:
 # Lambert-type sums and zeta corollaries
 
 
-def _zeta_odd_j_sum(N: int, table: BernoulliTable) -> Fraction:
+def _zeta_odd_products(N: int, table: BernoulliTable) -> list[Fraction]:
+    """The N+2 exact products B_{2j}/(2j)! B_{2N+2-2j}/(2N+2-2j)!, j = 0..N+1,
+    from one list of the B_{2i}/(2i)!."""
+    over_factorial = [bernoulli_over_factorial(table, 2 * j) for j in range(N + 2)]
+    return [over_factorial[j] * over_factorial[N + 1 - j] for j in range(N + 2)]
+
+
+def _zeta_odd_j_sum(
+    N: int, table: BernoulliTable, products: list[Fraction] | None = None
+) -> Fraction:
     """sum_{j=0}^{N+1} (-1)^{j+1} (2j-1) B_{2j}/(2j)! B_{2N+2-2j}/(2N+2-2j)!,
     in exact rational arithmetic (the alternating sum cancels badly in
-    floating point once N grows)."""
-    total = Fraction(0)
-    for j in range(N + 2):
-        sign = -1 if j % 2 == 0 else 1
-        total += (
-            sign
-            * (2 * j - 1)
-            * bernoulli_over_factorial(table, 2 * j)
-            * bernoulli_over_factorial(table, 2 * N + 2 - 2 * j)
-        )
-    return total
+    floating point once N grows), from _zeta_odd_products(N, table) unless
+    the caller has them."""
+    if products is None:
+        products = _zeta_odd_products(N, table)
+    return sum(((2 * j - 1) if j % 2 else (1 - 2 * j)) * p for j, p in enumerate(products))
 
 
 def _zeta_odd_coefficients(N: int, table: BernoulliTable) -> tuple[float, tuple[float, ...]]:
     """(J, ratios) for zeta(2N+1): J = _zeta_odd_j_sum(N, table) and the N+2
-    ratios B_{2j}/(2j)! B_{2N+2-2j}/(2N+2-2j)!, each formed exactly and then
-    rounded once. They depend on N and the table alone, so the first call for
-    an N computes them and stores them in table.derived[N] for later calls."""
+    ratios B_{2j}/(2j)! B_{2N+2-2j}/(2N+2-2j)!, both from one list of the
+    exact products, each rounded once. They depend on N and the table alone,
+    so the first call for an N computes them and stores them in
+    table.derived[N] for later calls."""
     coefficients = table.derived.get(N)
     if coefficients is None:
-        over_factorial = [bernoulli_over_factorial(table, 2 * j) for j in range(N + 2)]
-        ratios = tuple(float(over_factorial[j] * over_factorial[N + 1 - j]) for j in range(N + 2))
-        coefficients = table.derived[N] = (float(_zeta_odd_j_sum(N, table)), ratios)
+        products = _zeta_odd_products(N, table)
+        j_sum = _zeta_odd_j_sum(N, table, products)
+        coefficients = table.derived[N] = (float(j_sum), tuple(map(float, products)))
     return coefficients
 
 

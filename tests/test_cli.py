@@ -313,6 +313,14 @@ def test_verify_all_suites_green(capsys):
     assert all(r["method"] == "pass" for r in rows(out))
 
 
+def test_verify_unknown_suite_is_a_one_line_input_error(capsys):
+    code, out, err = run_cli(capsys, ["verify", "--suite", "no-such-suite"])
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert all(name in err for name in identities.SUITES)
+
+
 def test_verify_times_each_check(capsys, monkeypatch):
     # each record's time covers running its check, not only printing it
     real = identities.run_suite
@@ -453,6 +461,23 @@ def test_package_import_loads_no_check_code():
     done = _fresh_python("-c", probe)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "rapidpsi.psi_ramanujan(2.5, rapidpsi.plan(1e-12, 2.5))",
+        "rapidpsi.psi_ramanujan(1e-8, rapidpsi.plan(1e-15, 1e-8))",
+        "rapidpsi.cli.main(['psi', '--x', '2.5'])",
+    ],
+)
+def test_planned_psi_imports_no_numpy(call):
+    # psi's moment form sums no double series, and the CLI imports numpy and
+    # the check modules only for verify, bench and --method classical
+    probe = f"import sys, rapidpsi, rapidpsi.cli; {call}; print('numpy' in sys.modules)"
+    done = _fresh_python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_readme_library_use_runs():

@@ -215,15 +215,15 @@ def test_closed_tails_stay_within_100x_of_the_tail(tail):
 
 def test_closed_tails_take_few_quartic_gaps(monkeypatch):
     # only floor(x) and ceil(x) below 130 take log|k^4 - x^4| at their size,
-    # so at x = 1e12 every call is the evaluator's own k-loop; walking each
-    # tail term by term to k ~ 130 made 251 of these calls here
+    # so near x = 1e12 every call is Re psi's own k-loop; walking each tail
+    # term by term to k ~ 130 made 251 of these calls there
     calls = []
     gap = planner.log_abs_quartic_gap
     monkeypatch.setattr(
         planner, "log_abs_quartic_gap", lambda k, x: calls.append(k) or gap(k, x)
     )
     p = planner.plan(1e-15, 1e12)
-    series.psi_ramanujan(1e12, p)
+    series.re_psi_complex_ramanujan(1e12 + 0.5, p)
     assert len(calls) <= p.k_terms + 4
 
 
@@ -391,29 +391,24 @@ def test_planned_count_fits_every_k_sum_tail():
             assert planner.bound_csch2(first) <= tol / 4.0, (x, tol)
 
 
-@pytest.mark.parametrize("x", [2.5, 75.3, 1e6 + 0.3])
-def test_planned_psi_takes_both_tails_in_one_pass_each(monkeypatch, x):
-    # plan evaluates no bound, so the evaluator's k_sum_tails call is the
-    # only one, and no csch2 bound runs anywhere on the way
-    calls = []
-    fused = planner.k_sum_tails
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fused(*args, **kwargs)
-
+@pytest.mark.parametrize("x", [1e-8, 2.5, 7.0, 15.9995, 75.3, 1e6 + 0.3, 1e300])
+def test_planned_psi_sums_only_its_moment_form(monkeypatch, x):
+    # plan evaluates no bound; psi then takes its own lift and sums no double
+    # series, no guard pair and no k-sum tail pass: at y >= 16 they are one
+    # charged constant
     def forbidden(*args, **kwargs):
-        raise AssertionError("plan evaluates no bound")
+        raise AssertionError("not on the planned psi path")
 
     for name in ("k_sum_tails", "_guard_index", "lift_shift", "bound_csch2"):
         monkeypatch.setattr(planner, name, forbidden)
     params = planner.plan(1e-12, x)
     monkeypatch.undo()
-    monkeypatch.setattr(planner, "k_sum_tails", counted)
-    monkeypatch.setattr(planner, "bound_csch2", forbidden)
-    series.psi_ramanujan(x, params)
-    assert len(calls) == 1
-    assert calls[0][0] == params.k_terms + 1
+    for name in ("k_sum_tails", "bound_csch2", "lift_shift", "outer_weights"):
+        monkeypatch.setattr(planner, name, forbidden)
+    for name in ("_double_series_at", "_inner_pair", "_guard_pole_pair", "_guard_log_pair"):
+        monkeypatch.setattr(series, name, forbidden)
+    sv = series.psi_ramanujan(x, params)
+    assert (sv.k_used, sv.n_used) == (params.k_terms, 0)
 
 
 def test_plan_leaves_the_double_series_to_size_itself(monkeypatch):

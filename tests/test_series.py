@@ -142,8 +142,8 @@ LARGE_X = [60.0 * (1e12 / 60.0) ** (i / 24) for i in range(25)] + [
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-15])
 def test_planned_psi_at_large_x_within_estimate_of_mpmath(tol):
-    # the range where the closed tails take floor(x) and ceil(x) at their
-    # actual size only below 130, and guard bands on both sides of that edge
+    # x from 60 to 1e12, where psi sums a few j-terms or none, and guard
+    # bands around 129-131 and 1000
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         for x in LARGE_X:
@@ -201,6 +201,74 @@ def test_planned_psi_estimate_is_within_tol(tol):
     lifted = [1e-8, 0.01, 0.25, 0.9995, 2.0003, 2.5]
     for x in lifted + UNLIFTED_X + LARGE_X + [1e100, 1e300]:
         assert series.psi_ramanujan(x, planner.plan(tol, x)).error_estimate <= tol, x
+
+
+# psi's contract points: log-spaced over 1e-12..1e12 and beyond, both edges of
+# the guard bands around the integers where lifts land (16 and 17 among them),
+# the lift target 16 itself, and x = 7, which lifts exactly onto 16
+PSI_CONTRACT_X = (
+    [10.0 ** (e / 4) for e in range(-48, 49)]
+    + [1e100, 1e300]
+    + [
+        m + s * f * EvalParams.guard_delta
+        for m in (1, 2, 3, 7, 8, 15, 16, 17, 100)
+        for s in (-1, 1)
+        for f in (0.99, 1.01)
+    ]
+    + [16.0 - 1e-9, 16.0, 16.0 + 1e-9, 7.0]
+)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-15])
+def test_psi_contract_against_mpmath(tol):
+    # planned and hand-built counts: K = 1 leaves k = 2 to the closed tail,
+    # 12 lifts to 26, and 111 and 6000 (cut to 111) lift to 224
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for x in PSI_CONTRACT_X:
+            truth = mpmath.digamma(mpmath.mpf(x) + 1)
+            planned = planner.plan(tol, x)
+            runs = [planned] + [EvalParams(tol=tol, k_terms=k) for k in (1, 12, 111, 6000)]
+            for p in runs:
+                sv = series.psi_ramanujan(x, p)
+                assert abs(mpmath.mpf(sv.value) - truth) <= sv.error_estimate, (x, p)
+                assert (sv.k_used, sv.n_used) == (min(p.k_terms, 111), 0)
+            if tol >= 1e-12:
+                assert series.psi_ramanujan(x, planned).error_estimate <= tol, x
+
+
+def test_psi_dropped_terms_within_their_charges():
+    # at y >= max(16, 2K + 2): the k-sum and log terms K < k <= y - 1 within
+    # _moments' closed tails, and the trigonometric pieces with every index
+    # from floor(y) on within _PSI_FAR less its S part, in 80-digit mpmath
+    mpmath = pytest.importorskip("mpmath")
+    far_share = series._PSI_FAR - planner.bound_exp_envelope(1, 16.0)
+    with mpmath.workdps(80):
+        pi = mpmath.pi
+
+        def k_sum_term(k, y):
+            return 2 * k / (mpmath.expm1(2 * pi * k) * (k * k - y * y))
+
+        def log_term(k, y):
+            return -pi / 2 * mpmath.log(abs(1 - (mpmath.mpf(k) / y) ** 4)) * mpmath.csch(pi * k) ** 2
+
+        for y in (16 + 1e-12, 16.3, 16.5, 16.9995, 17.0005, 20.25, 100.5):
+            yy = mpmath.mpf(y)
+            far = pi * mpmath.cot(pi * yy) / mpmath.expm1(2 * pi * yy)
+            far += pi / 2 * mpmath.log(abs(2 * mpmath.sin(pi * yy))) * mpmath.csch(pi * yy) ** 2
+            ks = range(math.floor(y), math.floor(y) + 40)
+            far += mpmath.fsum(k_sum_term(k, yy) + log_term(k, yy) for k in ks)
+            assert abs(far) <= far_share, y
+        for k_cut in (1, 2, 3, 7, 12):
+            _, _, _, a, b = series._moments(k_cut)
+            f = k_cut + 1
+            target = max(16.0, 2.0 * f)
+            for y in (target, target + 0.5, 40.25):
+                yy = mpmath.mpf(y)
+                ks = range(f, math.floor(y))
+                s = (f / y) ** 4
+                assert mpmath.fsum(abs(k_sum_term(k, yy)) for k in ks) <= a / ((y - f) * (y + f))
+                assert mpmath.fsum(abs(log_term(k, yy)) for k in ks) <= b * s / (1 - s)
 
 
 # accuracy of the in-repo oracles at the points below, measured against
@@ -622,15 +690,45 @@ def test_zeta_odd_memo_repeats_the_first_call_and_a_fresh_table(tol):
             assert call(_fresh(shared_table())) == first
 
 
+def _reference_j_sum(N, table):
+    """The j-sum as a running Fraction with each factor formed where it is
+    used: the reference for the shared products."""
+    total = Fraction(0)
+    for j in range(N + 2):
+        sign = -1 if j % 2 == 0 else 1
+        total += (
+            sign
+            * (2 * j - 1)
+            * bernoulli_over_factorial(table, 2 * j)
+            * bernoulli_over_factorial(table, 2 * N + 2 - 2 * j)
+        )
+    return total
+
+
+def _reference_ratios(N, table):
+    return tuple(
+        float(bernoulli_over_factorial(table, 2 * j) * bernoulli_over_factorial(table, 2 * N + 2 - 2 * j))
+        for j in range(N + 2)
+    )
+
+
 def test_zeta_odd_j_sum_runs_once_per_table_and_n(monkeypatch):
-    j_sum = series._zeta_odd_j_sum
+    # the exact products are formed once per table and N, and J is summed
+    # from those same products
+    products, j_sum = series._zeta_odd_products, series._zeta_odd_j_sum
     calls = []
 
-    def counted(N, table):
-        calls.append((N, id(table)))
-        return j_sum(N, table)
+    def counted_products(N, table):
+        calls.append(("products", N, id(table)))
+        return products(N, table)
 
-    monkeypatch.setattr(series, "_zeta_odd_j_sum", counted)
+    def counted_j_sum(N, table, shared=None):
+        assert shared is not None
+        calls.append(("j_sum", N, id(table)))
+        return j_sum(N, table, shared)
+
+    monkeypatch.setattr(series, "_zeta_odd_products", counted_products)
+    monkeypatch.setattr(series, "_zeta_odd_j_sum", counted_j_sum)
     pair = ModularPair.from_alpha(2.0)
     tables = [_fresh(shared_table()), _fresh(shared_table())]
     ns = (1, 2, 16, 44)
@@ -639,20 +737,24 @@ def test_zeta_odd_j_sum_runs_once_per_table_and_n(monkeypatch):
             for N in ns:
                 series.zeta_odd(N, table, P12)
                 series.zeta_odd_general(N, pair, table, P12)
-    assert sorted(calls) == sorted((N, id(t)) for t in tables for N in ns)
+    assert sorted(calls) == sorted(
+        (name, N, id(t)) for name in ("products", "j_sum") for t in tables for N in ns
+    )
     for table in tables:
         assert sorted(table.derived) == list(ns)
         for N in ns:
-            assert table.derived[N] == (
-                float(j_sum(N, table)),
-                tuple(
-                    float(
-                        bernoulli_over_factorial(table, 2 * j)
-                        * bernoulli_over_factorial(table, 2 * N + 2 - 2 * j)
-                    )
-                    for j in range(N + 2)
-                ),
-            )
+            assert table.derived[N] == (float(_reference_j_sum(N, table)), _reference_ratios(N, table))
+
+
+def test_zeta_odd_coefficients_from_shared_products_match_the_reference():
+    # J exactly, and J's float and every ratio bit for bit, for each N the
+    # shared table allows
+    table = _fresh(shared_table())
+    for N in range(1, 45):
+        assert series._zeta_odd_j_sum(N, table) == _reference_j_sum(N, table)
+        j, ratios = series._zeta_odd_coefficients(N, table)
+        assert j == float(_reference_j_sum(N, table))
+        assert ratios == _reference_ratios(N, table)
 
 
 def test_zeta_odd_memo_is_kept_per_table():
