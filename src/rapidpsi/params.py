@@ -11,7 +11,8 @@ from .errors import ToleranceError
 DEFAULT_GUARD_DELTA = 1e-3
 MIN_TOL = 1e-15  # double precision floor
 # the pi-scaled k-loops stop by k = 111 and the double series by k = 118, where
-# their weights underflow; this caps what a hand-built count asks them to size
+# their weights underflow, and the moment forms sum at most 7; this caps what
+# a hand-built count asks them to size
 MAX_K_TERMS = 6000
 # gamma_at_integer sums H_m term by term, about 0.1 us a term, so this cap
 # holds a call near 10 ms, the cost of the slowest planned psi call. Past
@@ -35,15 +36,16 @@ class EvalParams:
     half-width of the removable-singularity band around positive integers is
     fixed at DEFAULT_GUARD_DELTA.
 
-    The evaluators sum the double series at x + planner.lift_shift(x), so
-    k_terms and n_terms refer to that lifted argument, not to x. k_terms is
-    the outer count of the k-sums, which plan sets in closed form from tol
-    and log x; the evaluators charge the k-sum tails from k_terms + 1. The
-    double series sizes its outer and inner sums itself from tol
-    (planner.outer_weights), and both counts only cap it: plan sets n_terms
-    to planner.MAX_N_TERMS. psi_ramanujan sums no double series: it takes
-    its moments over K = min(k_terms, 111) outer terms and lifts x to
-    max(16, 2K + 2) by its own shift.
+    k_terms is the outer count of the k-sums, which plan sets in closed form
+    from tol and log x; the evaluators charge the k-sum tails from
+    k_terms + 1. psi_ramanujan, psi_prime_ramanujan, gamma_any_x and
+    re_psi_complex_ramanujan take their moments over K = min(k_terms, 7)
+    outer terms (plan's count never exceeds 7) and sum them at an argument
+    lifted to 16 or more, or at x itself for Re psi. The double series,
+    which double_series_S sums where it stands from planner.LIFT_TARGET on
+    and at the integers, and gamma_at_integer at m, sizes its outer and
+    inner sums itself from tol (planner.outer_weights), and both counts only
+    cap it: plan sets n_terms to planner.MAX_N_TERMS.
     """
 
     tol: float = 1e-12

@@ -2,11 +2,11 @@
 
 Every bound is a closed-form overestimate of the true tail: soundness over
 tightness (looseness up to roughly a factor of 10 is accepted by design).
-The k-sum tails whose terms depend on x (k_sum_tails, and
-psi_prime_ramanujan's tail in series.py) take only floor(x) and ceil(x) at
-their actual size and bound every other index, at least 1 from x, by a
-geometric envelope in e^{-2 pi k}; no tail is walked term by term. One pass
-of k_sum_tails gives both the k-sum's tail and the log-weighted csch2 tail.
+The k-sum tails whose terms depend on x (k_sum_tails) take only floor(x)
+and ceil(x) at their actual size and bound every other index, at least 1
+from x, by a geometric envelope in e^{-2 pi k}; no tail is walked term by
+term. One pass of k_sum_tails gives both the k-sum's tail and the
+log-weighted csch2 tail.
 The evaluators in series.py reuse these bounds to assemble honest error
 estimates, so nothing here may depend on series.py.
 """
@@ -26,11 +26,11 @@ FAMILIES = ("exp_envelope", "csch2", "lambert", "log_csch2")
 # caps each inner sum of the double series, which sizes them itself
 MAX_N_TERMS = 500_000
 MIN_N_TERMS = 16
-# the evaluators that sum the double series, and psi', lift arguments below
-# this with the digamma recurrence: every double-series term carries
-# e^{-2 pi k x}, so at x >= 3 the outer count is set by the x-independent
-# k-sums and the inner series stay short. psi_ramanujan lifts further, to
-# max(16, 2K + 2) for its K <= 111 outer terms, and sums no double series
+# double_series_S sums the double series where it stands from this x on, and
+# takes it from psi below: every double-series term carries e^{-2 pi k x}, so
+# at x >= 3 the outer count is set by the x-independent k-sums and the inner
+# series stay short. psi, psi', Re psi and gamma_any_x sum no double series:
+# their moment forms lift to 16 (series._Y_MOMENT)
 LIFT_TARGET = 3.0
 # the double series sizes itself and holds its truncation to tol/4: this share
 # of tol for its outer envelope tail (outer_weights) and the same share for its
@@ -297,9 +297,8 @@ def _solve_length(weight: float, share: float, order: int, coeff: float) -> int:
 
 
 def lift_shift(x: float) -> int:
-    """The smallest j >= 0 with x + j >= LIFT_TARGET (in floating point): the
-    recurrence shift the double series, gamma_any_x and psi' apply before
-    summing at x + j."""
+    """The smallest j >= 0 with x + j >= LIFT_TARGET (in floating point):
+    double_series_S sums where it stands when this is 0."""
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
     shift = 0
@@ -314,10 +313,10 @@ def plan(tol: float, x: float) -> EvalParams:
     k_terms = max(1, ceil(log(max(40, log(x)/5)/tol)/(2 pi))).
 
     Every k-term carries e^{-2 pi k}, so the count depends on x only through
-    the log x weight of the log-csch2 tail. The evaluators sum at a lifted
-    argument (see EvalParams): x + lift_shift(x), or for psi x lifted to
-    max(16, 2K + 2) <= 224. Below 224 log(x)/5 < 40, so the lift never moves
-    the count. plan evaluates no bound: the
+    the log x weight of the log-csch2 tail. The evaluators sum at x, at
+    x + lift_shift(x) or at x lifted to 16 (see EvalParams); below 16
+    log(x)/5 < 40, so the lift never moves the count, and at MIN_TOL the
+    count is 7 for every finite x. plan evaluates no bound: the
     evaluators charge the real tails at k_terms + 1. The double series sizes
     its own sums from tol (outer_weights), so n_terms is the cap MAX_N_TERMS.
     """

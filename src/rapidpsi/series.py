@@ -8,11 +8,17 @@ trigamma, Lambert-type sums) are rearrangements of the same machinery.
 
 Numerical strategy notes:
 - psi_ramanujan sums the representation only in its moment form, at an
-  argument lifted to y >= max(16, 2K + 2) for K outer terms: the identity
+  argument lifted to y >= 16 for K <= 7 outer terms: the identity
   sum_k csch^2(pi k) = 1/6 - 1/(2 pi) makes log y exact, and the K-term
   k-sums expand in 1/y^2 with x-independent moments tabulated once per K.
   What it does not sum there (S(y), the trigonometric terms and every index
   near or past y) carries e^{-2 pi (y-1)} and is charged as one constant;
+- the corollaries share that moment core. psi' is its term-by-term
+  derivative. Re psi(1+ix) - psi(x+1) = D(x) is a short closed form, because
+  the all-arguments identity shares S, the log|2 sin| piece and the log
+  k-family with the representation; so Re psi is psi plus D, and Euler's
+  constant is the partial-fraction sum P(y) less psi(y+1) and D(y) at
+  y >= 16, with P by Euler-Maclaurin in pure Python. None of them sums S;
 - every trig argument is reduced to the signed distance from the nearest
   integer before multiplying by pi, so the k-series stay accurate for large x;
 - inside |x - m| < guard_delta the two singular pairings (the cot pole
@@ -22,7 +28,8 @@ Numerical strategy notes:
 - the inner sine/cosine sums of S(x) are split against the closed forms
   sum sin(n t)/n^2 and sum (1-cos(n t))/n^3, leaving remainders whose terms
   decay like n^-4 and n^-5, so double precision targets need ~10^4 terms
-  instead of ~10^11; numpy, which sums them, is imported on first use;
+  instead of ~10^11; numpy, which sums them and nothing else here, is
+  imported on first use, so only S off the integers below 3 loads it;
 - error_estimate fields combine the planner's rigorous tail bounds with a
   rounding allowance proportional to the summed magnitude; the evaluators
   that end in one fsum of their pieces add it in _close.
@@ -33,11 +40,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import planner
 from .bernoulli import BernoulliTable, bernoulli_over_factorial, shared_table
 from .errors import GuardBandError, ToleranceError
-from .params import MAX_GAMMA_M, MAX_K_TERMS, EvalParams, ModularPair, SeriesValue
+from .params import (
+    DEFAULT_GUARD_DELTA,
+    MAX_GAMMA_M,
+    MAX_K_TERMS,
+    EvalParams,
+    ModularPair,
+    SeriesValue,
+)
 from .planner import _EPS, _Q_UNIT, _csch2, _guard_index, _inv_expm1
 
 _TWO_PI = 2.0 * math.pi
@@ -68,12 +83,6 @@ _ZETA_EVEN = tuple(zeta_even(j, shared_table()) for j in range(45))
 def _dist(x: float) -> float:
     """Signed distance to the nearest integer, in [-0.5, 0.5]."""
     return x - round(x)
-
-
-def _sinpi(x: float) -> float:
-    m = round(x)
-    s = math.sin(math.pi * (x - m))
-    return s if m % 2 == 0 else -s
 
 
 def _cotpi(x: float) -> float:
@@ -143,36 +152,56 @@ def _cot_pole_remainder(eps: float) -> float:
 # the double series
 
 
-# the partial-fraction sum adds n = 1.._PF_CUT directly
-_PF_CUT = 2048
+# P(y) = sum_{n>=1} f(n), f(n) = y^2/(n(n^2+y^2)) = 1/n - Re 1/(n+iy), adds
+# n < _PF_M directly and the rest by Euler-Maclaurin (DLMF 2.10(i)) from M
+_PF_M = 32
+_LOG_PF_M = math.log(_PF_M)
+# B_{2j}/(2j) for j = 1..5: the weight of -f^(2j-1)(M)/(2j-1)! in the sum
+_EM_WEIGHTS = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0)
+# the 1/n half of those corrections, sum_j B_{2j}/(2j) M^-2j, fixed with M
+_EM_AT_M = math.fsum(w * float(_PF_M) ** (-2 * j) for j, w in enumerate(_EM_WEIGHTS, 1))
+# (n, n^3) for n <= M: the directly summed n < M and the half-weight f(M)
+_PF_TERMS = tuple((float(n), float(n) ** 3) for n in range(1, _PF_M + 1))
+# the remainder past f^(9): |B_10|/10! = 2 zeta(10)/(2 pi)^10 against
+# int_M^inf |f^(10)| <= int 10!/t^11 + int 10!/|t+iy|^11 <= 2 * 9!/M^10, at any
+# y; 1.35e-17, with 1e-12 for its own rounding
+_PF_REMAINDER = 4.0 * _ZETA_EVEN[5] * math.factorial(9) / (_TWO_PI * _PF_M) ** 10 * (1.0 + 1e-12)
 
 
-@lru_cache(maxsize=1)
-def _pf_grid():
-    """The n = 1.._PF_CUT of the partial-fraction sum and their n^2, built on
-    first use so that importing this module does not load numpy."""
-    import numpy as np
-
-    n = np.arange(1.0, _PF_CUT + 1.0)
-    return n, n * n
+def _pf_body(y: float) -> float:
+    """P(y) less its Euler-Maclaurin integral term: the n < M terms, f(M)/2
+    and the corrections through f^(9) at M = _PF_M, where
+    -f^(2j-1)(M)/(2j-1)! = M^-2j - Re (M+iy)^-2j. Each f(n) is formed as
+    1/(n + n^3/y^2), with 1/y^2 as (1/y)^2, and (M+iy)^-1 by complex
+    division, so nothing cancels or overflows at any y > 0 (an infinite
+    1/y^2 gives the f(n) = 0 that y^2/n^3 underflows to); the terms are
+    positive, so their sum carries at most 4 eps of itself, and the
+    corrections are below 1e-4."""
+    inv = 1.0 / y
+    inv2 = inv * inv
+    terms = [1.0 / (n + n3 * inv2) for n, n3 in _PF_TERMS]
+    terms[-1] *= 0.5  # f(M)/2
+    z = 1.0 / complex(_PF_M, y)
+    z *= z
+    horner = 0j
+    for weight in reversed(_EM_WEIGHTS):
+        horner = (horner + weight) * z
+    return math.fsum(terms) + _EM_AT_M - horner.real
 
 
 def _partial_fraction_gamma_sum(x: float) -> tuple[float, float]:
-    """(value, error) for sum_{n>=1} x^2/(n(n^2+x^2)), by direct summation
-    plus an Euler-Maclaurin tail whose integral term is log-exact. Works for
-    any x > 0; the remainder heuristic is far below double rounding."""
-    import numpy as np
-
-    n, n2 = _pf_grid()
-    partial = float(np.sum(x * x / (n * (n2 + x * x))))
-    big_m = _PF_CUT + 1.0
-    z = complex(big_m, -x)
-    integral = 0.5 * math.log1p((x / big_m) ** 2)
-    f0 = 1.0 / big_m - (1.0 / z).real
-    f1 = -(1.0 / big_m**2 - (z**-2).real)
-    f3 = -6.0 * (1.0 / big_m**4 - (z**-4).real)
-    value = partial + integral + f0 / 2.0 - f1 / 12.0 + f3 / 720.0
-    return value, 0.01 * big_m**-6 + 4.0 * _EPS * (abs(partial) + 1.0)
+    """(value, error) for P(x) = sum_{n>=1} x^2/(n(n^2+x^2)) at any x > 0:
+    _pf_body plus the integral int_M^inf f = (1/2) log(1 + (x/M)^2), taken
+    as log(x/M) + (1/2) log1p((M/x)^2) past x = M so that no square
+    overflows. The error is _PF_REMAINDER and 4 eps of the two parts plus 1,
+    which covers the rounding of the logarithm and of the final sum."""
+    body = _pf_body(x)
+    r = x / _PF_M
+    if r <= 1.0:
+        integral = 0.5 * math.log1p(r * r)
+    else:
+        integral = math.log(r) + 0.5 * math.log1p(1.0 / (r * r))
+    return body + integral, _PF_REMAINDER + 4.0 * _EPS * (body + integral + 1.0)
 
 
 # the evaluators sum the double series only at x >= 1 (lifted arguments and
@@ -350,20 +379,6 @@ def _guard_log_pair(m: int, eps: float) -> float:
 # the main evaluator and its corollaries
 
 
-def _lift(x: float, shift: int) -> tuple[float, float]:
-    """(y, bound) with y = fl(x + shift) and bound >= |psi(y+1) - psi(x+shift+1)|.
-
-    TwoSum recovers the rounding d = (x + shift) - y exactly, and
-    psi'(t+1) < 1/t <= 1 for t >= 1, so |d| bounds the change in psi; for
-    psi' at y >= 3, |psi''(t+1)| < 1 makes it a bound there too. With shift 0
-    this returns (x, 0.0).
-    """
-    y = x + shift
-    z = y - x
-    d = (x - (y - z)) + (shift - z)
-    return y, abs(d)
-
-
 def _psi_rest(x: float, params: EvalParams) -> tuple[list[float], float, int]:
     """R(x) = psi(x+1) + S(x), the non-S part of the representation, as
     (pieces, tail bound of the k-sum and the log k-sum, last k reached before
@@ -398,15 +413,19 @@ def _psi_rest(x: float, params: EvalParams) -> tuple[list[float], float, int]:
     return pieces, tail + log_tail, len(weights)
 
 
-# psi sums its moment form at y >= max(_PSI_Y_FLOOR, 2K + 2) for K outer
-# terms: every summed k then has k/y < 1/2, and every index from floor(y) on
-# carries e^{-2 pi (y-1)} <= e^{-30 pi}
-_PSI_Y_FLOOR = 16.0
-# moments tabulated per K: M_{2j+1} and L_{4j}/j for j < _J_CAP. At y >= 16
-# the k = 1, 2, 3 parts of the terms fall at least 256x, 64x and 28x per term
-# and the rest start below 1e-16, so at every admissible tol both j-series
-# stop within six terms (at most 5 and 2 over x in 1e-12..1e12, K <= 111);
-# past the table _moment_series charges a closed bound instead
+# psi, psi' and gamma_any_x sum their moment forms at y >= _Y_MOMENT, and
+# Re psi from x = _Y_MOMENT on, over K = min(k_terms, _K_CAP) outer terms.
+# _K_CAP is plan's k_terms at MIN_TOL for every finite x
+# (ceil(log(142/1e-15)/(2 pi)) = 7), so it leaves planned calls as they are;
+# a larger hand-built count leaves k >= 8 to _moments' closed tails, below
+# 1e-21 at y >= 16. With 2K + 2 <= 16 every summed k has k/y <= 7/16, and
+# every index from floor(y) on carries e^{-2 pi (y-1)} <= e^{-30 pi}
+_Y_MOMENT = 16.0
+_K_CAP = 7
+# moments tabulated per K for j < _J_CAP. At y >= 16 the k = 1, 2, 3 parts
+# of the terms fall at least 256x, 64x and 28x per term and the rest start
+# below 1e-16, so at every admissible tol each j-series stops within six
+# terms; past the table _moment_series charges a closed bound instead
 _J_CAP = 10
 
 
@@ -442,40 +461,102 @@ def _far_bound(y: float) -> float:
     return planner.bound_exp_envelope(1, y) + far
 
 
-_PSI_FAR = _far_bound(_PSI_Y_FLOOR)
+def _off_band_far(y: float, gap: float) -> tuple[float, float]:
+    """(D's, psi''s) terms at y >= 16 that their moment forms charge rather
+    than sum, for y at least gap from every integer. With n = floor(y),
+    q = e^{-2 pi}, E = e^{-2 pi (y-1)}, q_k = 1/(e^{2 pi k} - 1) and
+    c_k = csch^2(pi k): q(y) <= E q/(1 - q), q_{n+i} <= E q^i/(1 - q) and
+    c_{n+i} <= 4 E q^i/(1 - q)^2, and |k - y| >= gap for i = 0, 1 and >= 1
+    past them.
+
+    D (re_psi_complex_ramanujan):
+    - the cot piece, |pi cot(pi y)| q(y) <= q(y)/gap;
+    - the k-sum terms from n on, 4k y^2 q_k/(|k - y| (k + y)(k^2 + y^2)), at
+      most 2 q_k/|k - y| by k^2 + y^2 >= 2ky.
+    psi' (psi_prime_ramanujan):
+    - the csc^2 piece, pi^2 q(y)/sin^2(pi y) <= pi^2 q(y)/sin^2(pi gap);
+    - the k-sum terms from n on, 4k y q_k/((k - y)^2 (k + y)^2), at most
+      q_k/(k - y)^2 by 4ky <= (k + y)^2;
+    - what the moment form leaves of the csch^2 terms from n on (their
+      -(2 pi/y) c_k parts are in its exact 1/y), (2 pi/y) c_k s_k/|1 - s_k|
+      with s_k = (k/y)^4, that is 2 pi c_k k^4/(y |k - y| (k + y)(k^2 + y^2)),
+      at most 2 pi c_k (k/y)/|k - y|, where k/y <= 1 + (i + 1)/16
+      <= (17/16) 2^i.
+
+    Each falls with y (only E depends on it), so the values at 16, _D_FAR
+    and _PRIME_FAR, bound them at every y >= 16. The 1e-12 covers their
+    rounding."""
+    q = _Q_UNIT
+    big_e = math.exp(-_TWO_PI * (y - 1.0))
+    near, rest = 1.0 + q, q * q / (1.0 - q)
+    d_far = big_e / (1.0 - q) * (q / gap + 2.0 * near / gap + 2.0 * rest)
+    csc = math.pi**2 * q / math.sin(math.pi * gap) ** 2
+    k_sum = near / gap**2 + rest
+    csch = 8.5 * math.pi * (near / gap + 4.0 * q * q / (1.0 - 2.0 * q)) / (1.0 - q)
+    prime_far = big_e / (1.0 - q) * (csc + k_sum + csch)
+    return d_far * (1.0 + 1e-12), prime_far * (1.0 + 1e-12)
 
 
-@lru_cache(maxsize=None)  # one entry per K <= len(_PI_WEIGHTS)
-def _moments(K: int) -> tuple[tuple[float, ...], tuple[float, ...], float, float, float]:
-    """(M, L, rel, a, b) for psi's k-sums cut at K <= 111, from _PI_WEIGHTS:
-    M[j] = M_{2j+1} = sum_{k<=K} k^{2j+1}/(e^{2 pi k} - 1) and
-    L[j] = L_{4j+4}/(j+1) with L_p = sum_{k<=K} k^p csch^2(pi k), for
-    j < _J_CAP. k^p stays below 1e82, so nothing overflows. Each moment is
-    within rel of its exact value: the largest _summand_rounding of its
-    positive terms, (6 + 2 pi k + 1/(pi k)) eps at t = pi k.
+_PSI_FAR = _far_bound(_Y_MOMENT)
+# Re psi and gamma_any_x refuse or step off the guard bands, and psi' refuses
+# them, but a lifted fl(x + shift) may round up to an ulp into one: half the
+# band is the gap they can rely on
+_D_FAR, _PRIME_FAR = _off_band_far(_Y_MOMENT, DEFAULT_GUARD_DELTA / 2.0)
 
-    a and b give the closed tails from F = K + 1 up to y - 1 (psi_ramanujan):
-    the k-sum's is a/((y - F)(y + F)) and the log family's b s/(1 - s) with
-    s = (F/y)^4. Up to k <= y - 1, (y - k)/(y - k - 1) <= 2 makes each
-    k-sum term at most 4q times the one before, q = e^{-2 pi}, and each
-    csch^2(pi k) s_k/(1 - s_k) >= |log(1 - s_k)| csch^2(pi k) at most
-    ((k+1)/k)^4 2 q <= 32 q times the one before."""
+
+class _Moments(NamedTuple):
+    """The per-K moment tables of _moments."""
+
+    m: tuple[float, ...]  # M_{2j+1}
+    l: tuple[float, ...]  # L_{4j+4}/(j+1)
+    m_d: tuple[float, ...]  # M_{4j+1}, D's series
+    m_prime: tuple[float, ...]  # (j+1) M_{2j+1}, psi''s k-sum series
+    l_prime: tuple[float, ...]  # L_{4j+4}, psi''s csch^2 series
+    rel: float
+    a: float
+    b: float
+
+
+@lru_cache(maxsize=None)  # one entry per K <= _K_CAP
+def _moments(K: int) -> _Moments:
+    """The moments of the k-sums cut at K <= _K_CAP, from _PI_WEIGHTS:
+    M_p = sum_{k<=K} k^p/(e^{2 pi k} - 1) and L_p = sum_{k<=K} k^p
+    csch^2(pi k), for j < _J_CAP, each weighted as its series takes it, so
+    that no evaluator weights them per call. k^p stays below 1e35, so
+    nothing overflows. Each moment is within rel of its exact value: the
+    largest _summand_rounding of its positive terms, (6 + 2 pi k + 1/(pi k))
+    eps at t = pi k; the integer weight of m_prime adds eps more.
+
+    a and b give the closed tails from F = K + 1 up to y - 1: the k-sum's
+    sum_{F<=k<=y-1} 2k q_k/(y^2 - k^2) <= a/((y - F)(y + F)) and the log
+    family's (pi/2) sum_{F<=k<=y-1} c_k s_k/(1 - s_k) <= b s/(1 - s), with
+    s_k = (k/y)^4, s = s_F and c_k = csch^2(pi k). Up to k <= y - 1,
+    (y - k)/(y - k - 1) <= 2 makes each k-sum term at most 4q times the one
+    before, q = e^{-2 pi}, and each c_k s_k/(1 - s_k), which is at least
+    |log(1 - s_k)| c_k, at most ((k+1)/k)^4 2 q <= 32 q times the one
+    before."""
     weights = _PI_WEIGHTS[:K]
     moment_m = tuple(
         math.fsum(float(k) ** (2 * j + 1) * q for k, q, _ in weights) for j in range(_J_CAP)
     )
-    moment_l = tuple(
-        math.fsum(float(k) ** (4 * j + 4) * c for k, _, c in weights) / (j + 1)
-        for j in range(_J_CAP)
+    moment_l4 = tuple(
+        math.fsum(float(k) ** (4 * j + 4) * c for k, _, c in weights) for j in range(_J_CAP)
     )
     rel = (7.0 + _TWO_PI * K) * _EPS
-    # the weights at F straight from exp: past k = 111 _PI_WEIGHTS' helpers
-    # flush them to 0, and e^{-2 pi 112} is still a normal double
     f = K + 1
     e = math.exp(-_TWO_PI * f)
     a = 2.0 * f * e / -math.expm1(-_TWO_PI * f) / (1.0 - 4.0 * _Q_UNIT) * (1.0 + 1e-12)
     b = (math.pi / 2.0) * 4.0 * e / math.expm1(-_TWO_PI * f) ** 2 / (1.0 - 32.0 * _Q_UNIT)
-    return moment_m, moment_l, rel, a, b * (1.0 + 1e-12)
+    return _Moments(
+        m=moment_m,
+        l=tuple(v / (j + 1) for j, v in enumerate(moment_l4)),
+        m_d=moment_m[::2],
+        m_prime=tuple((j + 1) * v for j, v in enumerate(moment_m)),
+        l_prime=moment_l4,
+        rel=rel,
+        a=a,
+        b=b * (1.0 + 1e-12),
+    )
 
 
 def _moment_series(
@@ -497,53 +578,75 @@ def _moment_series(
     return total, t * ratio / (1.0 - ratio) * (1.0 + 1e-12), len(coeffs)
 
 
-def psi_ramanujan(x: float, params: EvalParams) -> SeriesValue:
-    """psi(x+1) from the moment form of the representation at y >= Y,
-    Y = max(16, 2K + 2) with K = min(k_terms, 111), lowered by the recurrence
-    psi(x+1) = psi(y+1) - sum_{i=1..shift} 1/(x+i), shift the smallest with
-    fl(x + shift) >= Y. With u = 1/y^2:
+def _lift(x: float, order: int) -> tuple[int, float, float]:
+    """(shift, y, bound): shift is the smallest whole number >= 0 with
+    y = fl(x + shift) >= _Y_MOMENT, and bound >= the change that the rounding
+    d = (x + shift) - y makes in psi(y+1) (order 1) or in psi'(y+1)
+    (order 2). TwoSum recovers d exactly, and psi'(t+1) < 1/t and
+    |psi''(t+1)| < 1/t^2 for t > 0, so |d|/(y - 1)^order bounds the change.
+    """
+    if x >= _Y_MOMENT:
+        return 0, x, 0.0
+    shift = math.ceil(_Y_MOMENT - x)
+    if x + shift < _Y_MOMENT:
+        shift += 1
+    y = x + shift
+    z = y - x
+    d = (x - (y - z)) + (shift - z)
+    return shift, y, abs(d) / (y - 1.0) ** order
+
+
+def _psi_less_log(y: float, k: int, tol: float) -> tuple[list[float], float]:
+    """psi(y+1) - log y at y >= 16 from the moment form over K = k <= _K_CAP
+    outer terms, as (pieces, bound). With u = 1/y^2:
 
       psi(y+1) = log y + 1/(2y) - u/(4 pi) - 2u sum_j M_{2j+1} u^j
                  + (pi/2) sum_{j>=1} (L_{4j}/j) u^{2j} + (dropped terms),
 
-    with the moments of _moments(K). log y is exact: the representation's
+    with the moments of _moments(k). log y is exact: the representation's
     (pi/3) log y and the -2 pi log y csch^2(pi k) of every k's log term sum
     to log y by sum_k csch^2(pi k) = 1/6 - 1/(2 pi); what is left of each log
     term is -(pi/2) log(1 - (k/y)^4) csch^2(pi k). For k <= K < y/2 this and
     the k-sum term 2k/((e^{2 pi k} - 1)(k^2 - y^2)) expand in u, so each
     j-series stops at its own closed remainder (_moment_series) within tol/4.
 
-    The estimate charges those remainders; the k > K terms up to y - 1 in
+    The bound charges those remainders; the k > K terms up to y - 1 in
     closed form (_moments' a and b); S(y), the trigonometric pieces and every
-    index from floor(y) on as the constant _PSI_FAR; the rounding of x + shift
-    (_lift); and the rounding of each j-series, its moments' rel plus
-    (3n + 2) eps for its n terms and the powers of u (Higham, Accuracy and
-    Stability of Numerical Algorithms, 3.1 and 5.1), on top of _close's
-    4 eps sum|piece|, which also covers the harmonic terms. k_used is K and
-    n_used 0: no inner sum runs.
-    """
-    if not 0.0 < x < math.inf:
-        raise ValueError("x must be positive and finite")
-    k = min(params.k_terms, len(_PI_WEIGHTS))
-    moment_m, moment_l, rel, a, b = _moments(k)
-    target = max(_PSI_Y_FLOOR, 2.0 * k + 2.0)
-    shift = math.ceil(target - x) if x < target else 0
-    if x + shift < target:
-        shift += 1
-    y, lift_err = _lift(x, shift)
+    index from floor(y) on as the constant _PSI_FAR; and the rounding of
+    each j-series, its moments' rel plus (3n + 2) eps for its n terms and
+    the powers of u (Higham, Accuracy and Stability of Numerical Algorithms,
+    3.1 and 5.1). The caller's _close adds 4 eps of every piece."""
+    moment_m, moment_l, _, _, _, rel, a, b = _moments(k)
     u = 1.0 / (y * y)
     r = k * k * u
-    share = params.tol / 4.0
+    share = tol / 4.0
     k_sum, k_rem, n_k = _moment_series(moment_m, 2.0 * u, u, r, share)
     log_sum, log_rem, n_log = _moment_series(moment_l, (math.pi / 2.0) * u * u, u * u, r * r, share)
     f = k + 1.0
     s = (f * f * u) ** 2
     tails = a / ((y - f) * (y + f)) + b * s / (1.0 - s)
     rounding = ((3 * n_k + 2) * _EPS + rel) * k_sum + ((3 * n_log + 2) * _EPS + rel) * log_sum
-    pieces = [math.log(y), 0.5 / y, -u / (4.0 * math.pi), -k_sum, log_sum]
+    pieces = [0.5 / y, -u / (4.0 * math.pi), -k_sum, log_sum]
+    return pieces, k_rem + log_rem + tails + _PSI_FAR + rounding
+
+
+def psi_ramanujan(x: float, params: EvalParams) -> SeriesValue:
+    """psi(x+1) from the moment form of the representation at y >= 16
+    (_psi_less_log) over K = min(k_terms, 7) outer terms, lowered by the
+    recurrence psi(x+1) = psi(y+1) - sum_{i=1..shift} 1/(x+i), shift the
+    smallest with fl(x + shift) >= 16. The estimate adds the rounding of
+    x + shift (_lift) to _psi_less_log's bound, and _close's 4 eps
+    sum|piece| covers the harmonic terms. k_used is K and n_used 0: no
+    inner sum runs.
+    """
+    if not 0.0 < x < math.inf:
+        raise ValueError("x must be positive and finite")
+    k = min(params.k_terms, _K_CAP)
+    shift, y, lift_err = _lift(x, 1)
+    pieces, bound = _psi_less_log(y, k, params.tol)
+    pieces.append(math.log(y))
     pieces.extend([-1.0 / (x + i) for i in range(1, shift + 1)])
-    bound = k_rem + log_rem + tails + _PSI_FAR + lift_err + rounding
-    return _close(pieces, bound, k, 0)
+    return _close(pieces, bound + lift_err, k, 0)
 
 
 def _check_gamma_m(m: int) -> None:
@@ -567,34 +670,113 @@ def gamma_at_integer(m: int, params: EvalParams) -> SeriesValue:
     return _close(pieces, s.error_estimate + tail, max(k_used, s.k_used), s.n_used)
 
 
-def _re_psi_rest(x: float, params: EvalParams) -> tuple[list[float], float, int]:
-    """Re psi(1+ix) + S(x), the non-S part of the all-arguments identity
-    -gamma = Re psi(1+ix) - sum_n x^2/(n(n^2+x^2)), as (pieces, k-sum tail
-    bound, last k reached before the weights underflow), evaluated at x
-    itself outside the guard bands."""
-    pieces = [
-        (math.pi / 3.0) * math.log(x),
-        1.0 / (4.0 * math.pi * x * x),
-        math.pi * _log_2sinpi_abs(x) * _csch2(math.pi * x) / 2.0,
-    ]
-    weights = _PI_WEIGHTS[: params.k_terms]
-    for k, q, csch in weights:
-        pieces.append(2.0 * k * q / (float(k) * k + x * x))
-        pieces.append(-(math.pi / 2.0) * planner.log_abs_quartic_gap(float(k), x) * csch)
-    # k^2 + x^2 >= max(|k-x|, guard_delta)(k+x) for k >= 1, so the k-sum
-    # tail of k_sum_tails, which skips no index here, also bounds this one
-    tail, log_tail = planner.k_sum_tails(params.k_terms + 1, x, params.guard_delta)
-    return pieces, tail + log_tail, len(weights)
+def _d_moment(y: float, k: int, tol: float) -> tuple[list[float], float]:
+    """D(y) = Re psi(1+iy) - psi(y+1) (re_psi_complex_ramanujan) at y >= 16
+    over K = k <= _K_CAP outer terms, as (pieces, bound). For k <= K the
+    k-sum terms expand as -4k q_k u/(1 - (k/y)^4) with u = 1/y^2, so
+
+      D(y) = -1/(2y) + 1/(2 pi y^2) + 4u sum_j M_{4j+1} u^{2j} + (dropped terms),
+
+    over the even entries of psi's M table; the u coefficient 1/(2 pi) + 4 M_1
+    is 1/6 up to the k > K tail of M_1 (criterion 3's Lambert sum).
+
+    The bound charges the j-series' closed remainder within tol/4; its k > K
+    terms up to y - 1, each at most twice the k-sum term 2k q_k/(y^2 - k^2)
+    since 2y^2/(y^2 + k^2) <= 2, so 2a/((y - F)(y + F)) with _moments' a;
+    the cot piece and the indices from floor(y) on as _D_FAR; and the series'
+    rounding as in _psi_less_log."""
+    mom = _moments(k)
+    u = 1.0 / (y * y)
+    r = k * k * u
+    d_sum, d_rem, n = _moment_series(mom.m_d, 4.0 * u, u * u, r * r, tol / 4.0)
+    f = k + 1.0
+    tail = 2.0 * mom.a / ((y - f) * (y + f))
+    rounding = ((3 * n + 2) * _EPS + mom.rel) * d_sum
+    return [-0.5 / y, u / _TWO_PI, d_sum], d_rem + tail + _D_FAR + rounding
+
+
+# D's pole block is summed as a power series below this x, where its pieces
+# would cancel like x^-2
+_D_SERIES_END = 0.25
+
+
+def _d_pole_block(x: float) -> tuple[list[float], float]:
+    """h(x) = 1/(2 pi x^2) - 1/(2x) - pi cot(pi x) q(x) for 0 < x < 1/4, as
+    (pieces, bound), without the x^-2 cancellation. With
+    A = sum_n zeta(2n) x^{2n-1} and B = sum_n (-1)^{n+1} zeta(2n) x^{2n-1},
+    pi cot(pi x) = 1/x - 2A and q(x) = 1/(2 pi x) - 1/2 + B/pi (the Bernoulli
+    series of 1/(e^t - 1) at t = 2 pi x), so
+
+      h = (A - B)/(pi x) - A + 2AB/pi,   A - B = 2 A_even,
+
+    with A_even the even-n part of A. The sums stop at the first n with
+    x^{2n-2} <= 1e-19; the rest of each is at most T = zeta(2n) x^{2n-1}/(1 - x^2),
+    which moves h by at most T (1/x + 2), as |A| + |B| < 0.9. Each piece
+    carries at most 8 eps of rounding beyond _close's 4 eps (zeta(2n) is a
+    few eps off, and 2AB/pi compounds two sums)."""
+    odd = even = 0.0
+    p = x
+    x2 = x * x
+    n = 1
+    while True:
+        t = _ZETA_EVEN[n] * p
+        if n % 2:
+            odd += t
+        else:
+            even += t
+        n += 1
+        p *= x2
+        if p <= 1e-19 * x:
+            break
+    a, b = odd + even, odd - even
+    pieces = [2.0 * even / (math.pi * x), -a, 2.0 * a * b / math.pi]
+    tail = _ZETA_EVEN[n] * p / (1.0 - x2) * (1.0 / x + 2.0)
+    return pieces, tail + 8.0 * _EPS * math.fsum(map(abs, pieces))
+
+
+def _d_at(x: float, K: int, guard_delta: float) -> tuple[list[float], float]:
+    """D(x) at 0 < x < 16 outside the guard bands, summed at x itself over
+    K outer terms, as (pieces, bound). The k > K terms are each at most
+    twice the k-sum term 2k q_k/(k^2 - x^2), because
+    4k x^2/(k^4 - x^4) = 2k/(k^2 - x^2) * 2x^2/(k^2 + x^2), so twice the
+    k-sum half of planner.k_sum_tails bounds their tail. The rounding
+    charge goes beyond _close's 4 eps where a weight amplifies the rounding
+    of its exponent: q(t) moves by (1 + t) times the relative error of t
+    (_summand_rounding), and pi cot(pi d) by up to 2 eps absolute near
+    |d| = 1/2."""
+    if x < _D_SERIES_END:
+        pieces, bound = _d_pole_block(x)
+        rounding = 0.0
+    else:
+        t = _TWO_PI * x
+        q = _inv_expm1(t)
+        cot_q = math.pi * _cotpi(x) * q
+        pieces = [1.0 / (t * x), -0.5 / x, -cot_q]
+        bound = 0.0
+        rounding = (12.0 + 2.0 * t) * abs(cot_q) + 8.0 * q
+    for k, q, _ in _PI_WEIGHTS[:K]:
+        term = 4.0 * k * x * x * q / ((k - x) * (k + x) * (k * k + x * x))
+        pieces.append(-term)
+        rounding += (10.0 + _TWO_PI * k) * abs(term)
+    tail = 2.0 * planner.k_sum_tails(K + 1, x, guard_delta)[0]
+    return pieces, bound + tail + rounding * _EPS
 
 
 def gamma_any_x(x: float, params: EvalParams) -> SeriesValue:
-    """Euler's constant from the all-arguments identity: the series
-    representation of -gamma evaluated at x + planner.lift_shift(x), negated.
-    Constant in the argument up to truncation, which the error estimate
-    quantifies, so the shift changes only where the terms are summed (k_terms
-    and n_terms refer to x + shift). x inside the guard band of a positive
-    integer is rejected; a lifted argument that lands in a band only because
-    x is near 0 moves on by 1/2 instead."""
+    """Euler's constant from the all-arguments identity
+    gamma = P(y) - Re psi(1+iy) = P(y) - psi(y+1) - D(y), with
+    P(y) = sum_n y^2/(n(n^2+y^2)), at y = x lifted to y >= 16 by a whole
+    shift. The value is constant in the argument, so the lift is free of
+    charge, and a y that lands in a guard band only because x is near 0
+    moves on by 1/2. x inside the guard band of a positive integer is
+    rejected.
+
+    Every piece is summed from psi's moment core: P(y) - log y from
+    _pf_body and -log M + (1/2) log1p((M/y)^2), psi(y+1) - log y from
+    _psi_less_log and D(y) from _d_moment, so log y cancels exactly and no
+    double series, guard pair or tail pass runs. k_used is K and n_used 0.
+    The estimate is their bounds and _PF_REMAINDER, plus _close's 4 eps of
+    every piece, which covers the rounding of P's terms."""
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
     m = _guard_index(x, params.guard_delta)
@@ -606,23 +788,41 @@ def gamma_any_x(x: float, params: EvalParams) -> SeriesValue:
             suggestion=hint,
             m=m,
         )
-    # the value is constant in the argument, so these roundings are free
-    x = x + planner.lift_shift(x)
-    if _guard_index(x, params.guard_delta):
-        x += 0.5
-    s = _double_series_at(x, params)
-    x_sum, x_sum_err = _partial_fraction_gamma_sum(x)
-    pieces, tail, k_used = _re_psi_rest(x, params)
-    pieces = [-p for p in pieces] + [x_sum, s.value]
-    bound = s.error_estimate + x_sum_err + tail
-    return _close(pieces, bound, max(k_used, s.k_used), s.n_used)
+    y = _lift(x, 1)[1]
+    if _guard_index(y, params.guard_delta):
+        y += 0.5
+    k = min(params.k_terms, _K_CAP)
+    psi_pieces, psi_bound = _psi_less_log(y, k, params.tol)
+    d_pieces, d_bound = _d_moment(y, k, params.tol)
+    r = _PF_M / y
+    pieces = [_pf_body(y), 0.5 * math.log1p(r * r), -_LOG_PF_M]
+    pieces.extend([-p for p in psi_pieces + d_pieces])
+    return _close(pieces, psi_bound + d_bound + _PF_REMAINDER, k, 0)
 
 
 def re_psi_complex_ramanujan(x: float, params: EvalParams) -> SeriesValue:
-    """Re psi(1+ix) by cancelling the partial-fraction sum between the
-    all-arguments identity and the classical representation
-    Re psi(1+ix) = -gamma + sum_n x^2/(n(n^2+x^2)). The identity is evaluated
-    at x; only S(x) is lifted (see double_series_S)."""
+    """Re psi(1+ix) = psi(x+1) + D(x), with D evaluated at x itself over
+    K = min(k_terms, 7) outer terms. The all-arguments identity
+
+      Re psi(1+ix) = (pi/3) log x + 1/(4 pi x^2) + (pi/2) log|2 sin(pi x)| csch^2(pi x)
+                     + sum_k 2k q_k/(k^2 + x^2) - (pi/2) sum_k log|k^4 - x^4| csch^2(pi k)
+                     - S(x),
+
+    with q_k = 1/(e^{2 pi k} - 1), and the representation of psi(x+1) share
+    the double series S(x), the log|2 sin| csch^2 piece, the whole log csch^2
+    k-family and (pi/3) log x term for term, so all of them cancel from
+
+      D(x) = 1/(2 pi x^2) - 1/(2x) - pi cot(pi x) q(x)
+             - sum_k 4k x^2 q_k/((k - x)(k + x)(k^2 + x^2)),
+
+    by 1/(k^2 + x^2) - 1/(k^2 - x^2) = -2x^2/((k^2 - x^2)(k^2 + x^2)). D's
+    poles at the integers cancel between the cot piece and the k = m term,
+    and D is O(x) at 0.
+
+    At x >= 16, psi(x+1) - log x (_psi_less_log) and D (_d_moment) come from
+    the same moment table with no tail pass; below 16, psi_ramanujan lifts as
+    it always does and D is one K-term loop (_d_at). x inside a guard band is
+    rejected. k_used is K and n_used 0."""
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
     m = _guard_index(x, params.guard_delta)
@@ -631,56 +831,49 @@ def re_psi_complex_ramanujan(x: float, params: EvalParams) -> SeriesValue:
             f"x={x} is within guard_delta of {m}; use an argument outside the band",
             suggestion="shift x outside the guard band",
         )
-    s = double_series_S(x, params)
-    pieces, tail, k_used = _re_psi_rest(x, params)
-    pieces.append(-s.value)
-    return _close(pieces, s.error_estimate + tail, max(k_used, s.k_used), s.n_used)
+    k = min(params.k_terms, _K_CAP)
+    if x >= _Y_MOMENT:
+        pieces, bound = _psi_less_log(x, k, params.tol)
+        d_pieces, d_bound = _d_moment(x, k, params.tol)
+        pieces += d_pieces
+        pieces.append(math.log(x))
+        return _close(pieces, bound + d_bound, k, 0)
+    psi = psi_ramanujan(x, params)
+    pieces, bound = _d_at(x, k, params.guard_delta)
+    pieces.append(psi.value)
+    return _close(pieces, bound + psi.error_estimate, k, 0)
 
 
-def _trigamma_tail(first: int, y: float, guard_delta: float) -> float:
-    """Tail from k = first of psi_prime_ramanujan's two k-sums, whose k-th
-    terms have magnitude A_k/(e^{2 pi k}-1) + B_k csch^2(pi k) with
-    A_k = 4ky/(k^2-y^2)^2 and B_k = 2 pi y^3/|k^4-y^4|, in the closed form of
-    planner.k_sum_tails around y (planner._split_tail):
-
-    - floor(y) and ceil(y) at their actual size, |k^2-y^2| floored at
-      guard_delta (k+y);
-    - below y, (y-k)/(y-k-1) <= 2 up to k = floor(y)-1 makes each term at
-      most 8 e^{-2 pi} times the one before, so they sum to at most the first
-      over 1 - 8 e^{-2 pi};
-    - past y, A_k and B_k fall with k, so from h = max(first, ceil(y)+1)
-      they are at most their values at h against bound_lambert(0, h) and
-      bound_csch2(h).
-    """
-
-    def a_b(k: int, floor: float) -> tuple[float, float]:
-        # in r = k/y, overflow-free at any y
-        g = max(abs(k - y), floor)
-        r = k / y
-        return 4.0 * r / ((1.0 + r) ** 2 * g * g), _TWO_PI / ((1.0 + r) * (1.0 + r * r) * g)
-
-    def term(k: int) -> float:
-        a, b = a_b(k, guard_delta)
-        return a * _inv_expm1(_TWO_PI * k) + b * _csch2(math.pi * k)
-
-    near, below, h = planner._split_tail(first, y)
-    total = sum(term(k) for k in near)
-    if below:
-        total += term(first) / (1.0 - 8.0 * _Q_UNIT)
-    lam = planner.bound_lambert(0, h)
-    if lam:
-        a, b = a_b(h, 1.0)
-        total += a * lam + b * planner.bound_csch2(h)
-    return total * (1.0 + 1e-12)
+# (1 - 4q)/(1 - 8q): turns _moments' a, whose k-sum terms shrink by 4q, into
+# the bound for psi''s k-sum terms, which shrink by 8q
+_PRIME_A = (1.0 - 4.0 * _Q_UNIT) / (1.0 - 8.0 * _Q_UNIT)
 
 
 def psi_prime_ramanujan(x: float, params: EvalParams) -> SeriesValue:
-    """psi'(x+1) from the term-by-term derivative representation at
-    y = x + shift, shift = planner.lift_shift(x), lowered by the recurrence
-    psi'(x+1) = psi'(y+1) + sum_{i=1..shift} 1/(x+i)^2, whose terms join the
-    summed pieces. The csc^2 pole at integer x is genuine in individual
-    terms; the guard band is rejected rather than regularized. So is
-    0 < x < guard_delta, which the shift carries into the band around 3."""
+    """psi'(x+1) from psi's moment form differentiated term by term at
+    y = fl(x + shift) >= 16, over K = min(k_terms, 7) outer terms, lowered by
+    psi'(x+1) = psi'(y+1) + sum_{i=1..shift} 1/(x+i)^2. With u = 1/y^2 and
+    du/dy = -2u/y:
+
+      psi'(y+1) = 1/y - 1/(2y^2) + u/(2 pi y) + (4u/y) sum_j (j+1) M_{2j+1} u^j
+                  - (2 pi/y) sum_{j>=1} L_{4j} u^{2j} + (dropped terms).
+
+    The derivative representation's pi/(3y) and -(2 pi/y) csch^2(pi k) of
+    every k sum to 1/y as in psi; its k-sum terms 4ky q_k/(k^2 - y^2)^2 and
+    csch^2 terms 2 pi y^3 csch^2(pi k)/(k^4 - y^4) expand in u for k <= K.
+    The u/y^3 coefficient 1/(2 pi) + 4 M_1 is 1/6 up to the k > K tail.
+
+    The estimate charges each j-series' closed remainder within tol/4; the
+    k > K terms up to y - 1: the k-sum's shrink by 8q, so they sum to at most
+    _PRIME_A a 2y/((y - F)(y + F))^2, and the csch^2 family's are
+    (4/y) (pi/2) c_k s_k/(1 - s_k), so (4/y) b s/(1 - s); the csc^2 piece
+    and every index from floor(y) on as _PRIME_FAR; the rounding of x + shift
+    (_lift) and of each series, as in _psi_less_log with two more eps for /y
+    and the weights (j+1). The csc^2 pole at integer x is genuine in
+    individual terms, so the guard band is rejected rather than regularized;
+    so is 0 < x < guard_delta, which the shift carries into the band
+    around 16.
+    """
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
     m = _guard_index(x, params.guard_delta)
@@ -690,29 +883,24 @@ def psi_prime_ramanujan(x: float, params: EvalParams) -> SeriesValue:
             f"there, evaluate outside the band",
             suggestion="shift x outside the guard band",
         )
-    shift = planner.lift_shift(x)
-    y, lift_err = _lift(x, shift)
-    sp = _sinpi(y)
-    pieces = [
-        math.pi / (3.0 * y),
-        -1.0 / (2.0 * y * y),
-        1.0 / (_TWO_PI * y * y * y),
-        -math.pi * math.pi / (sp * sp) * _inv_expm1(_TWO_PI * y),
-    ]
-    weights = _PI_WEIGHTS[: params.k_terms]
-    for k, q, csch in weights:
-        d = (k - y) * (k + y)
-        pieces.append(4.0 * k * y * q / (d * d))
-        # 2 pi y^3 / (sinh^2(pi k)(k^4 - y^4)) in overflow-free ratio form
-        if k > y:
-            r = y / k
-            pieces.append(_TWO_PI * csch * r**3 / (k * (1.0 - r**4)))
-        else:
-            r = k / y
-            pieces.append(-_TWO_PI * csch / (y * (1.0 - r**4)))
-    pieces.extend(1.0 / (x + i) ** 2 for i in range(1, shift + 1))
-    bound = _trigamma_tail(params.k_terms + 1, y, params.guard_delta) + lift_err
-    return _close(pieces, bound, len(weights), 0)
+    k = min(params.k_terms, _K_CAP)
+    shift, y, lift_err = _lift(x, 2)
+    mom = _moments(k)
+    u = 1.0 / (y * y)
+    r = k * k * u
+    share = params.tol / 4.0
+    # (j+2)/(j+1) <= 2 on top of K^2 u per term
+    k_sum, k_rem, n_k = _moment_series(mom.m_prime, 4.0 * u / y, u, 2.0 * r, share)
+    c_sum, c_rem, n_c = _moment_series(mom.l_prime, _TWO_PI * u * u / y, u * u, r * r, share)
+    f = k + 1.0
+    g = (y - f) * (y + f)
+    s = (f * f * u) ** 2
+    tails = _PRIME_A * mom.a * 2.0 * y / (g * g) + 4.0 / y * mom.b * s / (1.0 - s)
+    rounding = ((3 * n_k + 4) * _EPS + mom.rel) * k_sum + ((3 * n_c + 4) * _EPS + mom.rel) * c_sum
+    pieces = [1.0 / y, -0.5 * u, u / (_TWO_PI * y), k_sum, -c_sum]
+    pieces.extend([1.0 / ((x + i) * (x + i)) for i in range(1, shift + 1)])
+    bound = k_rem + c_rem + tails + _PRIME_FAR + lift_err + rounding
+    return _close(pieces, bound, k, 0)
 
 
 # ---------------------------------------------------------------------------

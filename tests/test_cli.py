@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from rapidpsi import cli, identities, series
+from rapidpsi import cli, identities
 from rapidpsi.oracles import euler_gamma_reference, psi_oracle
 from rapidpsi.params import MAX_K_TERMS
 
@@ -68,8 +68,11 @@ def test_psi_classical_route_agrees(capsys):
 
 
 def test_psi_terms_override(capsys):
-    _, out, _ = run_cli(capsys, ["psi", "--x", "2.5", "--terms", "8"])
-    assert rows(out)[0]["k_used"] == 8
+    # --terms sets the outer count up to 7, plan's count at the tightest tol;
+    # past it the moment form sums 7 and charges the rest in closed form
+    for terms, k_used in (("6", 6), ("8", 7)):
+        _, out, _ = run_cli(capsys, ["psi", "--x", "2.5", "--terms", terms])
+        assert rows(out)[0]["k_used"] == k_used
 
 
 def test_psi_terms_override_keeps_the_lift(capsys):
@@ -127,8 +130,10 @@ def test_terms_past_the_underflow_index_do_not_lengthen_inner_sums(capsys):
     ],
 )
 def test_terms_past_the_underflow_index_report_the_terms_that_ran(capsys, argv):
-    # every k-loop stops where its weight underflows (k = 111, or 118 for the
-    # double series at x = 1), so asking for 6000 runs what that count runs
+    # the moment forms of psi, psi' and gamma --x sum at most 7 outer terms,
+    # and every other k-loop stops where its weight underflows (k = 111, or
+    # 118 for the double series at x = 1), so asking for 6000 runs what that
+    # count runs
     def record(terms):
         code, out, _ = run_cli(capsys, argv + ["--tol", "1e-15", "--terms", terms])
         assert code == cli.EXIT_OK
@@ -229,14 +234,12 @@ def test_gamma_any_x_route(capsys):
 
 
 def test_gamma_any_x_reports_the_terms_that_ran(capsys):
-    # --terms sets the outer count; n_used is the longest inner sum summed at
-    # 0.5 + 3, not the cap the hand-built params allow
+    # --terms sets the outer count of the moment core; no inner sum runs, so
+    # n_used is 0, not the cap the hand-built params allow
     code, out, _ = run_cli(capsys, ["gamma", "--x", "0.5", "--terms", "5"])
     assert code == cli.EXIT_OK
     r = rows(out)[0]
-    p = cli._params_for(0.5, 1e-12, 5)
-    assert (r["k_used"], r["n_used"]) == (5, series._double_series_at(3.5, p).n_used)
-    assert r["n_used"] < 100
+    assert (r["k_used"], r["n_used"]) == (5, 0)
 
 
 def test_gamma_guard_band_suggests_integer_route(capsys):

@@ -1,0 +1,246 @@
+"""The error_estimate contract of the psi-family evaluators against mpmath.
+
+One table drives the sweep: each row names an evaluator and its 40-digit
+mpmath truth. Every row runs over the same arguments (log-spaced from 1e-12
+to 1e12, 1e100 and 1e300, both edges of the guard bands around the integers
+the lifts land near, and the lift target 16 with its neighbours) at each tol,
+with planned counts and with hand-built ones. An argument an evaluator
+refuses with GuardBandError is outside its domain and is skipped.
+"""
+
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from rapidpsi import planner, series
+from rapidpsi.errors import GuardBandError
+from rapidpsi.params import EvalParams
+
+mpmath = pytest.importorskip("mpmath")
+
+DELTA = EvalParams.guard_delta
+Y = series._Y_MOMENT
+
+# psi's contract points, kept whole: log-spaced over 1e-12..1e12 and beyond,
+# both edges of the guard bands around the integers where lifts land (16 and
+# 17 among them), the lift target 16 itself, and x = 7
+CONTRACT_X = (
+    [10.0 ** (e / 4) for e in range(-48, 49)]
+    + [1e100, 1e300]
+    + [
+        m + s * f * DELTA
+        for m in (1, 2, 3, 7, 8, 15, 16, 17, 100)
+        for s in (-1, 1)
+        for f in (0.99, 1.01)
+    ]
+    + [Y - 1e-9, Y, Y + 1e-9, 7.0]
+)
+TOLS = (1e-6, 1e-9, 1e-12, 1e-15)
+# K = 1 leaves k = 2 on to the closed tails; 7 is the cap; 8, 111 and 6000
+# are cut to 7
+HAND_K = (1, 7, 8, 111, 6000)
+
+ROWS = {
+    "psi": (series.psi_ramanujan, lambda x: mpmath.digamma(mpmath.mpf(x) + 1)),
+    "re_psi": (
+        series.re_psi_complex_ramanujan,
+        lambda x: mpmath.digamma(mpmath.mpc(1, x)).real,
+    ),
+    "gamma_any_x": (series.gamma_any_x, lambda x: +mpmath.euler),
+    "psi_prime": (series.psi_prime_ramanujan, lambda x: mpmath.psi(1, mpmath.mpf(x) + 1)),
+}
+
+
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("row", sorted(ROWS))
+def test_contract_against_mpmath(row, tol):
+    evaluate, truth = ROWS[row]
+    admitted = 0
+    with mpmath.workdps(40):
+        for x in CONTRACT_X:
+            planned = planner.plan(tol, x)
+            try:
+                first = evaluate(x, planned)
+            except GuardBandError:
+                continue
+            admitted += 1
+            exact = truth(x)
+            runs = [planned] + [EvalParams(tol=tol, k_terms=k) for k in HAND_K]
+            for p in runs:
+                sv = first if p is planned else evaluate(x, p)
+                assert abs(mpmath.mpf(sv.value) - exact) <= sv.error_estimate, (x, p)
+                assert (sv.k_used, sv.n_used) == (min(p.k_terms, series._K_CAP), 0)
+            # tol 1e-15 is below the rounding floor of the summed magnitude
+            if tol >= 1e-12:
+                assert first.error_estimate <= tol, x
+    assert admitted >= 60
+
+
+@pytest.mark.parametrize(
+    "x, tol", [(1.00101, 1e-3), (2.00101, 1e-3), (0.99899, 1e-6)]
+)
+def test_planned_psi_prime_estimate_is_within_tol_past_the_planned_count(x, tol):
+    # the lifted argument of the former k-loop lay within ~1e-3 of
+    # k_terms + 1, whose term grows like 1/guard_delta^2; the moment form
+    # lifts to 16, where no summed index is near
+    sv = series.psi_prime_ramanujan(x, planner.plan(tol, x))
+    assert sv.error_estimate <= tol
+    with mpmath.workdps(40):
+        truth = mpmath.psi(1, mpmath.mpf(x) + 1)
+        assert abs(mpmath.mpf(sv.value) - truth) <= sv.error_estimate
+
+
+def test_hand_built_counts_past_the_cap_sum_what_the_cap_sums():
+    # k_terms from 8 to 6000 take K = 7 and lift to 16, as the planned count
+    # at MIN_TOL does; K = 111 lifted psi(1e-8) to 224
+    for x in (1e-8, 0.3, 2.5, 16.5, 1e6 + 0.5):
+        for evaluate, _ in ROWS.values():
+            try:
+                capped = evaluate(x, EvalParams(tol=1e-15, k_terms=7))
+            except GuardBandError:
+                continue
+            for k in (8, 111, 6000):
+                assert evaluate(x, EvalParams(tol=1e-15, k_terms=k)) == capped
+    assert max(planner.plan(1e-15, x).k_terms for x in (1e-300, 1.0, 1e300, 1.7e308)) == 7
+
+
+def test_moment_form_third_order_coefficient_is_one_sixth():
+    # psi'(y+1) = 1/y - 1/(2y^2) + (1/(2 pi) + 4 M_1)/y^3 + ...: the Lambert
+    # sum M_1 = 1/24 - 1/(8 pi) makes it 1/6, up to its k > 7 tail
+    m1 = series._moments(series._K_CAP).m[0]
+    assert abs(1.0 / (2.0 * math.pi) + 4.0 * m1 - 1.0 / 6.0) <= 1e-16
+
+
+BANNED = ("double_series_S", "_double_series_at", "_inner_pair", "_guard_log_pair")
+COROLLARIES = ("re_psi_complex_ramanujan", "gamma_any_x", "psi_prime_ramanujan")
+
+
+@pytest.mark.parametrize("evaluator", COROLLARIES)
+def test_corollaries_take_the_moment_core_path(monkeypatch, evaluator):
+    # none sums the double series or a guard pair, and from the lift target
+    # on none makes a tail pass
+    reached = []
+
+    def banned(name):
+        def call(*args, **kwargs):
+            reached.append(name)
+            raise AssertionError(f"{evaluator} reached {name}")
+
+        return call
+
+    for name in BANNED:
+        monkeypatch.setattr(series, name, banned(name))
+    evaluate = getattr(series, evaluator)
+    for x in (0.01, 0.3, 0.7, 1.5, 2.5, 7.3, 15.5):
+        evaluate(x, planner.plan(1e-12, x))
+    monkeypatch.setattr(planner, "k_sum_tails", banned("k_sum_tails"))
+    for x in (Y + 0.25, 16.5, 100.25, 1e12 + 0.5, 1e15 + 0.25):
+        for tol in TOLS:
+            evaluate(x, planner.plan(tol, x))
+    if evaluator != "re_psi_complex_ramanujan":
+        # gamma_any_x and psi' lift every argument to 16 or more
+        for x in (0.01, 0.3, 2.5, 15.5):
+            evaluate(x, planner.plan(1e-12, x))
+    assert reached == []
+
+
+def test_corollary_round_imports_no_numpy():
+    # one operation of each corollaries-workload evaluator, in a fresh process
+    src = str(Path(series.__file__).resolve().parents[1])
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from rapidpsi import planner, series\n"
+        "from rapidpsi.bernoulli import shared_table\n"
+        "from rapidpsi.params import EvalParams, ModularPair\n"
+        "p = planner.plan(1e-12, 0.5)\n"
+        "series.gamma_any_x(0.5, p)\n"
+        "series.gamma_at_integer(2, planner.plan(1e-12, 2.0))\n"
+        "series.re_psi_complex_ramanujan(0.5, p)\n"
+        "series.re_psi_complex_ramanujan(20.5, planner.plan(1e-12, 20.5))\n"
+        "series.psi_prime_ramanujan(0.5, p)\n"
+        "series.zeta_odd(3, shared_table(), EvalParams(tol=1e-12))\n"
+        "pair = ModularPair.from_alpha(2.0)\n"
+        "series.zeta_odd_general(3, pair, shared_table(), EvalParams(tol=1e-12))\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def _d_term(k, x):
+    """The k-th term of D's k-sum, 4k x^2 q_k/((k - x)(k + x)(k^2 + x^2))."""
+    pi = mpmath.pi
+    return 4 * k * x * x / (mpmath.expm1(2 * pi * k) * (k - x) * (k + x) * (k * k + x * x))
+
+
+def _prime_k_term(k, y):
+    return 4 * k * y / (mpmath.expm1(2 * mpmath.pi * k) * (k * k - y * y) ** 2)
+
+
+def _prime_csch_term(k, y):
+    """What psi''s moment form leaves of the k-th csch^2 term
+    2 pi y^3 csch^2(pi k)/(k^4 - y^4) once its -(2 pi/y) csch^2(pi k) is in
+    the exact 1/y."""
+    return 2 * mpmath.pi * k**4 * mpmath.csch(mpmath.pi * k) ** 2 / (y * (k**4 - y**4))
+
+
+def test_corollary_dropped_terms_within_their_charges():
+    # at y >= 16 and at least guard_delta/2 from an integer: D's cot piece and
+    # its k-sum from floor(y) on within _D_FAR; psi''s csc^2 piece and both
+    # its k-sums from floor(y) on within _PRIME_FAR; and the K < k <= y - 1
+    # terms within their closed tails, in 80-digit mpmath
+    with mpmath.workdps(80):
+        pi = mpmath.pi
+        for y in (16 + DELTA / 2, 16.3, 16.5, 17 - DELTA / 2, 17 + DELTA / 2, 20.25, 100.5):
+            yy = mpmath.mpf(y)
+            ks = range(math.floor(y), math.floor(y) + 40)
+            q_y = 1 / mpmath.expm1(2 * pi * yy)
+            d_far = -pi * mpmath.cot(pi * yy) * q_y - mpmath.fsum(_d_term(k, yy) for k in ks)
+            assert abs(d_far) <= series._D_FAR, y
+            prime_far = -(pi**2) * q_y / mpmath.sin(pi * yy) ** 2
+            prime_far += mpmath.fsum(_prime_k_term(k, yy) + _prime_csch_term(k, yy) for k in ks)
+            assert abs(prime_far) <= series._PRIME_FAR, y
+        for k_cut in range(1, series._K_CAP + 1):
+            mom = series._moments(k_cut)
+            f = k_cut + 1
+            for y in (16.0, 16.5, 40.25):
+                yy = mpmath.mpf(y)
+                ks = range(f, math.floor(y))
+                g = (y - f) * (y + f)
+                s = (f / y) ** 4
+                assert mpmath.fsum(abs(_d_term(k, yy)) for k in ks) <= 2 * mom.a / g
+                k_tail = series._PRIME_A * mom.a * 2 * y / (g * g)
+                assert mpmath.fsum(abs(_prime_k_term(k, yy)) for k in ks) <= k_tail
+                csch_tail = 4 / y * mom.b * s / (1 - s)
+                assert mpmath.fsum(abs(_prime_csch_term(k, yy)) for k in ks) <= csch_tail
+
+
+def test_d_tail_below_the_lift_target_within_twice_the_k_sum_tail():
+    # below 16 D's k > K terms are each at most twice the k-sum term, so
+    # twice the k-sum half of k_sum_tails bounds them, also just outside the
+    # guard bands where the near terms peak
+    xs = [0.01, 0.3, 1.7, 3.3, 7.9, 12.5, 15.5]
+    xs += [m + s * 1.01 * DELTA for m in (1, 2, 5, 8, 15) for s in (-1, 1)]
+    with mpmath.workdps(40):
+        for x in xs:
+            xx = mpmath.mpf(x)
+            for first in range(1, 10):
+                brute = mpmath.fsum(abs(_d_term(k, xx)) for k in range(first, first + 60))
+                assert brute <= 2 * planner.k_sum_tails(first, x, DELTA)[0], (x, first)
+
+
+def test_partial_fraction_sum_within_its_error_at_any_x():
+    # Euler-Maclaurin from 32 on, in forms that neither overflow nor cancel
+    xs = [5e-324, 1e-300, 1e-160, 1e-8, 0.5, 1.0, 3.0, 16.0, 31.5, 32.0, 33.0]
+    xs += [1e4, 1e12, 1e160, 1e300, 1.7e308]
+    with mpmath.workdps(40):
+        for x in xs:
+            value, err = series._partial_fraction_gamma_sum(x)
+            truth = mpmath.digamma(mpmath.mpc(1, x)).real + mpmath.euler
+            assert abs(mpmath.mpf(value) - truth) <= err, x
+            assert err <= 4e-15 * max(1.0, math.log(x)), x

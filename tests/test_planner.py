@@ -92,17 +92,6 @@ def _brute_log_csch2(first, x, skip):
     )
 
 
-def _brute_trigamma_tail(first, y, delta):
-    """The two k-sums psi_prime_ramanujan drops, term by term in r = k/y,
-    with |k - y| floored at delta as in the bound."""
-    total = []
-    for k in range(first, BRUTE_END):
-        r, g = k / y, max(abs(k - y), delta)
-        total.append(4.0 * r * _inv_expm1(TWO_PI * k) / ((1.0 + r) ** 2 * g * g))
-        total.append(TWO_PI * _csch2(math.pi * k) / ((1.0 + r) * (1.0 + r * r) * g))
-    return math.fsum(total)
-
-
 def test_psi_k_sum_soundness_by_oversummation():
     # near an integer m inside the guard band the k = m term is skipped, as
     # _psi_rest skips it, and the floor guard_delta (k + x) must not undercut
@@ -165,7 +154,7 @@ def _edge_firsts(x):
     return sorted({f for f in (1, lo // 2, lo // 2 + 1, lo, hi, hi + 1) if f >= 1})
 
 
-@pytest.mark.parametrize("tail", ["psi_k_sum", "log_csch2", "trigamma"])
+@pytest.mark.parametrize("tail", ["psi_k_sum", "log_csch2"])
 def test_closed_tails_sound_at_their_edges(tail):
     delta = EvalParams.guard_delta
     for x, skip in _edge_points():
@@ -173,19 +162,13 @@ def test_closed_tails_sound_at_their_edges(tail):
             if tail == "psi_k_sum":
                 brute = _brute_psi_k_sum(first, x, skip, delta)
                 bound = planner.bound_psi_k_sum(first, x, delta, skip)
-            elif tail == "log_csch2":
+            else:
                 brute = _brute_log_csch2(first, x, skip)
                 bound = planner.bound_log_csch2(first, x, skip)
-            elif x >= 3.0 and x < 1e100:
-                # psi_prime_ramanujan sums at y >= 3 and skips no index
-                brute = _brute_trigamma_tail(first, x, delta)
-                bound = series._trigamma_tail(first, x, delta)
-            else:
-                continue
             assert 0.0 <= brute <= bound, (x, skip, first)
 
 
-@pytest.mark.parametrize("tail", ["psi_k_sum", "log_csch2", "trigamma"])
+@pytest.mark.parametrize("tail", ["psi_k_sum", "log_csch2"])
 def test_closed_tails_stay_within_100x_of_the_tail(tail):
     # one more outer term shrinks a tail ~e^{2 pi} ~ 535x, so a bound within
     # 100x of the tail it covers costs plan at most one term over the tail
@@ -195,18 +178,15 @@ def test_closed_tails_stay_within_100x_of_the_tail(tail):
     xs += [math.exp(rng.uniform(0.0, math.log(300.0))) for _ in range(200)]
     worst = 0.0
     for x in xs:
-        if planner._guard_index(x, delta) or (tail == "trigamma" and x < 3.0):
+        if planner._guard_index(x, delta):
             continue
         for first in _edge_firsts(x) + [rng.randint(1, 112)]:
             if tail == "psi_k_sum":
                 brute = _brute_psi_k_sum(first, x, 0, delta)
                 bound = planner.bound_psi_k_sum(first, x, delta)
-            elif tail == "log_csch2":
+            else:
                 brute = _brute_log_csch2(first, x, 0)
                 bound = planner.bound_log_csch2(first, x)
-            else:
-                brute = _brute_trigamma_tail(first, x, delta)
-                bound = series._trigamma_tail(first, x, delta)
             # a subnormal tail carries too few bits to compare against
             if brute > 1e-300:
                 worst = max(worst, bound / brute)
@@ -215,15 +195,15 @@ def test_closed_tails_stay_within_100x_of_the_tail(tail):
 
 def test_closed_tails_take_few_quartic_gaps(monkeypatch):
     # only floor(x) and ceil(x) below 130 take log|k^4 - x^4| at their size,
-    # so near x = 1e12 every call is Re psi's own k-loop; walking each tail
-    # term by term to k ~ 130 made 251 of these calls there
+    # so near x = 1e12 every call is the representation's own k-loop;
+    # walking each tail term by term to k ~ 130 made 251 of these calls there
     calls = []
     gap = planner.log_abs_quartic_gap
     monkeypatch.setattr(
         planner, "log_abs_quartic_gap", lambda k, x: calls.append(k) or gap(k, x)
     )
     p = planner.plan(1e-15, 1e12)
-    series.re_psi_complex_ramanujan(1e12 + 0.5, p)
+    series._psi_rest(1e12 + 0.5, p)
     assert len(calls) <= p.k_terms + 4
 
 

@@ -203,44 +203,11 @@ def test_planned_psi_estimate_is_within_tol(tol):
         assert series.psi_ramanujan(x, planner.plan(tol, x)).error_estimate <= tol, x
 
 
-# psi's contract points: log-spaced over 1e-12..1e12 and beyond, both edges of
-# the guard bands around the integers where lifts land (16 and 17 among them),
-# the lift target 16 itself, and x = 7, which lifts exactly onto 16
-PSI_CONTRACT_X = (
-    [10.0 ** (e / 4) for e in range(-48, 49)]
-    + [1e100, 1e300]
-    + [
-        m + s * f * EvalParams.guard_delta
-        for m in (1, 2, 3, 7, 8, 15, 16, 17, 100)
-        for s in (-1, 1)
-        for f in (0.99, 1.01)
-    ]
-    + [16.0 - 1e-9, 16.0, 16.0 + 1e-9, 7.0]
-)
-
-
-@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-15])
-def test_psi_contract_against_mpmath(tol):
-    # planned and hand-built counts: K = 1 leaves k = 2 to the closed tail,
-    # 12 lifts to 26, and 111 and 6000 (cut to 111) lift to 224
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        for x in PSI_CONTRACT_X:
-            truth = mpmath.digamma(mpmath.mpf(x) + 1)
-            planned = planner.plan(tol, x)
-            runs = [planned] + [EvalParams(tol=tol, k_terms=k) for k in (1, 12, 111, 6000)]
-            for p in runs:
-                sv = series.psi_ramanujan(x, p)
-                assert abs(mpmath.mpf(sv.value) - truth) <= sv.error_estimate, (x, p)
-                assert (sv.k_used, sv.n_used) == (min(p.k_terms, 111), 0)
-            if tol >= 1e-12:
-                assert series.psi_ramanujan(x, planned).error_estimate <= tol, x
-
-
 def test_psi_dropped_terms_within_their_charges():
-    # at y >= max(16, 2K + 2): the k-sum and log terms K < k <= y - 1 within
-    # _moments' closed tails, and the trigonometric pieces with every index
-    # from floor(y) on within _PSI_FAR less its S part, in 80-digit mpmath
+    # at y >= 16: the k-sum and log terms K < k <= y - 1 within _moments'
+    # closed tails, and the trigonometric pieces with every index from
+    # floor(y) on within _PSI_FAR less its S part, in 80-digit mpmath (the
+    # corollaries' own charges are checked in test_contract.py)
     mpmath = pytest.importorskip("mpmath")
     far_share = series._PSI_FAR - planner.bound_exp_envelope(1, 16.0)
     with mpmath.workdps(80):
@@ -259,11 +226,10 @@ def test_psi_dropped_terms_within_their_charges():
             ks = range(math.floor(y), math.floor(y) + 40)
             far += mpmath.fsum(k_sum_term(k, yy) + log_term(k, yy) for k in ks)
             assert abs(far) <= far_share, y
-        for k_cut in (1, 2, 3, 7, 12):
-            _, _, _, a, b = series._moments(k_cut)
+        for k_cut in range(1, series._K_CAP + 1):
+            a, b = series._moments(k_cut).a, series._moments(k_cut).b
             f = k_cut + 1
-            target = max(16.0, 2.0 * f)
-            for y in (target, target + 0.5, 40.25):
+            for y in (16.0, 16.5, 40.25):
                 yy = mpmath.mpf(y)
                 ks = range(f, math.floor(y))
                 s = (f / y) ** 4
@@ -611,20 +577,25 @@ def test_re_psi_guard_band():
 
 
 @pytest.mark.parametrize("evaluator", ["re_psi_complex_ramanujan", "gamma_any_x"])
-def test_re_psi_charges_both_tails_of_its_one_pass(monkeypatch, evaluator):
-    # k^2 + x^2 >= |k^2 - x^2|, so the k-sum half of k_sum_tails bounds the
-    # Re psi k-sum's tail as well: one pass, both halves in the estimate
+def test_re_psi_charges_twice_the_k_sum_half_of_its_one_pass(monkeypatch, evaluator):
+    # below 16, D's k > K terms are each at most twice the k-sum term, so Re
+    # psi charges twice the k-sum half of one k_sum_tails pass at x; the log
+    # family cancels out of D, so that half is not charged. gamma_any_x sums
+    # at y >= 16, where the tails are closed forms: it makes no pass
     calls = []
 
     def tails(first, x, guard_delta=EvalParams.guard_delta, skip=0):
-        calls.append((first, skip))
-        return 0.5, 0.25
+        calls.append((first, x, skip))
+        return 0.5, 1e6
 
     p = planner.plan(1e-12, 7.3)
     monkeypatch.setattr(planner, "k_sum_tails", tails)
     sv = getattr(series, evaluator)(7.3, p)
-    assert calls == [(p.k_terms + 1, 0)]
-    assert sv.error_estimate >= 0.75
+    if evaluator == "gamma_any_x":
+        assert calls == [] and sv.error_estimate <= p.tol
+    else:
+        assert calls == [(p.k_terms + 1, 7.3, 0)]
+        assert 1.0 <= sv.error_estimate < 1e6
 
 
 # --------------------------------------------------------------- zeta odd
