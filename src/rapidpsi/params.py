@@ -15,9 +15,9 @@ MIN_TOL = 1e-15  # double precision floor
 # a hand-built count asks them to size
 MAX_K_TERMS = 6000
 # gamma_at_integer sums H_m term by term, about 0.1 us a term, so this cap
-# holds a call near 10 ms, the cost of the slowest planned psi call. Past
-# m ~ 119 the double series is empty, and a larger m only adds rounding: the
-# 4 eps mass allowance grows like log m.
+# holds a call near 10 ms. Its moment form at m costs the same at every m
+# >= 16, and a larger m only adds rounding: the 4 eps mass allowance grows
+# like log m.
 MAX_GAMMA_M = 100_000
 
 
@@ -38,14 +38,16 @@ class EvalParams:
 
     k_terms is the outer count of the k-sums, which plan sets in closed form
     from tol and log x; the evaluators charge the k-sum tails from
-    k_terms + 1. psi_ramanujan, psi_prime_ramanujan, gamma_any_x and
-    re_psi_complex_ramanujan take their moments over K = min(k_terms, 7)
-    outer terms (plan's count never exceeds 7) and sum them at an argument
-    lifted to 16 or more, or at x itself for Re psi. The double series,
-    which double_series_S sums where it stands from planner.LIFT_TARGET on
-    and at the integers, and gamma_at_integer at m, sizes its outer and
-    inner sums itself from tol (planner.outer_weights), and both counts only
-    cap it: plan sets n_terms to planner.MAX_N_TERMS.
+    k_terms + 1. psi_ramanujan, psi_prime_ramanujan, gamma_any_x,
+    gamma_at_integer and re_psi_complex_ramanujan take their moments over
+    K = min(k_terms, 7) outer terms (plan's count never exceeds 7) and sum
+    them at an argument lifted to 16 or more, at max(m, 16) for
+    gamma_at_integer, or at x itself for Re psi. The zeta(2N+1) evaluators
+    sum k <= k_terms at scale pi, and zeta_odd_general at least k_terms at
+    each of its scales. The double series, which double_series_S sums where
+    it stands from planner.LIFT_TARGET on and at the integers, sizes its
+    outer and inner sums itself from tol (planner.outer_weights), and both
+    counts only cap it: plan sets n_terms to planner.MAX_N_TERMS.
     """
 
     tol: float = 1e-12

@@ -5,8 +5,8 @@ tightness (looseness up to roughly a factor of 10 is accepted by design).
 The k-sum tails whose terms depend on x (k_sum_tails) take only floor(x)
 and ceil(x) at their actual size and bound every other index, at least 1
 from x, by a geometric envelope in e^{-2 pi k}; no tail is walked term by
-term. One pass of k_sum_tails gives both the k-sum's tail and the
-log-weighted csch2 tail.
+term. bound_psi_k_sum and bound_log_csch2 each compute only their own
+family; k_sum_tails gives both.
 The evaluators in series.py reuse these bounds to assemble honest error
 estimates, so nothing here may depend on series.py.
 """
@@ -175,59 +175,77 @@ def _split_tail(first: int, x: float, skip: int = 0) -> tuple[list[int], bool, i
 def k_sum_tails(
     first: int, x: float, guard_delta: float = DEFAULT_GUARD_DELTA, skip: int = 0
 ) -> tuple[float, float]:
-    """(psi_tail, log_tail): the tails from k = first of
-    sum_k 2k/((e^{2 pi k}-1)(k^2-x^2)) and (pi/2) sum_k |log|k^4-x^4|| csch^2(pi k),
-    in one closed-form pass around x (_split_tail); an index excluded from the
-    series by the singularity guard is passed as skip. With q = e^{-2 pi}:
+    """(psi_tail, log_tail): bound_psi_k_sum and bound_log_csch2 from k = first,
+    for the evaluators that charge both families."""
+    return bound_psi_k_sum(first, x, guard_delta, skip), bound_log_csch2(first, x, skip)
 
-    - floor(x) and ceil(x) at their actual size. The k-sum floors |k^2-x^2|
-      at guard_delta (k+x): an index inside the guard band is skipped here and
+
+def bound_psi_k_sum(
+    first: int, x: float, guard_delta: float = DEFAULT_GUARD_DELTA, skip: int = 0
+) -> float:
+    """Tail of sum_k 2k/((e^{2 pi k}-1)(k^2-x^2)) from k = first, in one
+    closed-form pass around x (_split_tail); an index excluded from the series
+    by the singularity guard is passed as skip. With q = e^{-2 pi}:
+
+    - floor(x) and ceil(x) at their actual size, with |k^2-x^2| floored at
+      guard_delta (k+x): an index inside the guard band is skipped here and
       handled by the regularized pair, so the floor never understates a term
-      that is summed. The log tail is infinite if one of them is x itself.
+      that is summed.
     - below x, up to k = floor(x)-1: (x-k)/(x-k-1) <= 2 gives
-      t_{k+1} <= 4q t_k for the k-sum's terms t_k, so they sum to at most
-      t_first/(1-4q); and x - k >= 1 gives 15 <= x^4 - k^4 <= x^4, so each
-      log is at most 4 log x against csch^2(pi k) <= 4 q^k/(1-q^F)^2, k >= F.
+      t_{k+1} <= 4q t_k for the terms t_k, so they sum to at most t_first/(1-4q).
     - from h = max(first, ceil(x)+1) on, 2k/(k^2-x^2) falls with k against
-      sum_{k>=h} 1/(e^{2 pi k}-1) <= q^h/((1-q)(1-q^h)); and
-      8 <= k^4 - x^4 <= k^4, so each log is at most 4 (log h + (k-h)/h).
+      sum_{k>=h} 1/(e^{2 pi k}-1) <= q^h/((1-q)(1-q^h)).
 
-    The 1e-12 factors cover the rounding of the terms taken at their size.
+    The 1e-12 factor covers the rounding of the terms taken at their size.
     """
     if not x > 0:
         raise ValueError("x must be positive")
     near, below, h = _split_tail(first, x, skip)
-    psi = log = 0.0
+    psi = 0.0
     for k in near:
         psi += 2.0 * k * _inv_expm1(_TWO_PI * k) / (max(abs(k - x), guard_delta) * (k + x))
+    q = _Q_UNIT
+    if below:
+        t = 2.0 * first * _inv_expm1(_TWO_PI * first) / (x - first) / (x + first)
+        psi += t / (1.0 - 4.0 * q)
+    qh = q**h
+    if qh:
+        psi += 2.0 * h * qh / ((1.0 - q) * (1.0 - qh) * max(h - x, 1.0) * (h + x))
+    return psi * (1.0 + 1e-12)
+
+
+def bound_log_csch2(first: int, x: float, skip: int = 0) -> float:
+    """Tail of (pi/2) sum_k |log|k^4 - x^4|| / sinh^2(pi k) from k = first,
+    in one closed-form pass around x (_split_tail), skipping index skip. With
+    q = e^{-2 pi}:
+
+    - floor(x) and ceil(x) at their actual size; the tail is infinite if one
+      of them is x itself.
+    - below x, up to k = floor(x)-1: x - k >= 1 gives 15 <= x^4 - k^4 <= x^4,
+      so each log is at most 4 log x against csch^2(pi k) <= 4 q^k/(1-q^F)^2,
+      k >= F.
+    - from h = max(first, ceil(x)+1) on, 8 <= k^4 - x^4 <= k^4, so each log
+      is at most 4 (log h + (k-h)/h).
+
+    The 1e-12 factor covers the rounding of the terms taken at their size.
+    """
+    if not x > 0:
+        raise ValueError("x must be positive")
+    near, below, h = _split_tail(first, x, skip)
+    log = 0.0
+    for k in near:
         if k == x:
             log = math.inf
         else:
             log += abs(log_abs_quartic_gap(float(k), x)) * _csch2(math.pi * k)
     q = _Q_UNIT
     if below:
-        t = 2.0 * first * _inv_expm1(_TWO_PI * first) / (x - first) / (x + first)
-        psi += t / (1.0 - 4.0 * q)
         qf = q**first
         log += 16.0 * math.log(x) * qf / ((1.0 - q) * (1.0 - qf) ** 2)
     qh = q**h
     if qh:
-        psi += 2.0 * h * qh / ((1.0 - q) * (1.0 - qh) * max(h - x, 1.0) * (h + x))
         log += 16.0 * qh / ((1.0 - q) * (1.0 - qh) ** 2) * (math.log(h) + q / ((1.0 - q) * h))
-    return psi * (1.0 + 1e-12), (math.pi / 2.0) * log * (1.0 + 1e-12)
-
-
-def bound_psi_k_sum(
-    first: int, x: float, guard_delta: float = DEFAULT_GUARD_DELTA, skip: int = 0
-) -> float:
-    """Tail of sum_k 2k/((e^{2 pi k}-1)(k^2-x^2)) from k = first (k_sum_tails)."""
-    return k_sum_tails(first, x, guard_delta, skip)[0]
-
-
-def bound_log_csch2(first: int, x: float, skip: int = 0) -> float:
-    """Tail of (pi/2) sum_k |log|k^4 - x^4|| / sinh^2(pi k) from k = first
-    (k_sum_tails)."""
-    return k_sum_tails(first, x, skip=skip)[1]
+    return (math.pi / 2.0) * log * (1.0 + 1e-12)
 
 
 def tail_bound(family: str, first_omitted: int, x: float = 1.0, power: int = 1) -> TailBound:

@@ -18,7 +18,11 @@ Numerical strategy notes:
   the all-arguments identity shares S, the log|2 sin| piece and the log
   k-family with the representation; so Re psi is psi plus D, and Euler's
   constant is the partial-fraction sum P(y) less psi(y+1) and D(y) at
-  y >= 16, with P by Euler-Maclaurin in pure Python. None of them sums S;
+  y >= 16, with P by Euler-Maclaurin in pure Python, or at an integer m
+  H_n - psi(n+1) at n = max(m, 16). None of them sums S;
+- the odd zeta values read their scale-pi weights from _PI_WEIGHTS; at a
+  general scale one exp/expm1 pair per k gives both the Lambert and the
+  csch^2 weight;
 - every trig argument is reduced to the signed distance from the nearest
   integer before multiplying by pi, so the k-series stay accurate for large x;
 - inside |x - m| < guard_delta the two singular pairings (the cot pole
@@ -658,16 +662,19 @@ def _check_gamma_m(m: int) -> None:
 
 
 def gamma_at_integer(m: int, params: EvalParams) -> SeriesValue:
-    """Euler's constant from the integer specialization gamma = H_m - psi(m+1),
-    with psi(m+1) summed at m itself: both guard pairs take their exact eps=0
-    limits and the double series its closed inner form
-    -2 pi sum_k k e^{-2 pi k m} (gamma + Re psi(1+ik))."""
+    """Euler's constant from the integer specialization gamma = H_n - psi(n+1),
+    which holds at every n, taken at n = max(m, 16): H_n - log n less
+    psi(n+1) - log n from psi's moment form (_psi_less_log) over
+    K = min(k_terms, 7) outer terms. n is exact, so there is no lift rounding,
+    and no double series, guard pair or tail pass runs. The estimate is
+    _psi_less_log's bound plus _close's 4 eps of every piece, which covers the
+    rounding of H_n and log n. k_used is K and n_used 0."""
     _check_gamma_m(m)
-    harmonic = math.fsum(1.0 / j for j in range(1, m + 1))
-    s = _double_series_at(float(m), params)
-    pieces, tail, k_used = _psi_rest(float(m), params)
-    pieces = [harmonic, s.value] + [-p for p in pieces]
-    return _close(pieces, s.error_estimate + tail, max(k_used, s.k_used), s.n_used)
+    n = max(m, int(_Y_MOMENT))
+    k = min(params.k_terms, _K_CAP)
+    pieces, bound = _psi_less_log(float(n), k, params.tol)
+    pieces = [math.fsum(1.0 / j for j in range(1, n + 1)), -math.log(n)] + [-p for p in pieces]
+    return _close(pieces, bound, k, 0)
 
 
 def _d_moment(y: float, k: int, tol: float) -> tuple[list[float], float]:
@@ -738,8 +745,8 @@ def _d_at(x: float, K: int, guard_delta: float) -> tuple[list[float], float]:
     """D(x) at 0 < x < 16 outside the guard bands, summed at x itself over
     K outer terms, as (pieces, bound). The k > K terms are each at most
     twice the k-sum term 2k q_k/(k^2 - x^2), because
-    4k x^2/(k^4 - x^4) = 2k/(k^2 - x^2) * 2x^2/(k^2 + x^2), so twice the
-    k-sum half of planner.k_sum_tails bounds their tail. The rounding
+    4k x^2/(k^4 - x^4) = 2k/(k^2 - x^2) * 2x^2/(k^2 + x^2), so twice
+    planner.bound_psi_k_sum bounds their tail. The rounding
     charge goes beyond _close's 4 eps where a weight amplifies the rounding
     of its exponent: q(t) moves by (1 + t) times the relative error of t
     (_summand_rounding), and pi cot(pi d) by up to 2 eps absolute near
@@ -758,7 +765,7 @@ def _d_at(x: float, K: int, guard_delta: float) -> tuple[list[float], float]:
         term = 4.0 * k * x * x * q / ((k - x) * (k + x) * (k * k + x * x))
         pieces.append(-term)
         rounding += (10.0 + _TWO_PI * k) * abs(term)
-    tail = 2.0 * planner.k_sum_tails(K + 1, x, guard_delta)[0]
+    tail = 2.0 * planner.bound_psi_k_sum(K + 1, x, guard_delta)
     return pieces, bound + tail + rounding * _EPS
 
 
@@ -956,16 +963,18 @@ def _power_csch2_sum(
 ) -> tuple[float, float, float, int]:
     """(value, tail bound, rounding bound, last k before underflow) for
     sum_k k^power/sinh^2(scale k) over k <= k_terms, power <= 0; scale_err
-    bounds scale's relative error."""
+    bounds scale's relative error. Each weight is _csch2(scale k), formed as
+    it forms it; it underflows to 0 past scale k = 350, where the loop
+    stops."""
     pieces = []
     rounding = 0.0
     for k in range(1, k_terms + 1):
         t = scale * k
-        c = _csch2(t)
-        if c == 0.0:
+        if t > 350.0:
             break
-        pieces.append(float(k) ** power * c)
-        rounding += pieces[-1] * _summand_rounding(t, scale_err)
+        piece = float(k) ** power * (4.0 * math.exp(-2.0 * t) / math.expm1(-2.0 * t) ** 2)
+        pieces.append(piece)
+        rounding += piece * _summand_rounding(t, scale_err)
     tail = planner.bound_csch2(k_terms + 1, power, scale)
     return math.fsum(pieces), tail, rounding, len(pieces)
 
@@ -987,20 +996,61 @@ def _power_lambert_sum(
     return math.fsum(pieces), tail, rounding, len(pieces)
 
 
+def _power_lambert_csch2_sum(
+    power: int, scale: float, k_terms: int
+) -> tuple[tuple[float, float, float, int], tuple[float, float, float, int]]:
+    """(_power_lambert_sum(power - 1, scale, k_terms),
+    _power_csch2_sum(power, scale, k_terms)) for power <= 0, bit for bit, from
+    one exp/expm1 pair per k: with t = scale k, e = e^{-2t} and
+    d = expm1(-2t), 1/(e^{2t} - 1) = e/(-d) and csch^2(t) = 4e/d^2, which are
+    _inv_expm1(2t) and _csch2(t) as they form them. Both weights underflow
+    to 0 past t = 350, where the loop stops, so both halves have the same
+    last k."""
+    lam = []
+    csch = []
+    lam_rnd = csch_rnd = 0.0
+    for k in range(1, k_terms + 1):
+        t = scale * k
+        if t > 350.0:
+            break
+        e = math.exp(-2.0 * t)
+        d = math.expm1(-2.0 * t)
+        lam_piece = float(k) ** (power - 1) * (e / -d)
+        csch_piece = float(k) ** power * (4.0 * e / d**2)
+        lam.append(lam_piece)
+        csch.append(csch_piece)
+        rnd = _summand_rounding(t, 0.0)
+        lam_rnd += lam_piece * rnd
+        csch_rnd += csch_piece * rnd
+    k_used = len(lam)
+    lam_tail = planner.bound_lambert(power - 1, k_terms + 1, scale)
+    csch_tail = planner.bound_csch2(k_terms + 1, power, scale)
+    return (
+        (math.fsum(lam), lam_tail, lam_rnd, k_used),
+        (math.fsum(csch), csch_tail, csch_rnd, k_used),
+    )
+
+
 def zeta_odd(N: int, table: BernoulliTable, params: EvalParams) -> SeriesValue:
     """zeta(2N+1) solved from the even-index Bernoulli convolution identity:
     2N zeta(2N+1) = (2 pi)^{2N+1} J - 4N sum_k k^{-2N-1}/(e^{2 pi k}-1)
     - (1+(-1)^N) pi sum_k k^{-2N}/sinh^2(pi k), with J the exact-rational
     j-sum rounded to floating point once. The table's values stay exact; J's
-    float is memoized on the table per N, so later calls skip the rationals."""
+    float is memoized on the table per N, so later calls skip the rationals.
+    The k-sums run over k <= k_terms and read their weights from _PI_WEIGHTS,
+    which ends where both underflow, so k_used is min(k_terms, 111); the
+    tails are charged from k_terms + 1."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     if table.max_index < 2 * N + 2:
         raise ValueError(f"table holds B_0..B_{table.max_index}, need B_{2 * N + 2}")
     j_part = (_TWO_PI) ** (2 * N + 1) * _zeta_odd_coefficients(N, table)[0]
+    weights = _PI_WEIGHTS[: params.k_terms]
     # the k-sums' own rounding, below 0.3 eps once divided by 2N, is inside
     # the final 4 eps
-    lam, lam_tail, _, k_used = _power_lambert_sum(-2 * N - 1, math.pi, params.k_terms)
+    power = -2 * N - 1
+    lam = math.fsum(float(k) ** power * q for k, q, _ in weights)
+    lam_tail = planner.bound_lambert(power, params.k_terms + 1)
     value = j_part - 4.0 * N * lam
     # fl(2 pi) carries a relative error of at most eps/2 into each of the
     # 2N+1 factors of the power and pow adds an ulp of its own (Higham, Accuracy
@@ -1008,11 +1058,10 @@ def zeta_odd(N: int, table: BernoulliTable, params: EvalParams) -> SeriesValue:
     # 2 eps the conversion of J and the product
     err = 4.0 * N * lam_tail + (2.0 * N + 4.0) * _EPS * abs(j_part)
     if N % 2 == 0:
-        hyp, hyp_tail, _, k_hyp = _power_csch2_sum(-2 * N, math.pi, params.k_terms)
+        hyp = math.fsum(float(k) ** (-2 * N) * c for k, _, c in weights)
         value -= 2.0 * math.pi * hyp
-        err += 2.0 * math.pi * hyp_tail
-        k_used = max(k_used, k_hyp)
-    return SeriesValue(value / (2.0 * N), err / (2.0 * N) + 4.0 * _EPS, k_used, 0)
+        err += 2.0 * math.pi * planner.bound_csch2(params.k_terms + 1, -2 * N)
+    return SeriesValue(value / (2.0 * N), err / (2.0 * N) + 4.0 * _EPS, len(weights), 0)
 
 
 def zeta_odd_general(
@@ -1030,17 +1079,20 @@ def zeta_odd_general(
     if table.max_index < 2 * N + 2:
         raise ValueError(f"table holds B_0..B_{table.max_index}, need B_{2 * N + 2}")
     a, b = pair.alpha, pair.beta
-    # the hyperbolic series here decay like e^{-2 min(a,b) k}, not e^{-2 pi k},
-    # so size the k-range from the slower scale; k_terms keeps its meaning for
-    # the pi-scaled families and acts as a floor. The cap is checked before
-    # the ceiling, which fails once 2 min(a,b) underflows.
-    span = math.log(400.0 / params.tol) / (2.0 * min(a, b))
-    if not span <= MAX_K_TERMS - 2:
+    # the hyperbolic series here decay like e^{-2 a k} and e^{-2 b k}, not
+    # e^{-2 pi k}, so size each scale's k-range from its own decay; k_terms
+    # keeps its meaning for the pi-scaled families and acts as a floor. The
+    # cap is checked on the slower scale before the ceilings, which fail once
+    # 2 min(a,b) underflows.
+    log_share = math.log(400.0 / params.tol)
+    span_a, span_b = log_share / (2.0 * a), log_share / (2.0 * b)
+    if not max(span_a, span_b) <= MAX_K_TERMS - 2:
         raise ToleranceError(
             f"alpha={a} needs more than {MAX_K_TERMS} hyperbolic terms "
             f"for tol={params.tol}"
         )
-    k_eff = max(params.k_terms, 2 + math.ceil(span))
+    k_a = max(params.k_terms, 2 + math.ceil(span_a))
+    k_b = max(params.k_terms, 2 + math.ceil(span_b))
     # b stands for pi^2/a; this covers the roundings of pi^2 and of the
     # quotient, and a pair given off the curve within ModularPair's check
     pi2 = math.pi * math.pi
@@ -1050,9 +1102,10 @@ def zeta_odd_general(
         sign = -1.0 if j % 2 == 0 else 1.0
         rhs_terms.append(sign * (2 * j - 1) * a ** (N + 1 - j) * b**j * ratio)
     rhs = 2.0 ** (2 * N + 1) * math.fsum(rhs_terms)
-    lam_a, lam_a_tail, lam_a_rnd, k_lam = _power_lambert_sum(-2 * N - 1, a, k_eff)
-    s_a, s_a_tail, s_a_rnd, k_a = _power_csch2_sum(-2 * N, a, k_eff)
-    s_b, s_b_tail, s_b_rnd, k_b = _power_csch2_sum(-2 * N, b, k_eff, b_err)
+    lam_sum, csch_sum = _power_lambert_csch2_sum(-2 * N, a, k_a)
+    lam_a, lam_a_tail, lam_a_rnd, k_used_a = lam_sum
+    s_a, s_a_tail, s_a_rnd, _ = csch_sum
+    s_b, s_b_tail, s_b_rnd, k_used_b = _power_csch2_sum(-2 * N, b, k_b, b_err)
     sign_b = 1.0 if (1 - N) % 2 == 0 else -1.0
     pow_a, pow_b = a ** (1 - N), b ** (1 - N)
     lhs_a = pow_a * s_a
@@ -1075,5 +1128,5 @@ def zeta_odd_general(
     tails = pow_a * s_a_tail + pow_b * s_b_tail
     err = (tails + rounding) * a**N / (2.0 * N) + 2.0 * (lam_a_tail + lam_a_rnd)
     return SeriesValue(
-        value, err + 4.0 * _EPS * (abs(value) + 2.0 * lam_a + 1.0), max(k_lam, k_a, k_b), 0
+        value, err + 4.0 * _EPS * (abs(value) + 2.0 * lam_a + 1.0), max(k_used_a, k_used_b), 0
     )

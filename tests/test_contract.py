@@ -1,11 +1,13 @@
-"""The error_estimate contract of the psi-family evaluators against mpmath.
+"""The error_estimate contract of the public evaluators against mpmath.
 
-One table drives the sweep: each row names an evaluator and its 40-digit
-mpmath truth. Every row runs over the same arguments (log-spaced from 1e-12
-to 1e12, 1e100 and 1e300, both edges of the guard bands around the integers
-the lifts land near, and the lift target 16 with its neighbours) at each tol,
-with planned counts and with hand-built ones. An argument an evaluator
-refuses with GuardBandError is outside its domain and is skipped.
+One table drives the sweep of the psi family: each row names an evaluator
+and its 40-digit mpmath truth. Every row runs over the same arguments
+(log-spaced from 1e-12 to 1e12, 1e100 and 1e300, both edges of the guard
+bands around the integers the lifts land near, and the lift target 16 with
+its neighbours) at each tol, with planned counts and with hand-built ones. An
+argument an evaluator refuses with GuardBandError is outside its domain and
+is skipped. Euler's constant at integers and the two zeta(2N+1) evaluators,
+whose arguments are not x, have rows of their own over the same tols.
 """
 
 import math
@@ -16,8 +18,9 @@ from pathlib import Path
 import pytest
 
 from rapidpsi import planner, series
-from rapidpsi.errors import GuardBandError
-from rapidpsi.params import EvalParams
+from rapidpsi.bernoulli import shared_table
+from rapidpsi.errors import GuardBandError, ToleranceError
+from rapidpsi.params import MAX_GAMMA_M, EvalParams, ModularPair
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -79,6 +82,63 @@ def test_contract_against_mpmath(row, tol):
     assert admitted >= 60
 
 
+# gamma_at_integer sums at n = max(m, 16): every m below, at and past the lift
+# target, 119 and 120 where the former double series at m ran out, and the cap
+GAMMA_M = list(range(1, 41)) + [100, 119, 120, 1000, MAX_GAMMA_M]
+
+
+@pytest.mark.parametrize("tol", TOLS)
+def test_gamma_at_integer_contract_against_mpmath(tol):
+    with mpmath.workdps(40):
+        exact = +mpmath.euler
+        for m in GAMMA_M:
+            planned = planner.plan(tol, float(m))
+            first = series.gamma_at_integer(m, planned)
+            for p in [planned] + [EvalParams(tol=tol, k_terms=k) for k in HAND_K]:
+                sv = first if p is planned else series.gamma_at_integer(m, p)
+                assert abs(mpmath.mpf(sv.value) - exact) <= sv.error_estimate, (m, p)
+                assert (sv.k_used, sv.n_used) == (min(p.k_terms, series._K_CAP), 0)
+            if tol >= 1e-12:
+                assert first.error_estimate <= tol, m
+
+
+@pytest.mark.parametrize("tol", TOLS)
+def test_zeta_odd_contract_against_mpmath(tol):
+    # every N the shared B_0..B_90 table allows; k_terms 1 leaves k >= 2 to
+    # the closed tails, and from 111 on the weights have underflowed
+    table = shared_table()
+    with mpmath.workdps(40):
+        for N in range(1, 45):
+            exact = mpmath.zeta(2 * N + 1)
+            for k_terms in (1, 10, 111, 6000):
+                zv = series.zeta_odd(N, table, EvalParams(tol=tol, k_terms=k_terms))
+                assert abs(mpmath.mpf(zv.value) - exact) <= zv.error_estimate, (N, k_terms)
+                assert (zv.k_used, zv.n_used) == (min(k_terms, 111), 0)
+
+
+@pytest.mark.parametrize("tol", TOLS)
+def test_zeta_odd_general_contract_against_mpmath(tol):
+    # alpha from pi/1000 to 1000 pi; where the slower scale needs more than
+    # MAX_K_TERMS terms the call raises ToleranceError, which happens only at
+    # tol 1e-15, at pi/1000 and 1000 pi, for every N and k_terms
+    table = shared_table()
+    capped = 0
+    with mpmath.workdps(40):
+        for i in range(-12, 13):
+            pair = ModularPair.from_alpha(math.pi * 10.0 ** (i / 4.0))
+            for N in (1, 2, 3, 5, 8, 12):
+                exact = mpmath.zeta(2 * N + 1)
+                for k_terms in (1, 10, 111):
+                    p = EvalParams(tol=tol, k_terms=k_terms)
+                    try:
+                        zv = series.zeta_odd_general(N, pair, table, p)
+                    except ToleranceError:
+                        capped += 1
+                        continue
+                    assert abs(mpmath.mpf(zv.value) - exact) <= zv.error_estimate, (i, N, k_terms)
+    assert capped == (36 if tol == 1e-15 else 0)
+
+
 @pytest.mark.parametrize(
     "x, tol", [(1.00101, 1e-3), (2.00101, 1e-3), (0.99899, 1e-6)]
 )
@@ -114,14 +174,16 @@ def test_moment_form_third_order_coefficient_is_one_sixth():
     assert abs(1.0 / (2.0 * math.pi) + 4.0 * m1 - 1.0 / 6.0) <= 1e-16
 
 
-BANNED = ("double_series_S", "_double_series_at", "_inner_pair", "_guard_log_pair")
-COROLLARIES = ("re_psi_complex_ramanujan", "gamma_any_x", "psi_prime_ramanujan")
+BANNED = ("double_series_S", "_double_series_at", "_inner_pair", "_guard_log_pair", "_psi_rest")
+TAIL_PASSES = ("k_sum_tails", "bound_psi_k_sum", "bound_log_csch2")
+COROLLARIES = ("re_psi_complex_ramanujan", "gamma_any_x", "psi_prime_ramanujan", "gamma_at_integer")
 
 
 @pytest.mark.parametrize("evaluator", COROLLARIES)
 def test_corollaries_take_the_moment_core_path(monkeypatch, evaluator):
-    # none sums the double series or a guard pair, and from the lift target
-    # on none makes a tail pass
+    # none sums the double series, the non-S part R(x) or a guard pair, and
+    # from the lift target on none makes a tail pass; gamma_at_integer makes
+    # none at any m
     reached = []
 
     def banned(name):
@@ -134,9 +196,18 @@ def test_corollaries_take_the_moment_core_path(monkeypatch, evaluator):
     for name in BANNED:
         monkeypatch.setattr(series, name, banned(name))
     evaluate = getattr(series, evaluator)
+    if evaluator == "gamma_at_integer":
+        for name in TAIL_PASSES:
+            monkeypatch.setattr(planner, name, banned(name))
+        for m in (1, 2, 15, 16, 17, 100, 120, MAX_GAMMA_M):
+            for tol in TOLS:
+                evaluate(m, planner.plan(tol, float(m)))
+        assert reached == []
+        return
     for x in (0.01, 0.3, 0.7, 1.5, 2.5, 7.3, 15.5):
         evaluate(x, planner.plan(1e-12, x))
-    monkeypatch.setattr(planner, "k_sum_tails", banned("k_sum_tails"))
+    for name in TAIL_PASSES:
+        monkeypatch.setattr(planner, name, banned(name))
     for x in (Y + 0.25, 16.5, 100.25, 1e12 + 0.5, 1e15 + 0.25):
         for tol in TOLS:
             evaluate(x, planner.plan(tol, x))
@@ -222,7 +293,7 @@ def test_corollary_dropped_terms_within_their_charges():
 
 def test_d_tail_below_the_lift_target_within_twice_the_k_sum_tail():
     # below 16 D's k > K terms are each at most twice the k-sum term, so
-    # twice the k-sum half of k_sum_tails bounds them, also just outside the
+    # twice bound_psi_k_sum bounds them, also just outside the
     # guard bands where the near terms peak
     xs = [0.01, 0.3, 1.7, 3.3, 7.9, 12.5, 15.5]
     xs += [m + s * 1.01 * DELTA for m in (1, 2, 5, 8, 15) for s in (-1, 1)]
@@ -231,7 +302,7 @@ def test_d_tail_below_the_lift_target_within_twice_the_k_sum_tail():
             xx = mpmath.mpf(x)
             for first in range(1, 10):
                 brute = mpmath.fsum(abs(_d_term(k, xx)) for k in range(first, first + 60))
-                assert brute <= 2 * planner.k_sum_tails(first, x, DELTA)[0], (x, first)
+                assert brute <= 2 * planner.bound_psi_k_sum(first, x, DELTA), (x, first)
 
 
 def test_partial_fraction_sum_within_its_error_at_any_x():

@@ -579,23 +579,28 @@ def test_re_psi_guard_band():
 @pytest.mark.parametrize("evaluator", ["re_psi_complex_ramanujan", "gamma_any_x"])
 def test_re_psi_charges_twice_the_k_sum_half_of_its_one_pass(monkeypatch, evaluator):
     # below 16, D's k > K terms are each at most twice the k-sum term, so Re
-    # psi charges twice the k-sum half of one k_sum_tails pass at x; the log
-    # family cancels out of D, so that half is not charged. gamma_any_x sums
-    # at y >= 16, where the tails are closed forms: it makes no pass
+    # psi charges twice one bound_psi_k_sum at x; the log family cancels out
+    # of D, so its tail is neither charged nor computed. gamma_any_x sums at
+    # y >= 16, where the tails are closed forms: it makes no pass
     calls = []
 
-    def tails(first, x, guard_delta=EvalParams.guard_delta, skip=0):
+    def k_sum(first, x, guard_delta=EvalParams.guard_delta, skip=0):
         calls.append((first, x, skip))
-        return 0.5, 1e6
+        return 0.5
+
+    def log_half(*args, **kwargs):
+        raise AssertionError("D has no log family")
 
     p = planner.plan(1e-12, 7.3)
-    monkeypatch.setattr(planner, "k_sum_tails", tails)
+    monkeypatch.setattr(planner, "bound_psi_k_sum", k_sum)
+    monkeypatch.setattr(planner, "bound_log_csch2", log_half)
+    monkeypatch.setattr(planner, "k_sum_tails", log_half)
     sv = getattr(series, evaluator)(7.3, p)
     if evaluator == "gamma_any_x":
         assert calls == [] and sv.error_estimate <= p.tol
     else:
         assert calls == [(p.k_terms + 1, 7.3, 0)]
-        assert 1.0 <= sv.error_estimate < 1e6
+        assert 1.0 <= sv.error_estimate < 1.1
 
 
 # --------------------------------------------------------------- zeta odd
@@ -624,6 +629,46 @@ def test_zeta_odd_within_estimate_of_mpmath(tol):
         for N in range(1, 45):
             zv = series.zeta_odd(N, table, p)
             assert abs(mpmath.mpf(zv.value) - mpmath.zeta(2 * N + 1)) <= zv.error_estimate
+
+
+def _zeta_odd_per_k_weights(N, table, params):
+    """(value, error_estimate, k_used) of zeta_odd with both weights of each
+    k formed in its own scale-pi loop, as _power_lambert_sum and
+    _power_csch2_sum form them, rather than read from _PI_WEIGHTS."""
+
+    def loop(weight, power, k_terms):
+        pieces = []
+        for k in range(1, k_terms + 1):
+            w = weight(k)
+            if w == 0.0:
+                break
+            pieces.append(float(k) ** power * w)
+        return math.fsum(pieces), len(pieces)
+
+    k_terms = params.k_terms
+    j_part = (2.0 * math.pi) ** (2 * N + 1) * series._zeta_odd_coefficients(N, table)[0]
+    lam, k_used = loop(lambda k: planner._inv_expm1(2.0 * math.pi * k), -2 * N - 1, k_terms)
+    value = j_part - 4.0 * N * lam
+    err = 4.0 * N * planner.bound_lambert(-2 * N - 1, k_terms + 1, math.pi)
+    err += (2.0 * N + 4.0) * planner._EPS * abs(j_part)
+    if N % 2 == 0:
+        hyp, k_hyp = loop(lambda k: planner._csch2(math.pi * k), -2 * N, k_terms)
+        value -= 2.0 * math.pi * hyp
+        err += 2.0 * math.pi * planner.bound_csch2(k_terms + 1, -2 * N, math.pi)
+        k_used = max(k_used, k_hyp)
+    return value / (2.0 * N), err / (2.0 * N) + 4.0 * planner._EPS, k_used
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-15])
+def test_zeta_odd_weights_from_the_table_are_bit_identical_to_per_k_loops(tol):
+    # 111 is the table's last index and 112 the first where both weights are
+    # 0; 6000 is MAX_K_TERMS
+    table = shared_table()
+    for k_terms in (1, 7, 10, 111, 112, 6000):
+        p = EvalParams(tol=tol, k_terms=k_terms)
+        for N in range(1, 45):
+            zv = series.zeta_odd(N, table, p)
+            assert (zv.value, zv.error_estimate, zv.k_used) == _zeta_odd_per_k_weights(N, table, p)
 
 
 def test_zeta_odd_validation(monkeypatch):
@@ -750,6 +795,32 @@ def test_zeta_odd_general_matches_single_parameter(alpha, N):
     zg = series.zeta_odd_general(N, ModularPair.from_alpha(alpha), TABLE, P12)
     zo = series.zeta_odd(N, TABLE, P12)
     assert abs(zg.value - zo.value) <= 1e-11
+
+
+def test_zeta_odd_general_sizes_each_scale_by_its_own_decay(monkeypatch):
+    # each scale takes max(k_terms, 2 + ceil(log(400/tol)/(2 s))) terms; the
+    # a-scale Lambert and csch^2 sums share one loop
+    counts = {}
+    fused, csch2 = series._power_lambert_csch2_sum, series._power_csch2_sum
+
+    def count_fused(power, scale, k_terms):
+        counts["a"] = (scale, k_terms)
+        return fused(power, scale, k_terms)
+
+    def count_csch2(power, scale, k_terms, scale_err=0.0):
+        counts["b"] = (scale, k_terms)
+        return csch2(power, scale, k_terms, scale_err)
+
+    monkeypatch.setattr(series, "_power_lambert_csch2_sum", count_fused)
+    monkeypatch.setattr(series, "_power_csch2_sum", count_csch2)
+    tol = 1e-15
+    for alpha, k_terms in ((9.5, 1), (9.5, 10), (0.3, 1), (math.pi, 1)):
+        pair = ModularPair.from_alpha(alpha)
+        zv = series.zeta_odd_general(3, pair, TABLE, EvalParams(tol=tol, k_terms=k_terms))
+        for key, scale in (("a", pair.alpha), ("b", pair.beta)):
+            own = 2 + math.ceil(math.log(400.0 / tol) / (2.0 * scale))
+            assert counts[key] == (scale, max(k_terms, own)), (alpha, key)
+        assert zv.k_used == max(counts["a"][1], counts["b"][1])
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-15])
@@ -887,6 +958,25 @@ def test_power_sums_within_rounding_of_mpmath(scale, power):
             value, _, rounding, _ = loop(power, scale, k_terms)
             partial = mpmath.fsum(mpmath.mpf(k) ** power * term(k) for k in range(1, k_terms + 1))
             assert abs(mpmath.mpf(value) - partial) <= rounding
+        # the fused a-scale sum of zeta_odd_general: its Lambert half takes
+        # power - 1, as k^{-2N-1} against the csch^2 half's k^{-2N}
+        halves = series._power_lambert_csch2_sum(power, scale, k_terms)
+        for (value, _, rounding, _), p, term in zip(
+            halves,
+            (power - 1, power),
+            (lambda k: 1 / mpmath.expm1(2 * s * k), lambda k: mpmath.csch(s * k) ** 2),
+        ):
+            partial = mpmath.fsum(mpmath.mpf(k) ** p * term(k) for k in range(1, k_terms + 1))
+            assert abs(mpmath.mpf(value) - partial) <= rounding
+
+
+@pytest.mark.parametrize("scale", [0.002, 0.05, 1.0, math.pi, 30.0, 200.0])
+@pytest.mark.parametrize("power", [-89, -9, -2, 0])
+@pytest.mark.parametrize("k_terms", [1, 10, 40, 6000])
+def test_fused_power_sums_are_bit_identical_to_the_separate_loops(scale, power, k_terms):
+    lam, csch = series._power_lambert_csch2_sum(power, scale, k_terms)
+    assert lam == series._power_lambert_sum(power - 1, scale, k_terms)
+    assert csch == series._power_csch2_sum(power, scale, k_terms)
 
 
 @pytest.mark.parametrize("m", [3, 5])
