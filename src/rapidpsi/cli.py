@@ -25,7 +25,7 @@ from . import planner, series
 from .bernoulli import shared_table
 from .errors import GuardBandError, ToleranceError
 from .params import (
-    DEFAULT_GUARD_DELTA, MAX_GAMMA_M, EvalParams, ModularPair, SeriesValue, check_tol
+    DEFAULT_GUARD_DELTA, EvalParams, ModularPair, SeriesValue, check_tol
 )
 
 EXIT_OK = 0
@@ -137,15 +137,7 @@ def cmd_gamma(args) -> int:
         sv = series.gamma_at_integer(args.m, _params_for(float(args.m), args.tol, args.terms))
         _emit(_report("gamma", args.m, sv, "integer_limit", t0), args.format)
         return EXIT_OK
-    try:
-        sv = series.gamma_any_x(args.x, _params_for(args.x, args.tol, args.terms))
-    except GuardBandError as exc:
-        hint = f"gamma --m {exc.m}" if exc.m <= MAX_GAMMA_M else "an x outside the band"
-        return _fail(
-            f"x={args.x} lies in the guard band around {exc.m} where the log terms "
-            f"are singular; try: {hint}",
-            EXIT_INPUT,
-        )
+    sv = series.gamma_any_x(args.x, _params_for(args.x, args.tol, args.terms))
     _emit(_report("gamma", args.x, sv, "any_argument", t0), args.format)
     return EXIT_OK
 

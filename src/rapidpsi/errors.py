@@ -7,10 +7,8 @@ class ToleranceError(RuntimeError):
 
 class GuardBandError(ValueError):
     """Argument falls inside the removable-singularity band of an operation
-    that excludes it; ``suggestion`` names the alternative call and ``m`` the
-    positive integer at the centre of the band."""
+    that excludes it; ``suggestion`` names the alternative call."""
 
-    def __init__(self, message: str, suggestion: str = "", m: int = 0):
+    def __init__(self, message: str, suggestion: str = ""):
         super().__init__(message)
         self.suggestion = suggestion
-        self.m = m

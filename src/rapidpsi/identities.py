@@ -81,6 +81,25 @@ def digamma_partial_fraction_rhs(x: float, params: EvalParams) -> float:
 # check-only evaluators: closed forms and residuals the fast path never uses
 
 
+def _power_lambert_sum(
+    power: int, scale: float, k_terms: int
+) -> tuple[float, float, float, int]:
+    """(value, tail bound, rounding bound, last k before underflow) for
+    sum_k k^power/(e^{2 scale k}-1) over k <= k_terms, each weight formed
+    in its own loop; the Lambert checks of acceptance criterion 3 read
+    it, and the fused loop of zeta_odd_general equals it bit for bit."""
+    pieces = []
+    rounding = 0.0
+    for k in range(1, k_terms + 1):
+        q = series._inv_expm1(2.0 * scale * k)
+        if q == 0.0:
+            break
+        pieces.append(float(k) ** power * q)
+        rounding += pieces[-1] * series._summand_rounding(scale * k, 0.0)
+    tail = planner.bound_lambert(power, k_terms + 1, scale)
+    return math.fsum(pieces), tail, rounding, len(pieces)
+
+
 def _lambert_closed_form(m: int, table: BernoulliTable) -> float:
     """B_{2m}/(4m), the shared closed form of the odd-power Lambert sum and
     its integral twin."""
@@ -117,7 +136,7 @@ def lambert_identity_residual(m: int, table: BernoulliTable, params: EvalParams)
         raise AssertionError(
             f"integral twin {integral!r} strays from closed form {closed!r}"
         )
-    return series._power_lambert_sum(2 * m - 1, math.pi, params.k_terms)[0] - closed
+    return _power_lambert_sum(2 * m - 1, math.pi, params.k_terms)[0] - closed
 
 
 def asymptotic_residual(x: float, params: EvalParams) -> float:
@@ -144,12 +163,12 @@ def run_identities() -> Iterator[CheckResult]:
     closed = 1.0 / 6.0 - 1.0 / _TWO_PI
     yield _abs_check("csch2_closed_form", p.k_terms, s + tail - closed, 1e-15)
 
-    lam = series._power_lambert_sum(1, math.pi, p.k_terms)[0]
+    lam = _power_lambert_sum(1, math.pi, p.k_terms)[0]
     yield _abs_check("lambert_linear", 1, lam - (1.0 / 24.0 - 1.0 / (8.0 * math.pi)), 1e-15)
 
     for m in (3, 5):
         closed = _lambert_closed_form(m, table)
-        partial = series._power_lambert_sum(2 * m - 1, math.pi, p.k_terms)[0]
+        partial = _power_lambert_sum(2 * m - 1, math.pi, p.k_terms)[0]
         yield _abs_check(f"lambert_closed_form_m{m}", m, partial - closed, 1e-14)
         yield _abs_check(f"lambert_integral_m{m}", m, _lambert_integral(m) - closed, 1e-10)
 

@@ -502,9 +502,9 @@ def _off_band_far(y: float, gap: float) -> tuple[float, float]:
 
 
 _PSI_FAR = _far_bound(_Y_MOMENT)
-# Re psi and gamma_any_x refuse or step off the guard bands, and psi' refuses
-# them, but a lifted fl(x + shift) may round up to an ulp into one: half the
-# band is the gap they can rely on
+# Re psi and psi' refuse the guard bands and gamma_any_x steps off them, but a
+# lifted fl(x + shift) may round up to an ulp into one: half the band is the
+# gap they can rely on
 _D_FAR, _PRIME_FAR = _off_band_far(_Y_MOMENT, DEFAULT_GUARD_DELTA / 2.0)
 
 
@@ -774,9 +774,10 @@ def gamma_any_x(x: float, params: EvalParams) -> SeriesValue:
     gamma = P(y) - Re psi(1+iy) = P(y) - psi(y+1) - D(y), with
     P(y) = sum_n y^2/(n(n^2+y^2)), at y = x lifted to y >= 16 by a whole
     shift. The value is constant in the argument, so the lift is free of
-    charge, and a y that lands in a guard band only because x is near 0
-    moves on by 1/2. x inside the guard band of a positive integer is
-    rejected.
+    charge and no x is refused: a y within guard_delta of an integer moves
+    on by 1/2, and where that step rounds back into the band (y >= 2^52,
+    where every double is an integer) y is 16.5. So y lies at least
+    guard_delta/2 from every integer, the gap _D_FAR assumes.
 
     Every piece is summed from psi's moment core: P(y) - log y from
     _pf_body and -log M + (1/2) log1p((M/y)^2), psi(y+1) - log y from
@@ -786,18 +787,11 @@ def gamma_any_x(x: float, params: EvalParams) -> SeriesValue:
     every piece, which covers the rounding of P's terms."""
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
-    m = _guard_index(x, params.guard_delta)
-    if m:
-        hint = f"gamma_at_integer(m={m})" if m <= MAX_GAMMA_M else "an x outside the band"
-        raise GuardBandError(
-            f"x={x} is within guard_delta of {m}; the log terms are singular "
-            f"there, use {hint}",
-            suggestion=hint,
-            m=m,
-        )
     y = _lift(x, 1)[1]
     if _guard_index(y, params.guard_delta):
         y += 0.5
+        if _guard_index(y, params.guard_delta):
+            y = _Y_MOMENT + 0.5
     k = min(params.k_terms, _K_CAP)
     psi_pieces, psi_bound = _psi_less_log(y, k, params.tol)
     d_pieces, d_bound = _d_moment(y, k, params.tol)
@@ -979,27 +973,10 @@ def _power_csch2_sum(
     return math.fsum(pieces), tail, rounding, len(pieces)
 
 
-def _power_lambert_sum(
-    power: int, scale: float, k_terms: int
-) -> tuple[float, float, float, int]:
-    """(value, tail bound, rounding bound, last k before underflow) for
-    sum_k k^power/(e^{2 scale k}-1) over k <= k_terms."""
-    pieces = []
-    rounding = 0.0
-    for k in range(1, k_terms + 1):
-        q = _inv_expm1(2.0 * scale * k)
-        if q == 0.0:
-            break
-        pieces.append(float(k) ** power * q)
-        rounding += pieces[-1] * _summand_rounding(scale * k, 0.0)
-    tail = planner.bound_lambert(power, k_terms + 1, scale)
-    return math.fsum(pieces), tail, rounding, len(pieces)
-
-
 def _power_lambert_csch2_sum(
     power: int, scale: float, k_terms: int
 ) -> tuple[tuple[float, float, float, int], tuple[float, float, float, int]]:
-    """(_power_lambert_sum(power - 1, scale, k_terms),
+    """(identities._power_lambert_sum(power - 1, scale, k_terms),
     _power_csch2_sum(power, scale, k_terms)) for power <= 0, bit for bit, from
     one exp/expm1 pair per k: with t = scale k, e = e^{-2t} and
     d = expm1(-2t), 1/(e^{2t} - 1) = e/(-d) and csch^2(t) = 4e/d^2, which are

@@ -56,7 +56,7 @@ def test_criterion_02_csch2_closed_form(capsys):
 
 
 def test_criterion_03_lambert_identities(capsys):
-    lam = series._power_lambert_sum(1, math.pi, P12.k_terms)[0]
+    lam = identities._power_lambert_sum(1, math.pi, P12.k_terms)[0]
     lin = abs(lam - (1.0 / 24.0 - 1.0 / (8.0 * math.pi)))
     residuals = [abs(identities.lambert_identity_residual(m, TABLE, P12)) for m in (3, 5)]
     integral_gaps = [

@@ -1,18 +1,86 @@
-"""Exact rational Bernoulli table: frozen values, structure, and the defining
-recurrence as a property."""
+"""Exact rational Bernoulli table: frozen values, structure, the defining
+recurrence as a property, and the tangent-number build against that
+recurrence run in Fraction arithmetic."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rapidpsi import series
-from rapidpsi.bernoulli import BernoulliTable, bernoulli_over_factorial, build_bernoulli_table
+from rapidpsi.bernoulli import (
+    SHARED_MAX_INDEX,
+    BernoulliTable,
+    bernoulli_over_factorial,
+    build_bernoulli_table,
+)
 from rapidpsi.params import EvalParams, ModularPair
 
 TABLE = build_bernoulli_table(64)
+
+
+def recurrence_values(max_index):
+    """B_0..B_max_index from sum_{k=0}^{n} C(n+1,k) B_k = 0 in Fraction
+    arithmetic, the reference the tangent-number build must equal."""
+    values = [Fraction(1)]
+    for n in range(1, max_index + 1):
+        acc = Fraction(0)
+        for k in range(n):
+            acc += math.comb(n + 1, k) * values[k]
+        values.append(-acc / (n + 1))
+    return values
+
+
+REFERENCE = recurrence_values(200)
+
+
+def test_tangent_build_equals_the_recurrence_up_to_200():
+    # the recurrence's values for n <= m do not depend on how far it runs,
+    # so one run to 200 holds every shorter table's values
+    for max_index in range(0, 201, 2):
+        values = build_bernoulli_table(max_index).values
+        assert len(values) == max_index + 1
+        for got, want in zip(values, REFERENCE):
+            assert type(got) is Fraction
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def test_zeta_even_floats_are_those_of_the_recurrence():
+    table = BernoulliTable(SHARED_MAX_INDEX, tuple(REFERENCE[: SHARED_MAX_INDEX + 1]))
+    expected = tuple(series.zeta_even(j, table) for j in range(len(series._ZETA_EVEN)))
+    assert [x.hex() for x in series._ZETA_EVEN] == [x.hex() for x in expected]
+
+
+def test_package_import_and_a_psi_command_build_one_table():
+    # counted by a profile hook set before the package's first import, so
+    # every call is seen, whichever module holds the name
+    probe = (
+        "import sys\n"
+        "calls = []\n"
+        "def hook(frame, event, arg):\n"
+        "    code = frame.f_code\n"
+        "    if event == 'call' and code.co_name == 'build_bernoulli_table'"
+        " and code.co_filename.endswith('bernoulli.py'):\n"
+        "        calls.append(1)\n"
+        "sys.setprofile(hook)\n"
+        "import rapidpsi, rapidpsi.cli\n"
+        "code = rapidpsi.cli.main(['psi', '--x', '2.5'])\n"
+        "sys.setprofile(None)\n"
+        "print(code, len(calls))\n"
+    )
+    src = str(Path(series.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-2:] == ["0", "1"]
 
 # classical values, exact
 KNOWN = [

@@ -242,14 +242,21 @@ def test_gamma_any_x_reports_the_terms_that_ran(capsys):
     assert (r["k_used"], r["n_used"]) == (5, 0)
 
 
+def _gamma_within_estimate_of_mpmath(capsys, x, *options):
+    mpmath = pytest.importorskip("mpmath")
+    code, out, err = run_cli(capsys, ["gamma", "--x", x, *options])
+    assert (code, err) == (cli.EXIT_OK, "")
+    r = rows(out)[0]
+    assert r["method"] == "any_argument"
+    with mpmath.workdps(30):
+        assert abs(mpmath.mpf(r["value"]) - mpmath.euler) <= r["abs_error_estimate"]
+
+
 def test_gamma_guard_band_suggests_integer_route(capsys):
-    code, _, err = run_cli(capsys, ["gamma", "--x", "2.0005"])
-    assert code == cli.EXIT_INPUT
-    assert "--m 2" in err
-    # past the cap on --m the integer route is not offered
-    code, _, err = run_cli(capsys, ["gamma", "--x", "200000.0002"])
-    assert code == cli.EXIT_INPUT
-    assert "--m" not in err and len(err.strip().splitlines()) == 1
+    # gamma --x refuses no x: its value does not depend on x, so an x in a
+    # guard band, also past the cap on --m, sums at a y off the bands
+    for x in ("2.0005", "200000.0002"):
+        _gamma_within_estimate_of_mpmath(capsys, x)
 
 
 def test_gamma_near_zero_is_not_a_guard_band(capsys):
@@ -261,9 +268,8 @@ def test_gamma_near_zero_is_not_a_guard_band(capsys):
 
 
 def test_gamma_guard_band_message_names_the_band_of_x(capsys):
-    code, _, err = run_cli(capsys, ["gamma", "--x", "1.0003"])
-    assert code == cli.EXIT_INPUT
-    assert "around 1 " in err and "--m 1" in err
+    # x = 1.0003 lies in the band around 1, which gamma --x no longer refuses
+    _gamma_within_estimate_of_mpmath(capsys, "1.0003")
 
 
 def test_gamma_requires_exactly_one_argument(capsys):
@@ -431,7 +437,7 @@ def test_psi_at_huge_x_is_within_its_estimate(capsys, x):
         assert abs(mpmath.mpf(r["value"]) - truth) <= r["abs_error_estimate"]
 
 
-@pytest.mark.parametrize("command", ["psi-prime", "gamma"])
+@pytest.mark.parametrize("command", ["psi-prime"])
 def test_huge_x_sits_in_a_guard_band(capsys, command):
     # every double this large is an integer
     code, out, err = run_cli(capsys, [command, "--x", "1e300"])
@@ -439,6 +445,13 @@ def test_huge_x_sits_in_a_guard_band(capsys, command):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "guard" in err
+
+
+@pytest.mark.parametrize("x", ["1000000000000", "4503599627370496", "1e300", "1.7e308"])
+def test_gamma_at_huge_x_is_within_its_estimate(capsys, x):
+    # every double from 2^52 on is an integer, so y + 1/2 rounds back into a
+    # band and gamma --x sums at 16.5
+    _gamma_within_estimate_of_mpmath(capsys, x, "--tol", "1e-9")
 
 
 def _fresh_python(*args, timeout=None):

@@ -4,10 +4,11 @@ One table drives the sweep of the psi family: each row names an evaluator
 and its 40-digit mpmath truth. Every row runs over the same arguments
 (log-spaced from 1e-12 to 1e12, 1e100 and 1e300, both edges of the guard
 bands around the integers the lifts land near, and the lift target 16 with
-its neighbours) at each tol, with planned counts and with hand-built ones. An
-argument an evaluator refuses with GuardBandError is outside its domain and
-is skipped. Euler's constant at integers and the two zeta(2N+1) evaluators,
-whose arguments are not x, have rows of their own over the same tols.
+its neighbours) at each tol, with planned counts and with hand-built ones;
+gamma_any_x's row adds points inside the bands. An argument an evaluator
+refuses with GuardBandError is outside its domain and is skipped. Euler's
+constant at integers and the two zeta(2N+1) evaluators, whose arguments are
+not x, have rows of their own over the same tols.
 """
 
 import math
@@ -41,6 +42,15 @@ CONTRACT_X = (
     ]
     + [Y - 1e-9, Y, Y + 1e-9, 7.0]
 )
+# gamma_any_x's value does not depend on x, so it refuses no x: its row adds
+# the middle of each guard band's halves and integers from 1e12 on, where
+# y + 1/2 rounds back into a band
+EXTRA_X = {
+    "gamma_any_x": [
+        m + s * 0.5 * DELTA for m in (1, 2, 3, 7, 8, 15, 16, 17, 100) for s in (-1, 1)
+    ]
+    + [1e12, 1e300],
+}
 TOLS = (1e-6, 1e-9, 1e-12, 1e-15)
 # K = 1 leaves k = 2 on to the closed tails; 7 is the cap; 8, 111 and 6000
 # are cut to 7
@@ -61,9 +71,10 @@ ROWS = {
 @pytest.mark.parametrize("row", sorted(ROWS))
 def test_contract_against_mpmath(row, tol):
     evaluate, truth = ROWS[row]
+    points = CONTRACT_X + EXTRA_X.get(row, [])
     admitted = 0
     with mpmath.workdps(40):
-        for x in CONTRACT_X:
+        for x in points:
             planned = planner.plan(tol, x)
             try:
                 first = evaluate(x, planned)
@@ -80,6 +91,8 @@ def test_contract_against_mpmath(row, tol):
             if tol >= 1e-12:
                 assert first.error_estimate <= tol, x
     assert admitted >= 60
+    if row == "gamma_any_x":
+        assert admitted == len(points)
 
 
 # gamma_at_integer sums at n = max(m, 16): every m below, at and past the lift

@@ -435,13 +435,29 @@ def test_gamma_routes_agree():
 
 
 def test_gamma_any_x_guard_band_redirects():
-    with pytest.raises(GuardBandError) as exc:
-        series.gamma_any_x(2.0005, P12)
-    assert "gamma_at_integer(m=2)" in exc.value.suggestion
-    # past MAX_GAMMA_M the integer route would reject m
-    with pytest.raises(GuardBandError) as exc:
-        series.gamma_any_x(200000.0002, P12)
-    assert "gamma_at_integer" not in exc.value.suggestion
+    # the value does not depend on x, so an x in a guard band sums at a y
+    # off the bands, also past MAX_GAMMA_M, where gamma_at_integer rejects m
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for x in (2.0005, 200000.0002):
+            g = series.gamma_any_x(x, P12)
+            assert abs(mpmath.mpf(g.value) - mpmath.euler) <= g.error_estimate <= P12.tol
+
+
+@pytest.mark.parametrize(
+    "x", [1e-12, 0.5, 2.0005, 15.9995, 16.0, 2.0**51, 2.0**51 + 0.5, 1e12, 2.0**52, 1e300]
+)
+def test_gamma_any_x_sums_half_a_band_off_the_integers(monkeypatch, x):
+    # _D_FAR bounds D's cot piece and its k = round(y) term apart, which
+    # holds only at least guard_delta/2 from an integer; from 2^52 on
+    # y + 1/2 rounds back onto an integer, so y must fall back to 16.5
+    seen = []
+    d_moment = series._d_moment
+    monkeypatch.setattr(series, "_d_moment", lambda y, k, tol: seen.append(y) or d_moment(y, k, tol))
+    series.gamma_any_x(x, P12)
+    (y,) = seen
+    assert y >= series._Y_MOMENT
+    assert abs(y - round(y)) >= EvalParams.guard_delta / 2
 
 
 def test_gamma_any_x_rejects_nonpositive_x():
@@ -633,7 +649,7 @@ def test_zeta_odd_within_estimate_of_mpmath(tol):
 
 def _zeta_odd_per_k_weights(N, table, params):
     """(value, error_estimate, k_used) of zeta_odd with both weights of each
-    k formed in its own scale-pi loop, as _power_lambert_sum and
+    k formed in its own scale-pi loop, as identities._power_lambert_sum and
     _power_csch2_sum form them, rather than read from _PI_WEIGHTS."""
 
     def loop(weight, power, k_terms):
@@ -884,17 +900,17 @@ def test_zeta_even_closed_forms():
 
 
 def test_lambert_linear_closed_form():
-    lam = series._power_lambert_sum(1, math.pi, P12.k_terms)[0]
+    lam = identities._power_lambert_sum(1, math.pi, P12.k_terms)[0]
     assert abs(lam - (1.0 / 24.0 - 1.0 / (8.0 * math.pi))) <= 1e-15
 
 
 def test_lambert_fifth_power_closed_form():
-    lam = series._power_lambert_sum(5, math.pi, P12.k_terms)[0]
+    lam = identities._power_lambert_sum(5, math.pi, P12.k_terms)[0]
     assert abs(lam - 1.0 / 504.0) <= 1e-14
 
 
 def test_lambert_negative_power_window():
-    lam = series._power_lambert_sum(-3, math.pi, P12.k_terms)[0]
+    lam = identities._power_lambert_sum(-3, math.pi, P12.k_terms)[0]
     assert 0.0 < lam <= planner.tail_bound("lambert", 1, power=-3).bound
 
 
@@ -953,7 +969,7 @@ def test_power_sums_within_rounding_of_mpmath(scale, power):
         s = mpmath.mpf(scale)
         for loop, term in (
             (series._power_csch2_sum, lambda k: mpmath.csch(s * k) ** 2),
-            (series._power_lambert_sum, lambda k: 1 / mpmath.expm1(2 * s * k)),
+            (identities._power_lambert_sum, lambda k: 1 / mpmath.expm1(2 * s * k)),
         ):
             value, _, rounding, _ = loop(power, scale, k_terms)
             partial = mpmath.fsum(mpmath.mpf(k) ** power * term(k) for k in range(1, k_terms + 1))
@@ -975,7 +991,7 @@ def test_power_sums_within_rounding_of_mpmath(scale, power):
 @pytest.mark.parametrize("k_terms", [1, 10, 40, 6000])
 def test_fused_power_sums_are_bit_identical_to_the_separate_loops(scale, power, k_terms):
     lam, csch = series._power_lambert_csch2_sum(power, scale, k_terms)
-    assert lam == series._power_lambert_sum(power - 1, scale, k_terms)
+    assert lam == identities._power_lambert_sum(power - 1, scale, k_terms)
     assert csch == series._power_csch2_sum(power, scale, k_terms)
 
 
