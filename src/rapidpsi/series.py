@@ -774,10 +774,10 @@ def gamma_any_x(x: float, params: EvalParams) -> SeriesValue:
     gamma = P(y) - Re psi(1+iy) = P(y) - psi(y+1) - D(y), with
     P(y) = sum_n y^2/(n(n^2+y^2)), at y = x lifted to y >= 16 by a whole
     shift. The value is constant in the argument, so the lift is free of
-    charge and no x is refused: a y within guard_delta of an integer moves
-    on by 1/2, and where that step rounds back into the band (y >= 2^52,
-    where every double is an integer) y is 16.5. So y lies at least
-    guard_delta/2 from every integer, the gap _D_FAR assumes.
+    charge and no x is refused: a y within guard_delta of an integer is
+    replaced by 16.5, at least guard_delta/2 from every integer, the gap
+    _D_FAR assumes. plan's count never falls as x grows, so 16.5 gets at
+    least the terms it needs.
 
     Every piece is summed from psi's moment core: P(y) - log y from
     _pf_body and -log M + (1/2) log1p((M/y)^2), psi(y+1) - log y from
@@ -789,9 +789,7 @@ def gamma_any_x(x: float, params: EvalParams) -> SeriesValue:
         raise ValueError("x must be positive and finite")
     y = _lift(x, 1)[1]
     if _guard_index(y, params.guard_delta):
-        y += 0.5
-        if _guard_index(y, params.guard_delta):
-            y = _Y_MOMENT + 0.5
+        y = _Y_MOMENT + 0.5
     k = min(params.k_terms, _K_CAP)
     psi_pieces, psi_bound = _psi_less_log(y, k, params.tol)
     d_pieces, d_bound = _d_moment(y, k, params.tol)

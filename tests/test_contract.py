@@ -43,8 +43,8 @@ CONTRACT_X = (
     + [Y - 1e-9, Y, Y + 1e-9, 7.0]
 )
 # gamma_any_x's value does not depend on x, so it refuses no x: its row adds
-# the middle of each guard band's halves and integers from 1e12 on, where
-# y + 1/2 rounds back into a band
+# the middle of each guard band's halves and the in-band integers 1e12 and
+# 1e300, all of which it sums at 16.5
 EXTRA_X = {
     "gamma_any_x": [
         m + s * 0.5 * DELTA for m in (1, 2, 3, 7, 8, 15, 16, 17, 100) for s in (-1, 1)

@@ -449,8 +449,8 @@ def test_gamma_any_x_guard_band_redirects():
 )
 def test_gamma_any_x_sums_half_a_band_off_the_integers(monkeypatch, x):
     # _D_FAR bounds D's cot piece and its k = round(y) term apart, which
-    # holds only at least guard_delta/2 from an integer; from 2^52 on
-    # y + 1/2 rounds back onto an integer, so y must fall back to 16.5
+    # holds only at least guard_delta/2 from an integer, so a y in a band,
+    # every double from 2^52 on included, must be replaced by 16.5
     seen = []
     d_moment = series._d_moment
     monkeypatch.setattr(series, "_d_moment", lambda y, k, tol: seen.append(y) or d_moment(y, k, tol))
