@@ -146,12 +146,15 @@ def cmd_zeta_odd(args) -> int:
     if args.n < 1:
         return _fail("--n must be a positive integer (N >= 1)", EXIT_INPUT)
     t0 = time.perf_counter_ns()
-    p = EvalParams(tol=args.tol, k_terms=args.terms if args.terms is not None else 10)
     if args.alpha is not None:
+        # the two-parameter form sizes each scale from tol, so --terms,
+        # even one out of range, is not read
+        p = EvalParams(tol=args.tol)
         pair = ModularPair.from_alpha(args.alpha)
         sv = series.zeta_odd_general(args.n, pair, shared_table(), p)
         method = "two_parameter"
     else:
+        p = EvalParams(tol=args.tol, k_terms=args.terms if args.terms is not None else 10)
         sv = series.zeta_odd(args.n, shared_table(), p)
         method = "single_parameter"
     _emit(_report("zeta_odd", args.n, sv, method, t0), args.format)
@@ -272,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_z = sub.add_parser("zeta-odd", help="zeta(2N+1) for N >= 1")
     p_z.add_argument("--n", type=int, required=True)
     p_z.add_argument("--alpha", type=float, default=None,
-                     help="first parameter of the two-parameter form (beta = pi^2/alpha)")
+                     help="first parameter of the two-parameter form (beta = pi^2/alpha); "
+                          "it sizes each scale's sum from --tol and ignores --terms")
     _add_common(p_z)
     p_z.set_defaults(func=cmd_zeta_odd)
 

@@ -43,11 +43,12 @@ class EvalParams:
     K = min(k_terms, 7) outer terms (plan's count never exceeds 7) and sum
     them at an argument lifted to 16 or more, at max(m, 16) for
     gamma_at_integer, or at x itself for Re psi. The zeta(2N+1) evaluators
-    sum k <= k_terms at scale pi, and zeta_odd_general at least k_terms at
-    each of its scales. The double series, which double_series_S sums where
-    it stands from planner.LIFT_TARGET on and at the integers, sizes its
-    outer and inner sums itself from tol (planner.outer_weights), and both
-    counts only cap it: plan sets n_terms to planner.MAX_N_TERMS.
+    sum k <= k_terms at scale pi; zeta_odd_general does not read k_terms and
+    sums each of its scales to that scale's own count from tol. The double
+    series, which double_series_S sums where it stands from
+    planner.LIFT_TARGET on and at the integers, sizes its outer and inner
+    sums itself from tol (planner.outer_weights), and both counts only cap
+    it: plan sets n_terms to planner.MAX_N_TERMS.
     """
 
     tol: float = 1e-12

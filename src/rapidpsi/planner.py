@@ -9,10 +9,14 @@ term. bound_psi_k_sum and bound_log_csch2 each compute only their own
 family; k_sum_tails gives both.
 The evaluators in series.py reuse these bounds to assemble honest error
 estimates, so nothing here may depend on series.py.
+plan is memoized: one EvalParams per (tol, max(40, log(x)/5)) in an LRU
+cache of 256 entries, so below x = e^200, where that weight is 40, every
+caller at one tol shares one immutable instance.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .params import DEFAULT_GUARD_DELTA, EvalParams, TailBound, check_tol
@@ -337,9 +341,22 @@ def plan(tol: float, x: float) -> EvalParams:
     count is 7 for every finite x. plan evaluates no bound: the
     evaluators charge the real tails at k_terms + 1. The double series sizes
     its own sums from tol (outer_weights), so n_terms is the cap MAX_N_TERMS.
+
+    The result is memoized on (tol, max(40, log(x)/5)) in an LRU cache of
+    256 entries (_planned). The weight is 40 for every x below e^200, so
+    there all callers at one tol share one immutable EvalParams; above it
+    each x has its own entry. x is checked before the cache is reached, and a
+    refused tol is never cached: it raises again on every call.
     """
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
+    return _planned(tol, max(40.0, math.log(x) / 5.0))
+
+
+@functools.lru_cache(maxsize=256)
+def _planned(tol: float, weight: float) -> EvalParams:
+    """plan's EvalParams for tol and the log-csch2 weight max(40, log(x)/5).
+    lru_cache stores no exception, so check_tol refuses a bad tol every time."""
     check_tol(tol)
     # Why it fits, with q = e^{-2 pi}, y the lifted argument and F = k + 1,
     # so that q^F <= q tol/max(40, log(y)/5):
@@ -354,5 +371,5 @@ def plan(tol: float, x: float) -> EvalParams:
     # - the double series: at y >= LIFT_TARGET its envelope tail at k + 1
     #   carries e^{-2 pi (k+1) y} <= e^{-6 pi} (e^{-2 pi k})^3, below 1e-13 tol
     #   with q^k <= tol/40 at every admissible tol.
-    k = max(1, math.ceil(math.log(max(40.0, math.log(x) / 5.0) / tol) / _TWO_PI))
+    k = max(1, math.ceil(math.log(weight / tol) / _TWO_PI))
     return EvalParams(tol=tol, k_terms=k, n_terms=MAX_N_TERMS)

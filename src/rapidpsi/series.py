@@ -1048,17 +1048,18 @@ def zeta_odd_general(
     a b = pi^2, and RHS = 2^{2N+1} sum_j (-1)^{j+1}(2j-1) a^{N+1-j} b^j
     times the B-ratios. Each ratio is formed exactly from the table's exact,
     immutable values and rounded once; the floats are memoized on the table
-    per N. The parameter powers are in floating point."""
+    per N. The parameter powers are in floating point. Each scale s sums
+    2 + ceil(log(400/tol)/(2 s)) terms; params.k_terms is not read."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     if table.max_index < 2 * N + 2:
         raise ValueError(f"table holds B_0..B_{table.max_index}, need B_{2 * N + 2}")
     a, b = pair.alpha, pair.beta
     # the hyperbolic series here decay like e^{-2 a k} and e^{-2 b k}, not
-    # e^{-2 pi k}, so size each scale's k-range from its own decay; k_terms
-    # keeps its meaning for the pi-scaled families and acts as a floor. The
-    # cap is checked on the slower scale before the ceilings, which fail once
-    # 2 min(a,b) underflows.
+    # e^{-2 pi k}, so each scale sums to its own count, which holds its tail
+    # near tol/400, and k_terms plays no part (at least 2 terms, which a tol
+    # above 400 would otherwise undercut). The cap is checked on the slower
+    # scale before the ceilings, which fail once 2 min(a,b) underflows.
     log_share = math.log(400.0 / params.tol)
     span_a, span_b = log_share / (2.0 * a), log_share / (2.0 * b)
     if not max(span_a, span_b) <= MAX_K_TERMS - 2:
@@ -1066,8 +1067,8 @@ def zeta_odd_general(
             f"alpha={a} needs more than {MAX_K_TERMS} hyperbolic terms "
             f"for tol={params.tol}"
         )
-    k_a = max(params.k_terms, 2 + math.ceil(span_a))
-    k_b = max(params.k_terms, 2 + math.ceil(span_b))
+    k_a = 2 + max(0, math.ceil(span_a))
+    k_b = 2 + max(0, math.ceil(span_b))
     # b stands for pi^2/a; this covers the roundings of pi^2 and of the
     # quotient, and a pair given off the curve within ModularPair's check
     pi2 = math.pi * math.pi

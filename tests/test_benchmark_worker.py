@@ -50,7 +50,10 @@ def test_traced_worker_reports_every_layer(tmp_path):
     assert set(layers) == _worker_layers()
     assert all(math.isfinite(v) for v in layers.values())
     probes = result["probe_outputs"]
+    # the worker reads any tuple result as a CLI record, so an evaluator whose
+    # result type became a tuple would show here as "cli" where "ok" belongs
     outputs = [o for entries in result["outputs"] for o, _ in entries]
-    outputs += [o for group in probes.values() for o in group]
-    assert all(o[0] in ("ok", "cli") for o in outputs), outputs
+    outputs += [o for name, group in probes.items() if name != "cli" for o in group]
+    assert outputs and all(o[0] == "ok" for o in outputs), outputs
+    assert probes["cli"] and all(o[0] == "cli" for o in probes["cli"]), probes["cli"]
     assert all(o[1] == 0 for o in probes["cli"])

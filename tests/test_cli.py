@@ -291,6 +291,22 @@ def test_zeta_odd_two_parameter_matches(capsys):
     assert abs(rows(out_a)[0]["value"] - rb["value"]) <= 1e-12
 
 
+def test_zeta_odd_two_parameter_ignores_terms(capsys):
+    # each scale sizes its own sum from --tol, so --terms, even one that
+    # --n alone refuses, changes no field but the timing
+    records = []
+    for terms in ([], ["--terms", "1"], ["--terms", "10"], ["--terms", "6000"],
+                  ["--terms", "0"], ["--terms", "6001"]):
+        code, out, _ = run_cli(capsys, ["zeta-odd", "--n", "5", "--alpha", "2.5", *terms])
+        assert code == cli.EXIT_OK
+        r = rows(out)[0]
+        del r["elapsed_nanoseconds"]
+        records.append(r)
+    assert all(r == records[0] for r in records), records
+    code, out, _ = run_cli(capsys, ["zeta-odd", "--help"])
+    assert code == 0 and "ignores --terms" in " ".join(out.split())
+
+
 def test_zeta_odd_rejects_nonpositive_n(capsys):
     code, _, _ = run_cli(capsys, ["zeta-odd", "--n", "0"])
     assert code == cli.EXIT_INPUT

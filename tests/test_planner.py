@@ -431,6 +431,80 @@ def test_plan_validation():
     assert abs(sv.value - psi_oracle(0.05)) <= sv.error_estimate
 
 
+MEMO_TOLS = (1e-3, 1e-6, 1e-9, 3.7e-11, 1e-12, 1e-15)
+
+
+def _memo_xs():
+    """x log-spaced over [1e-12, 1e12], then both sides of e^200, where the
+    log-csch2 weight max(40, log(x)/5) starts to vary with x, and the far
+    end of the doubles."""
+    xs = [10.0 ** (-12 + 24 * i / 96) for i in range(97)]
+    switch = math.exp(200.0)
+    below = above = switch
+    for _ in range(4):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+        xs += [below, above]
+    return xs + [switch, 1e100, 1e300, 1.7e308]
+
+
+def test_memoized_plan_is_the_closed_form_at_every_point():
+    for tol in MEMO_TOLS:
+        for x in _memo_xs():
+            k = max(1, math.ceil(math.log(max(40.0, math.log(x) / 5.0) / tol) / TWO_PI))
+            p = planner.plan(tol, x)
+            assert p.k_terms == k, (tol, x)
+            assert p.n_terms == planner.MAX_N_TERMS
+            assert p == EvalParams(tol=tol, k_terms=k, n_terms=planner.MAX_N_TERMS)
+            # a repeat call gives the same
+            assert planner.plan(tol, x) == p
+
+
+def test_plan_shares_one_instance_per_tol_below_e200():
+    for tol in MEMO_TOLS:
+        shared = planner.plan(tol, 2.5)
+        assert all(planner.plan(tol, x) is shared for x in (1e-12, 1.0, 1e12, 1e80))
+    # the shared instance is frozen, so no caller can change another's count
+    with pytest.raises(AttributeError):
+        shared.k_terms = 1
+
+
+@pytest.mark.parametrize(
+    "tol, error",
+    [(0.0, ValueError), (-1.0, ValueError), (math.nan, ValueError), (math.inf, ValueError),
+     (1e-16, ToleranceError)],
+)
+def test_plan_refuses_a_bad_tol_on_every_call(tol, error):
+    messages = []
+    hits = planner._planned.cache_info().hits
+    for _ in range(3):
+        with pytest.raises(error) as caught:
+            planner.plan(tol, 2.5)
+        assert type(caught.value) is error
+        messages.append(str(caught.value))
+    assert messages == messages[:1] * 3
+    # no refusal was stored, so no repeat was answered from the cache
+    assert planner._planned.cache_info().hits == hits
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, -1.0, -math.inf, math.nan, math.inf])
+def test_plan_refuses_a_bad_x_before_the_cache(monkeypatch, x):
+    def forbidden(*args):
+        raise AssertionError("the cache was reached")
+
+    monkeypatch.setattr(planner, "_planned", forbidden)
+    with pytest.raises(ValueError, match="x must be positive and finite"):
+        planner.plan(1e-12, x)
+
+
+def test_plan_cache_is_bounded():
+    maxsize = planner._planned.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize < math.inf
+    # above e^200 every x is a new key, and the cache stays within its bound
+    for i in range(2 * maxsize):
+        planner.plan(1e-12, 1e90 * (1.0 + i / 64.0))
+    assert planner._planned.cache_info().currsize <= maxsize
+
+
 def test_eval_params_caps_the_outer_count():
     # the evaluators size one inner-length pair per outer index, so an
     # unbounded count would allocate before any loop stops

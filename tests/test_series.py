@@ -814,8 +814,9 @@ def test_zeta_odd_general_matches_single_parameter(alpha, N):
 
 
 def test_zeta_odd_general_sizes_each_scale_by_its_own_decay(monkeypatch):
-    # each scale takes max(k_terms, 2 + ceil(log(400/tol)/(2 s))) terms; the
-    # a-scale Lambert and csch^2 sums share one loop
+    # each scale takes its own 2 + ceil(log(400/tol)/(2 s)) terms whatever
+    # k_terms is, and at least 2 where a tol above 400 makes that negative;
+    # the a-scale Lambert and csch^2 sums share one loop
     counts = {}
     fused, csch2 = series._power_lambert_csch2_sum, series._power_csch2_sum
 
@@ -829,13 +830,14 @@ def test_zeta_odd_general_sizes_each_scale_by_its_own_decay(monkeypatch):
 
     monkeypatch.setattr(series, "_power_lambert_csch2_sum", count_fused)
     monkeypatch.setattr(series, "_power_csch2_sum", count_csch2)
-    tol = 1e-15
-    for alpha, k_terms in ((9.5, 1), (9.5, 10), (0.3, 1), (math.pi, 1)):
+    cases = ((1e-15, 9.5, 1), (1e-15, 9.5, 10), (1e-15, 0.3, 1), (1e-15, math.pi, 1),
+             (1e5, 0.3, 10))
+    for tol, alpha, k_terms in cases:
         pair = ModularPair.from_alpha(alpha)
         zv = series.zeta_odd_general(3, pair, TABLE, EvalParams(tol=tol, k_terms=k_terms))
         for key, scale in (("a", pair.alpha), ("b", pair.beta)):
-            own = 2 + math.ceil(math.log(400.0 / tol) / (2.0 * scale))
-            assert counts[key] == (scale, max(k_terms, own)), (alpha, key)
+            own = 2 + max(0, math.ceil(math.log(400.0 / tol) / (2.0 * scale)))
+            assert counts[key] == (scale, own), (alpha, key)
         assert zv.k_used == max(counts["a"][1], counts["b"][1])
 
 
