@@ -13,30 +13,34 @@ so their exact arithmetic runs once per table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+
+from .params import Record
 
 # the largest index any module needs: zeta(2N+1) for N <= 44 reads B_{2N+2}
 SHARED_MAX_INDEX = 90
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
+class BernoulliTable(Record):
     """B_0 .. B_max_index as exact rationals, exact and immutable.
 
     ``derived`` memoizes floats computed from the values, keyed by N and
-    filled lazily by the zeta evaluators; it takes no part in equality, the
-    hash or the repr, so a used table still equals a fresh one.
+    filled lazily by the zeta evaluators; it is not in _fields, so it takes
+    no part in equality, the hash or the repr, and a used table still equals
+    a fresh one.
     """
 
-    max_index: int
-    values: tuple[Fraction, ...]
-    derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    __slots__ = ("max_index", "values", "derived")
+    _fields = ("max_index", "values")
 
-    def __post_init__(self):
-        if len(self.values) != self.max_index + 1:
+    def __init__(self, max_index: int, values: tuple[Fraction, ...]):
+        if len(values) != max_index + 1:
             raise ValueError("values length must be max_index + 1")
+        set_max_index, set_values, set_derived = self._setters
+        set_max_index(self, max_index)
+        set_values(self, values)
+        set_derived(self, {})
 
 
 def build_bernoulli_table(max_index: int) -> BernoulliTable:

@@ -15,7 +15,6 @@ evaluation commands start without them.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -25,7 +24,7 @@ from . import planner, series
 from .bernoulli import shared_table
 from .errors import GuardBandError, ToleranceError
 from .params import (
-    DEFAULT_GUARD_DELTA, EvalParams, ModularPair, SeriesValue, check_tol
+    DEFAULT_GUARD_DELTA, EvalParams, ModularPair, Record, SeriesValue, check_tol
 )
 
 EXIT_OK = 0
@@ -34,19 +33,27 @@ EXIT_VERIFY = 2
 EXIT_TOLERANCE = 3
 
 
-@dataclasses.dataclass(frozen=True)
-class Report:
+class Report(Record):
     """One output record; floats are printed with 17 significant digits so the
     serialized form round-trips losslessly."""
 
-    quantity: str
-    input: float
-    value: float
-    abs_error_estimate: float
-    k_used: int
-    n_used: int
-    method: str
-    elapsed_nanoseconds: int
+    __slots__ = _fields = (
+        "quantity", "input", "value", "abs_error_estimate", "k_used", "n_used", "method",
+        "elapsed_nanoseconds",
+    )
+
+    def __init__(self, quantity: str, input: float, value: float, abs_error_estimate: float,
+                 k_used: int, n_used: int, method: str, elapsed_nanoseconds: int):
+        (set_quantity, set_input, set_value, set_abs_error_estimate, set_k_used, set_n_used,
+         set_method, set_elapsed_nanoseconds) = self._setters
+        set_quantity(self, quantity)
+        set_input(self, input)
+        set_value(self, value)
+        set_abs_error_estimate(self, abs_error_estimate)
+        set_k_used(self, k_used)
+        set_n_used(self, n_used)
+        set_method(self, method)
+        set_elapsed_nanoseconds(self, elapsed_nanoseconds)
 
 
 def _fmt_num(v) -> str:

@@ -18,28 +18,31 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import planner, series
 from .bernoulli import BernoulliTable, shared_table
 from .oracles import euler_gamma_reference, psi_oracle, re_psi_one_plus_ik, zeta_direct_oracle
-from .params import EvalParams
+from .params import EvalParams, Record
 
 _TWO_PI = 2.0 * math.pi
 _EPS = math.ulp(1.0)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """One verified identity: the residual actually measured, the allowance
     it had to stay inside, and the verdict."""
 
-    name: str
-    argument: float
-    residual: float
-    allowance: float
-    passed: bool
+    __slots__ = _fields = ("name", "argument", "residual", "allowance", "passed")
+
+    def __init__(self, name: str, argument: float, residual: float, allowance: float,
+                 passed: bool):
+        set_name, set_argument, set_residual, set_allowance, set_passed = self._setters
+        set_name(self, name)
+        set_argument(self, argument)
+        set_residual(self, residual)
+        set_allowance(self, allowance)
+        set_passed(self, passed)
 
 
 def _abs_check(name: str, argument: float, residual: float, allowance: float) -> CheckResult:

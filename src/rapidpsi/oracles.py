@@ -12,13 +12,13 @@ series machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .bernoulli import shared_table
 from .errors import ToleranceError
+from .params import Record
 
 _TWO_PI = 2.0 * math.pi
 
@@ -32,18 +32,20 @@ _MAX_TERMS = 50_000_000
 _QUAD_LIMIT = 200
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Accuracy/effort knobs for the classical evaluators."""
+class OracleConfig(Record):
+    """Accuracy/effort knobs for the classical evaluators. It keys their
+    lru_caches, so it hashes and compares by its fields."""
 
-    target_tolerance: float = 1e-13
-    shift_threshold: float = 16.0
+    __slots__ = _fields = ("target_tolerance", "shift_threshold")
 
-    def __post_init__(self):
-        if not self.target_tolerance >= 1e-15:
+    def __init__(self, target_tolerance: float = 1e-13, shift_threshold: float = 16.0):
+        if not target_tolerance >= 1e-15:
             raise ValueError("target_tolerance must be >= 1e-15 in double precision")
-        if self.shift_threshold <= 0:
+        if shift_threshold <= 0:
             raise ValueError("shift_threshold must be positive")
+        set_target_tolerance, set_shift_threshold = self._setters
+        set_target_tolerance(self, target_tolerance)
+        set_shift_threshold(self, shift_threshold)
 
 
 DEFAULT_ORACLE = OracleConfig()

@@ -33,7 +33,10 @@ Numerical strategy notes:
   sum sin(n t)/n^2 and sum (1-cos(n t))/n^3, leaving remainders whose terms
   decay like n^-4 and n^-5, so double precision targets need ~10^4 terms
   instead of ~10^11; numpy, which sums them and nothing else here, is
-  imported on first use, so only S off the integers below 3 loads it;
+  imported on first use. So only S off the integers from x = 3
+  (planner.LIFT_TARGET) loads it, and only while its outer sum keeps a
+  term: up to x ~ 5.2 at tol 1e-12 and ~ 6.3 at 1e-15, nowhere at tol
+  1e-6 or above. Below 3, S is R(x) - psi(x+1) and loads none;
 - error_estimate fields combine the planner's rigorous tail bounds with a
   rounding allowance proportional to the summed magnitude; the evaluators
   that end in one fsum of their pieces add it in _close.
@@ -44,7 +47,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from . import planner
 from .bernoulli import BernoulliTable, bernoulli_over_factorial, shared_table
@@ -55,6 +57,7 @@ from .params import (
     MAX_K_TERMS,
     EvalParams,
     ModularPair,
+    Record,
     SeriesValue,
 )
 from .planner import _EPS, _Q_UNIT, _csch2, _guard_index, _inv_expm1
@@ -508,17 +511,31 @@ _PSI_FAR = _far_bound(_Y_MOMENT)
 _D_FAR, _PRIME_FAR = _off_band_far(_Y_MOMENT, DEFAULT_GUARD_DELTA / 2.0)
 
 
-class _Moments(NamedTuple):
+class _Moments(Record):
     """The per-K moment tables of _moments."""
 
-    m: tuple[float, ...]  # M_{2j+1}
-    l: tuple[float, ...]  # L_{4j+4}/(j+1)
-    m_d: tuple[float, ...]  # M_{4j+1}, D's series
-    m_prime: tuple[float, ...]  # (j+1) M_{2j+1}, psi''s k-sum series
-    l_prime: tuple[float, ...]  # L_{4j+4}, psi''s csch^2 series
-    rel: float
-    a: float
-    b: float
+    __slots__ = _fields = ("m", "l", "m_d", "m_prime", "l_prime", "rel", "a", "b")
+
+    def __init__(
+        self,
+        m: tuple[float, ...],  # M_{2j+1}
+        l: tuple[float, ...],  # L_{4j+4}/(j+1)
+        m_d: tuple[float, ...],  # M_{4j+1}, D's series
+        m_prime: tuple[float, ...],  # (j+1) M_{2j+1}, psi''s k-sum series
+        l_prime: tuple[float, ...],  # L_{4j+4}, psi''s csch^2 series
+        rel: float,
+        a: float,
+        b: float,
+    ):
+        set_m, set_l, set_m_d, set_m_prime, set_l_prime, set_rel, set_a, set_b = self._setters
+        set_m(self, m)
+        set_l(self, l)
+        set_m_d(self, m_d)
+        set_m_prime(self, m_prime)
+        set_l_prime(self, l_prime)
+        set_rel(self, rel)
+        set_a(self, a)
+        set_b(self, b)
 
 
 @lru_cache(maxsize=None)  # one entry per K <= _K_CAP
@@ -620,7 +637,8 @@ def _psi_less_log(y: float, k: int, tol: float) -> tuple[list[float], float]:
     each j-series, its moments' rel plus (3n + 2) eps for its n terms and
     the powers of u (Higham, Accuracy and Stability of Numerical Algorithms,
     3.1 and 5.1). The caller's _close adds 4 eps of every piece."""
-    moment_m, moment_l, _, _, _, rel, a, b = _moments(k)
+    mom = _moments(k)
+    moment_m, moment_l, rel, a, b = mom.m, mom.l, mom.rel, mom.a, mom.b
     u = 1.0 / (y * y)
     r = k * k * u
     share = tol / 4.0

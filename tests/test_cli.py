@@ -507,6 +507,18 @@ def test_planned_psi_imports_no_numpy(call):
     assert done.stdout.strip().splitlines()[-1] == "False"
 
 
+def test_import_path_loads_no_dataclasses_typing_or_numpy():
+    # -S keeps site out, which can import typing through a .pth file and
+    # so hide a module the package itself pulls in
+    probe = (
+        "import sys, rapidpsi, rapidpsi.cli; rapidpsi.cli.main(['psi', '--x', '2.5']); "
+        "print([m for m in ('dataclasses', 'inspect', 'typing', 'numpy') if m in sys.modules])"
+    )
+    done = _fresh_python("-S", "-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_readme_library_use_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Library use", 1)[1]

@@ -6,7 +6,6 @@ oracles, quadrature of the integral form of the double series, and literature
 decimals for zeta at small odd integers.
 """
 
-import dataclasses
 import math
 
 import pytest
@@ -102,7 +101,7 @@ def test_psi_error_estimate_is_genuine():
         p = planner.plan(1e-10, x)
         coarse = series.psi_ramanujan(x, p)
         fine = series.psi_ramanujan(
-            x, dataclasses.replace(p, tol=p.tol / 2.0, k_terms=2 * p.k_terms)
+            x, EvalParams(tol=p.tol / 2.0, k_terms=2 * p.k_terms, n_terms=p.n_terms)
         )
         assert abs(coarse.value - fine.value) <= coarse.error_estimate
 
@@ -292,7 +291,7 @@ def test_small_x_double_series_and_re_psi_within_estimate_of_mpmath(tol):
 def test_shift_is_an_exact_identity():
     # 0.7, 1.7, 2.7 and 3.7 are summed with shifts 3, 2, 1 and 0; the
     # recurrence psi(x+2) = psi(x+1) + 1/(x+1) must tie their values together
-    base = dataclasses.replace(P12, n_terms=2000)
+    base = EvalParams(tol=P12.tol, k_terms=P12.k_terms, n_terms=2000)
     svs = [series.psi_ramanujan(0.7 + i, base) for i in range(4)]
     assert [planner.lift_shift(0.7 + i) for i in range(4)] == [3, 2, 1, 0]
     for i in range(1, 4):
@@ -360,7 +359,9 @@ def test_double_series_at_integer_collapses_to_cosine_row():
         k * math.exp(-4.0 * math.pi * k) * gamma_plus_re_psi(float(k))
         for k in range(1, P12.k_terms + 1)
     )
-    sv = series.double_series_S(2.0, dataclasses.replace(P12, tol=1e-15))
+    sv = series.double_series_S(
+        2.0, EvalParams(tol=1e-15, k_terms=P12.k_terms, n_terms=P12.n_terms)
+    )
     assert abs(sv.value - closed) <= 1e-16
     sv = series.double_series_S(2.0, P12)
     assert abs(sv.value - closed) <= sv.error_estimate
