@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import time
+from functools import lru_cache
 
 from . import planner, series
 from .bernoulli import shared_table
@@ -154,8 +155,8 @@ def cmd_zeta_odd(args) -> int:
         return _fail("--n must be a positive integer (N >= 1)", EXIT_INPUT)
     t0 = time.perf_counter_ns()
     if args.alpha is not None:
-        # the two-parameter form sizes each scale from tol, so --terms,
-        # even one out of range, is not read
+        # the two-parameter form stops each k-sum at its share of tol, so
+        # --terms, even one out of range, is not read
         p = EvalParams(tol=args.tol)
         pair = ModularPair.from_alpha(args.alpha)
         sv = series.zeta_odd_general(args.n, pair, shared_table(), p)
@@ -253,7 +254,11 @@ def _add_common(sub, tol_default=1e-12):
                      help="output record format")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it takes
+    most of a call to main, and parse_args leaves it unchanged, so every
+    call parses with the same one."""
     parser = _Parser(
         prog="rapidpsi",
         description="Rapidly convergent hyperbolic-series evaluation of the "
@@ -283,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_z.add_argument("--n", type=int, required=True)
     p_z.add_argument("--alpha", type=float, default=None,
                      help="first parameter of the two-parameter form (beta = pi^2/alpha); "
-                          "it sizes each scale's sum from --tol and ignores --terms")
+                          "it is summed at min(alpha, beta), stops each k-sum at its own "
+                          "share of --tol and ignores --terms")
     _add_common(p_z)
     p_z.set_defaults(func=cmd_zeta_odd)
 
@@ -309,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ToleranceError as exc:

@@ -90,7 +90,8 @@ def _power_lambert_sum(
     """(value, tail bound, rounding bound, last k before underflow) for
     sum_k k^power/(e^{2 scale k}-1) over k <= k_terms, each weight formed
     in its own loop; the Lambert checks of acceptance criterion 3 read
-    it, and the fused loop of zeta_odd_general equals it bit for bit."""
+    it, and zeta_odd_general's loop (series._power_sums) sums the same
+    terms bit for bit."""
     pieces = []
     rounding = 0.0
     for k in range(1, k_terms + 1):

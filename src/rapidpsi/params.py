@@ -84,9 +84,9 @@ class EvalParams(Record):
     gamma_at_integer and re_psi_complex_ramanujan take their moments over
     K = min(k_terms, 7) outer terms (plan's count never exceeds 7) and sum
     them at an argument lifted to 16 or more, at max(m, 16) for
-    gamma_at_integer, or at x itself for Re psi. The zeta(2N+1) evaluators
-    sum k <= k_terms at scale pi; zeta_odd_general does not read k_terms and
-    sums each of its scales to that scale's own count from tol. The double
+    gamma_at_integer, or at x itself for Re psi. zeta_odd sums
+    k <= k_terms at scale pi; zeta_odd_general does not read k_terms and
+    stops each of its k-sums at its own share of tol. The double
     series, which double_series_S sums where it stands from
     planner.LIFT_TARGET on and at the integers, sizes its outer and inner
     sums itself from tol (planner.outer_weights), and both counts only cap

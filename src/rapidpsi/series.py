@@ -20,9 +20,10 @@ Numerical strategy notes:
   constant is the partial-fraction sum P(y) less psi(y+1) and D(y) at
   y >= 16, with P by Euler-Maclaurin in pure Python, or at an integer m
   H_n - psi(n+1) at n = max(m, 16). None of them sums S;
-- the odd zeta values read their scale-pi weights from _PI_WEIGHTS; at a
-  general scale one exp/expm1 pair per k gives both the Lambert and the
-  csch^2 weight;
+- the odd zeta values read their scale-pi weights from _PI_WEIGHTS; the
+  two-parameter form is summed at the smaller member of its pair, where
+  one exp/expm1 pair per k gives both the Lambert and the csch^2 weight and
+  each k-sum stops at its own share of tol;
 - every trig argument is reduced to the signed distance from the nearest
   integer before multiplying by pi, so the k-series stay accurate for large x;
 - inside |x - m| < guard_delta the two singular pairings (the cot pole
@@ -837,9 +838,13 @@ def re_psi_complex_ramanujan(x: float, params: EvalParams) -> SeriesValue:
     and D is O(x) at 0.
 
     At x >= 16, psi(x+1) - log x (_psi_less_log) and D (_d_moment) come from
-    the same moment table with no tail pass; below 16, psi_ramanujan lifts as
-    it always does and D is one K-term loop (_d_at). x inside a guard band is
-    rejected. k_used is K and n_used 0."""
+    the same moment table with no tail pass. Below 16, psi(x+1) comes from
+    the pieces psi_ramanujan sums (_psi_less_log at y = fl(x + shift) >= 16,
+    log y and the harmonic terms, _lift) and D from one K-term loop at x
+    itself (_d_at). Either way every piece closes in one fsum, whose 4 eps
+    sum|piece| covers each piece's rounding, with the bounds of both parts
+    and the lift's. x inside a guard band is rejected. k_used is K and
+    n_used 0."""
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
     m = _guard_index(x, params.guard_delta)
@@ -855,10 +860,13 @@ def re_psi_complex_ramanujan(x: float, params: EvalParams) -> SeriesValue:
         pieces += d_pieces
         pieces.append(math.log(x))
         return _close(pieces, bound + d_bound, k, 0)
-    psi = psi_ramanujan(x, params)
-    pieces, bound = _d_at(x, k, params.guard_delta)
-    pieces.append(psi.value)
-    return _close(pieces, bound + psi.error_estimate, k, 0)
+    shift, y, lift_err = _lift(x, 1)
+    pieces, bound = _psi_less_log(y, k, params.tol)
+    d_pieces, d_bound = _d_at(x, k, params.guard_delta)
+    pieces += d_pieces
+    pieces.append(math.log(y))
+    pieces.extend([-1.0 / (x + i) for i in range(1, shift + 1)])
+    return _close(pieces, bound + d_bound + lift_err, k, 0)
 
 
 # (1 - 4q)/(1 - 8q): turns _moments' a, whose k-sum terms shrink by 4q, into
@@ -943,17 +951,25 @@ def _zeta_odd_j_sum(
     return sum(((2 * j - 1) if j % 2 else (1 - 2 * j)) * p for j, p in enumerate(products))
 
 
-def _zeta_odd_coefficients(N: int, table: BernoulliTable) -> tuple[float, tuple[float, ...]]:
-    """(J, ratios) for zeta(2N+1): J = _zeta_odd_j_sum(N, table) and the N+2
-    ratios B_{2j}/(2j)! B_{2N+2-2j}/(2N+2-2j)!, both from one list of the
-    exact products, each rounded once. They depend on N and the table alone,
-    so the first call for an N computes them and stores them in
+def _zeta_odd_coefficients(
+    N: int, table: BernoulliTable
+) -> tuple[float, tuple[tuple[float, int, int, float], ...]]:
+    """(J, terms) for zeta(2N+1): J = _zeta_odd_j_sum(N, table) and, for
+    j = 0..N+1, zeta_odd_general's RHS term j as (sign (2j - 1), N + 1 - j,
+    j, ratio), with sign = (-1)^{j+1} and ratio the product
+    B_{2j}/(2j)! B_{2N+2-2j}/(2N+2-2j)!. J and the ratios come from one list
+    of the exact products, each rounded once. They depend on N and the table
+    alone, so the first call for an N computes them and stores them in
     table.derived[N] for later calls."""
     coefficients = table.derived.get(N)
     if coefficients is None:
         products = _zeta_odd_products(N, table)
         j_sum = _zeta_odd_j_sum(N, table, products)
-        coefficients = table.derived[N] = (float(j_sum), tuple(map(float, products)))
+        terms = tuple(
+            (float((2 * j - 1) if j % 2 else (1 - 2 * j)), N + 1 - j, j, float(p))
+            for j, p in enumerate(products)
+        )
+        coefficients = table.derived[N] = (float(j_sum), terms)
     return coefficients
 
 
@@ -989,38 +1005,64 @@ def _power_csch2_sum(
     return math.fsum(pieces), tail, rounding, len(pieces)
 
 
-def _power_lambert_csch2_sum(
-    power: int, scale: float, k_terms: int
+def _power_sums(
+    power: int,
+    scale: float,
+    cap: int,
+    csch_share: float,
+    lam_share: float = math.inf,
+    scale_err: float = 0.0,
 ) -> tuple[tuple[float, float, float, int], tuple[float, float, float, int]]:
-    """(identities._power_lambert_sum(power - 1, scale, k_terms),
-    _power_csch2_sum(power, scale, k_terms)) for power <= 0, bit for bit, from
-    one exp/expm1 pair per k: with t = scale k, e = e^{-2t} and
-    d = expm1(-2t), 1/(e^{2t} - 1) = e/(-d) and csch^2(t) = 4e/d^2, which are
-    _inv_expm1(2t) and _csch2(t) as they form them. Both weights underflow
-    to 0 past t = 350, where the loop stops, so both halves have the same
-    last k."""
-    lam = []
-    csch = []
-    lam_rnd = csch_rnd = 0.0
-    for k in range(1, k_terms + 1):
+    """(csch^2 sum, Lambert sum) of sum_k k^power/sinh^2(scale k) and
+    sum_k k^{power-1}/(e^{2 scale k} - 1), power <= 0, each as (value,
+    remainder bound, rounding bound, terms summed), from one exp/expm1 pair
+    per k: with t = scale k, e = e^{-2t} and d = expm1(-2t),
+    csch^2(t) = 4e/d^2 and 1/(e^{2t} - 1) = e/(-d), as _csch2 and
+    _inv_expm1 form them; scale_err bounds scale's relative error.
+
+    Every term of either sum is at most q = e^{-2 scale} times the one
+    before: k^power does not grow, sinh^2(tk)/sinh^2(t(k+1)) <= e^{-2t} and
+    (e^{2tk} - 1)/(e^{2t(k+1)} - 1) <= e^{-2t}. So each sum stops before its
+    first term t with t (1 + r)/(1 - q) <= its share, where r is the term's
+    own _summand_rounding, and that bounds the rest, as in _moment_series;
+    q is taken at scale (1 - scale_err), and the 1e-12 covers the rounding
+    of the bound. A sum that reaches cap terms is charged the closed tail
+    from cap + 1 (planner.bound_csch2, planner.bound_lambert). The default
+    lam_share stops the Lambert sum at once, for a caller that needs only
+    the csch^2 sum."""
+    one_minus_q = -math.expm1(-2.0 * scale * (1.0 - scale_err))
+    csch_limit, lam_limit = csch_share * one_minus_q, lam_share * one_minus_q
+    csch, lam = [], []
+    csch_rnd = lam_rnd = 0.0
+    csch_tail = lam_tail = -1.0  # -1 while the sum runs
+    for k in range(1, cap + 1):
         t = scale * k
-        if t > 350.0:
-            break
         e = math.exp(-2.0 * t)
         d = math.expm1(-2.0 * t)
-        lam_piece = float(k) ** (power - 1) * (e / -d)
-        csch_piece = float(k) ** power * (4.0 * e / d**2)
-        lam.append(lam_piece)
-        csch.append(csch_piece)
-        rnd = _summand_rounding(t, 0.0)
-        lam_rnd += lam_piece * rnd
-        csch_rnd += csch_piece * rnd
-    k_used = len(lam)
-    lam_tail = planner.bound_lambert(power - 1, k_terms + 1, scale)
-    csch_tail = planner.bound_csch2(k_terms + 1, power, scale)
+        rnd = _summand_rounding(t, scale_err)
+        if csch_tail < 0.0:
+            piece = float(k) ** power * (4.0 * e / d**2)
+            if piece * (1.0 + rnd) > csch_limit:
+                csch.append(piece)
+                csch_rnd += piece * rnd
+            else:
+                csch_tail = piece * (1.0 + rnd) / one_minus_q * (1.0 + 1e-12)
+        if lam_tail < 0.0:
+            piece = float(k) ** (power - 1) * (e / -d)
+            if piece * (1.0 + rnd) > lam_limit:
+                lam.append(piece)
+                lam_rnd += piece * rnd
+            else:
+                lam_tail = piece * (1.0 + rnd) / one_minus_q * (1.0 + 1e-12)
+        if csch_tail >= 0.0 and lam_tail >= 0.0:
+            break
+    if csch_tail < 0.0:
+        csch_tail = planner.bound_csch2(cap + 1, power, scale)
+    if lam_tail < 0.0:
+        lam_tail = planner.bound_lambert(power - 1, cap + 1, scale)
     return (
-        (math.fsum(lam), lam_tail, lam_rnd, k_used),
-        (math.fsum(csch), csch_tail, csch_rnd, k_used),
+        (math.fsum(csch), csch_tail, csch_rnd, len(csch)),
+        (math.fsum(lam), lam_tail, lam_rnd, len(lam)),
     )
 
 
@@ -1064,48 +1106,62 @@ def zeta_odd_general(
     2N a^{-N}(zeta(2N+1) + 2 L_a) + a^{1-N} S_a - (-b)^{1-N} S_b = RHS,
     where L_a is the a-scaled Lambert sum, S_a/S_b the scaled csch^2 sums,
     a b = pi^2, and RHS = 2^{2N+1} sum_j (-1)^{j+1}(2j-1) a^{N+1-j} b^j
-    times the B-ratios. Each ratio is formed exactly from the table's exact,
-    immutable values and rounded once; the floats are memoized on the table
-    per N. The parameter powers are in floating point. Each scale s sums
-    2 + ceil(log(400/tol)/(2 s)) terms; params.k_terms is not read."""
+    times the B-ratios (Berndt, Ramanujan's Notebooks, Part II, ch. 14,
+    Entry 21). zeta(2N+1) is the same from either member of the pair, so
+    the identity is taken at a = min(alpha, beta) <= pi, where the RHS and
+    the scaling a^N/(2N) cancel least. Each ratio is formed exactly from the
+    table's exact, immutable values and rounded once; the floats are
+    memoized on the table per N. The parameter powers are in floating point.
+
+    Each of the three k-sums stops at its own remainder (_power_sums), held
+    to tol/32 once weighted as the estimate weights it: a/(2N) for S_a,
+    a^N b^{1-N}/(2N) for S_b and 2 for L_a. The three tails then add less
+    than tol/10, which leaves the rest of tol to the rounding where the
+    identity cancels. None sums more than
+    2 + ceil(log(400/tol)/(2 s)) terms at its scale s; params.k_terms is not
+    read. A scale that would need more than MAX_K_TERMS terms is refused up
+    front with ToleranceError."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     if table.max_index < 2 * N + 2:
         raise ValueError(f"table holds B_0..B_{table.max_index}, need B_{2 * N + 2}")
     a, b = pair.alpha, pair.beta
-    # the hyperbolic series here decay like e^{-2 a k} and e^{-2 b k}, not
-    # e^{-2 pi k}, so each scale sums to its own count, which holds its tail
-    # near tol/400, and k_terms plays no part (at least 2 terms, which a tol
-    # above 400 would otherwise undercut). The cap is checked on the slower
-    # scale before the ceilings, which fail once 2 min(a,b) underflows.
+    if b < a:
+        a, b = b, a
+    # the cap on each scale's count is checked on the slower scale a before
+    # the ceilings, which fail once 2a underflows
     log_share = math.log(400.0 / params.tol)
-    span_a, span_b = log_share / (2.0 * a), log_share / (2.0 * b)
-    if not max(span_a, span_b) <= MAX_K_TERMS - 2:
+    span_a = log_share / (2.0 * a)
+    if not span_a <= MAX_K_TERMS - 2:
         raise ToleranceError(
-            f"alpha={a} needs more than {MAX_K_TERMS} hyperbolic terms "
+            f"alpha={pair.alpha} needs more than {MAX_K_TERMS} hyperbolic terms "
             f"for tol={params.tol}"
         )
-    k_a = 2 + max(0, math.ceil(span_a))
-    k_b = 2 + max(0, math.ceil(span_b))
+    cap_a = 2 + max(0, math.ceil(span_a))
+    cap_b = 2 + max(0, math.ceil(log_share / (2.0 * b)))
     # b stands for pi^2/a; this covers the roundings of pi^2 and of the
     # quotient, and a pair given off the curve within ModularPair's check
     pi2 = math.pi * math.pi
     b_err = abs(a * b - pi2) / pi2 + 2.0 * _EPS
-    rhs_terms = []
-    for j, ratio in enumerate(_zeta_odd_coefficients(N, table)[1]):
-        sign = -1.0 if j % 2 == 0 else 1.0
-        rhs_terms.append(sign * (2 * j - 1) * a ** (N + 1 - j) * b**j * ratio)
+    terms = _zeta_odd_coefficients(N, table)[1]
+    rhs_terms = [c * a**ea * b**eb * ratio for c, ea, eb, ratio in terms]
     rhs = 2.0 ** (2 * N + 1) * math.fsum(rhs_terms)
-    lam_sum, csch_sum = _power_lambert_csch2_sum(-2 * N, a, k_a)
-    lam_a, lam_a_tail, lam_a_rnd, k_used_a = lam_sum
-    s_a, s_a_tail, s_a_rnd, _ = csch_sum
-    s_b, s_b_tail, s_b_rnd, k_used_b = _power_csch2_sum(-2 * N, b, k_b, b_err)
-    sign_b = 1.0 if (1 - N) % 2 == 0 else -1.0
     pow_a, pow_b = a ** (1 - N), b ** (1 - N)
+    scaling = a**N / (2.0 * N)
+    share = params.tol / 32.0
+    (s_a, s_a_tail, s_a_rnd, k_s_a), (lam_a, lam_a_tail, lam_a_rnd, k_lam_a) = _power_sums(
+        -2 * N, a, cap_a, share * (2 * N) / a, share / 2.0
+    )
+    # divided one factor at a time: their product can underflow where
+    # neither does
+    s_b, s_b_tail, s_b_rnd, k_s_b = _power_sums(
+        -2 * N, b, cap_b, share / pow_b / scaling, scale_err=b_err
+    )[0]
+    sign_b = 1.0 if (1 - N) % 2 == 0 else -1.0
     lhs_a = pow_a * s_a
     lhs_b = sign_b * pow_b * s_b
     diff = rhs - (lhs_a - lhs_b)
-    value = diff * a**N / (2.0 * N) - 2.0 * lam_a
+    value = diff * scaling - 2.0 * lam_a
     # first-order rounding (Higham 3.1), before the scaling by a^N/(2N): each
     # rhs term an ulp from each power, j b_err through b^j and eps/2 from the
     # ratio, each product and the fsum; each csch^2 sum its own rounding, an
@@ -1114,13 +1170,13 @@ def zeta_odd_general(
     # the final subtraction are in the 4 eps (|value| + 2 L_a) term.
     rounding = (
         2.0 ** (2 * N + 1)
-        * math.fsum(abs(t) * (5.0 * _EPS + j * b_err) for j, t in enumerate(rhs_terms))
+        * math.fsum([abs(t) * (5.0 * _EPS + j * b_err) for j, t in enumerate(rhs_terms)])
         + pow_a * (s_a_rnd + 2.0 * _EPS * s_a)
         + pow_b * (s_b_rnd + ((N - 1) * b_err + 2.0 * _EPS) * s_b)
         + _EPS * (abs(lhs_a) + abs(lhs_b) + abs(diff))
     )
     tails = pow_a * s_a_tail + pow_b * s_b_tail
-    err = (tails + rounding) * a**N / (2.0 * N) + 2.0 * (lam_a_tail + lam_a_rnd)
+    err = (tails + rounding) * scaling + 2.0 * (lam_a_tail + lam_a_rnd)
     return SeriesValue(
-        value, err + 4.0 * _EPS * (abs(value) + 2.0 * lam_a + 1.0), max(k_used_a, k_used_b), 0
+        value, err + 4.0 * _EPS * (abs(value) + 2.0 * lam_a + 1.0), max(k_s_a, k_lam_a, k_s_b), 0
     )

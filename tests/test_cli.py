@@ -531,15 +531,42 @@ def test_readme_library_use_runs():
     assert abs(z3 - 1.2020569031595942) <= 1e-12
 
 
-@pytest.mark.parametrize("alpha", ["1e-10", "1e10", "1e-30", "1e-300"])
+@pytest.mark.parametrize("alpha", ["1e-10", "1e10", "1e-30", "1e-300", "1e300"])
 def test_zeta_odd_at_extreme_alpha_is_a_tolerance_error(alpha):
     # the slower k-sum would need ~1e11 or more terms (the CLI hung), and at
-    # 1e-30 and 1e-300 the parameter powers failed with a traceback
+    # 1e-30 and 1e-300 the parameter powers failed with a traceback; 1e300
+    # puts the slower scale on beta
     done = _fresh_python("-m", "rapidpsi", "zeta-odd", "--n", "2", "--alpha", alpha, timeout=60)
     assert done.returncode == cli.EXIT_TOLERANCE
     assert done.stdout == ""
     assert len(done.stderr.strip().splitlines()) == 1
     assert str(MAX_K_TERMS) in done.stderr
+
+
+def test_successive_main_calls_parse_independently(capsys):
+    # main parses every call with the one parser built per process; no
+    # option, default or subcommand of one call may reach the next
+    assert cli.build_parser() is cli.build_parser()
+    parser = cli.build_parser()
+    assert parser.parse_args(["identities"]).suite == "identities"
+    assert parser.parse_args(["verify"]).suite == "all"
+    assert parser.parse_args(["psi", "--x", "2.5", "--tol", "1e-6"]).tol == 1e-6
+    assert parser.parse_args(["psi", "--x", "2.5"]).tol == 1e-12
+    calls = (
+        (["gamma", "--m", "2"], cli.EXIT_OK, "integer_limit"),
+        (["gamma", "--x", "0.5"], cli.EXIT_OK, "any_argument"),
+        (["zeta-odd", "--n", "3", "--alpha", "2.0"], cli.EXIT_OK, "two_parameter"),
+        (["zeta-odd", "--n", "3"], cli.EXIT_OK, "single_parameter"),
+        (["psi", "--x", "2.5", "--method", "classical"], cli.EXIT_OK, "classical"),
+        (["psi", "--x", "2.5"], cli.EXIT_OK, "ramanujan"),
+        (["psi"], cli.EXIT_INPUT, None),
+        (["psi-prime", "--x", "2.5"], cli.EXIT_OK, "ramanujan"),
+    )
+    for argv, expected, method in calls:
+        code, out, _ = run_cli(capsys, argv)
+        assert code == expected, argv
+        if method is not None:
+            assert rows(out)[0]["method"] == method, argv
 
 
 def test_parse_errors_exit_with_input_code(capsys):

@@ -133,13 +133,17 @@ def test_zeta_odd_contract_against_mpmath(tol):
 def test_zeta_odd_general_contract_against_mpmath(tol):
     # alpha from pi/1000 to 1000 pi; where the slower scale needs more than
     # MAX_K_TERMS terms the call raises ToleranceError, which happens only at
-    # tol 1e-15, at pi/1000 and 1000 pi, for every N and k_terms
+    # tol 1e-15, at pi/1000 and 1000 pi, for every N and k_terms. Summed at
+    # the smaller member of the pair, every estimate meets tol 1e-6 and 1e-9;
+    # at 1e-12 the rounding of the identity still exceeds tol at 48 of the
+    # 150 points with N <= 12, all with min(alpha, beta) < pi/100
     table = shared_table()
     capped = 0
+    above = set()
     with mpmath.workdps(40):
         for i in range(-12, 13):
             pair = ModularPair.from_alpha(math.pi * 10.0 ** (i / 4.0))
-            for N in (1, 2, 3, 5, 8, 12):
+            for N in (1, 2, 3, 5, 8, 12, 20, 44):
                 exact = mpmath.zeta(2 * N + 1)
                 for k_terms in (1, 10, 111):
                     p = EvalParams(tol=tol, k_terms=k_terms)
@@ -149,7 +153,13 @@ def test_zeta_odd_general_contract_against_mpmath(tol):
                         capped += 1
                         continue
                     assert abs(mpmath.mpf(zv.value) - exact) <= zv.error_estimate, (i, N, k_terms)
-    assert capped == (36 if tol == 1e-15 else 0)
+                    if zv.error_estimate > tol:
+                        above.add((i, N))
+    assert capped == (48 if tol == 1e-15 else 0)
+    if tol >= 1e-9:
+        assert not above
+    elif tol == 1e-12:
+        assert sum(N <= 12 for _, N in above) <= 48
 
 
 @pytest.mark.parametrize(

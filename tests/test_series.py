@@ -745,6 +745,14 @@ def _reference_ratios(N, table):
     )
 
 
+def _reference_terms(N, table):
+    """zeta_odd_general's RHS terms as (sign (2j - 1), N + 1 - j, j, ratio)."""
+    return tuple(
+        ((-1.0) ** (j + 1) * (2 * j - 1), N + 1 - j, j, ratio)
+        for j, ratio in enumerate(_reference_ratios(N, table))
+    )
+
+
 def test_zeta_odd_j_sum_runs_once_per_table_and_n(monkeypatch):
     # the exact products are formed once per table and N, and J is summed
     # from those same products
@@ -776,18 +784,18 @@ def test_zeta_odd_j_sum_runs_once_per_table_and_n(monkeypatch):
     for table in tables:
         assert sorted(table.derived) == list(ns)
         for N in ns:
-            assert table.derived[N] == (float(_reference_j_sum(N, table)), _reference_ratios(N, table))
+            assert table.derived[N] == (float(_reference_j_sum(N, table)), _reference_terms(N, table))
 
 
 def test_zeta_odd_coefficients_from_shared_products_match_the_reference():
-    # J exactly, and J's float and every ratio bit for bit, for each N the
-    # shared table allows
+    # J exactly, and J's float and every RHS term with its ratio bit for bit,
+    # for each N the shared table allows
     table = _fresh(shared_table())
     for N in range(1, 45):
         assert series._zeta_odd_j_sum(N, table) == _reference_j_sum(N, table)
-        j, ratios = series._zeta_odd_coefficients(N, table)
+        j, terms = series._zeta_odd_coefficients(N, table)
         assert j == float(_reference_j_sum(N, table))
-        assert ratios == _reference_ratios(N, table)
+        assert terms == _reference_terms(N, table)
 
 
 def test_zeta_odd_memo_is_kept_per_table():
@@ -803,7 +811,7 @@ def test_zeta_odd_memo_is_kept_per_table():
     assert off[0].value != true[0].value and off[1].value != true[1].value
     assert moved.derived[1][0] == float(series._zeta_odd_j_sum(1, moved))
     assert moved.derived[1][0] != table.derived[1][0]
-    assert moved.derived[1][1][0] == float(Fraction(values[4], 24))
+    assert moved.derived[1][1][0][3] == float(Fraction(values[4], 24))
 
 
 @pytest.mark.parametrize("alpha", [math.pi, math.pi**2 / 2.0, 2.0 * math.pi**2])
@@ -814,32 +822,87 @@ def test_zeta_odd_general_matches_single_parameter(alpha, N):
     assert abs(zg.value - zo.value) <= 1e-11
 
 
+def _scale_cap(scale, tol):
+    """2 + ceil(log(400/tol)/(2 scale)), the most terms zeta_odd_general
+    sums at scale."""
+    return 2 + max(0, math.ceil(math.log(400.0 / tol) / (2.0 * scale)))
+
+
+def _record_power_sums(monkeypatch):
+    """A list that collects (power, scale, cap, csch_share, lam_share,
+    scale_err, result) for every series._power_sums call."""
+    calls = []
+    power_sums = series._power_sums
+
+    def recorded(power, scale, cap, csch_share, lam_share=math.inf, scale_err=0.0):
+        out = power_sums(power, scale, cap, csch_share, lam_share, scale_err)
+        calls.append((power, scale, cap, csch_share, lam_share, scale_err, out))
+        return out
+
+    monkeypatch.setattr(series, "_power_sums", recorded)
+    return calls
+
+
 def test_zeta_odd_general_sizes_each_scale_by_its_own_decay(monkeypatch):
-    # each scale takes its own 2 + ceil(log(400/tol)/(2 s)) terms whatever
-    # k_terms is, and at least 2 where a tol above 400 makes that negative;
-    # the a-scale Lambert and csch^2 sums share one loop
-    counts = {}
-    fused, csch2 = series._power_lambert_csch2_sum, series._power_csch2_sum
-
-    def count_fused(power, scale, k_terms):
-        counts["a"] = (scale, k_terms)
-        return fused(power, scale, k_terms)
-
-    def count_csch2(power, scale, k_terms, scale_err=0.0):
-        counts["b"] = (scale, k_terms)
-        return csch2(power, scale, k_terms, scale_err)
-
-    monkeypatch.setattr(series, "_power_lambert_csch2_sum", count_fused)
-    monkeypatch.setattr(series, "_power_csch2_sum", count_csch2)
+    # the identity is taken at a = min(alpha, beta). Each scale is capped at
+    # its own 2 + ceil(log(400/tol)/(2 s)) whatever k_terms is, and at 2
+    # where a tol above 400 makes that negative. Each sum stops at tol/32
+    # weighted as the estimate weights its tail: a/(2N) for S_a, 2 for L_a
+    # (one loop with S_a) and a^N b^(1-N)/(2N) for S_b, whose scale carries
+    # b's distance from pi^2/a
+    calls = _record_power_sums(monkeypatch)
+    N = 3
     cases = ((1e-15, 9.5, 1), (1e-15, 9.5, 10), (1e-15, 0.3, 1), (1e-15, math.pi, 1),
-             (1e5, 0.3, 10))
+             (1e-9, 31.4, 10), (1e5, 0.3, 10))
     for tol, alpha, k_terms in cases:
+        calls.clear()
         pair = ModularPair.from_alpha(alpha)
-        zv = series.zeta_odd_general(3, pair, TABLE, EvalParams(tol=tol, k_terms=k_terms))
-        for key, scale in (("a", pair.alpha), ("b", pair.beta)):
-            own = 2 + max(0, math.ceil(math.log(400.0 / tol) / (2.0 * scale)))
-            assert counts[key] == (scale, own), (alpha, key)
-        assert zv.k_used == max(counts["a"][1], counts["b"][1])
+        zv = series.zeta_odd_general(N, pair, TABLE, EvalParams(tol=tol, k_terms=k_terms))
+        a, b = sorted((pair.alpha, pair.beta))
+        pi2 = math.pi * math.pi
+        b_err = abs(a * b - pi2) / pi2 + 2.0 * planner._EPS
+        share = tol / 32.0
+        (_, s_a, cap_a, csch_a, lam_a, err_a, out_a), (_, s_b, cap_b, csch_b, lam_b, err_b, out_b) = calls
+        assert (s_a, err_a, s_b, err_b) == (a, 0.0, b, b_err), alpha
+        assert (cap_a, cap_b) == (_scale_cap(a, tol), _scale_cap(b, tol)), alpha
+        assert math.isclose(csch_a, share * 2 * N / a, rel_tol=1e-14) and lam_a == share / 2.0
+        weight_b = b ** (1 - N) * a**N / (2.0 * N)
+        assert math.isclose(csch_b, share / weight_b, rel_tol=1e-14) and lam_b == math.inf
+        assert zv.k_used == max(out_a[0][3], out_a[1][3], out_b[0][3])
+
+
+def test_zeta_odd_general_sums_no_scale_past_its_cap(monkeypatch):
+    # over the contract row each sum stops within its scale's cap, and on
+    # the whole row the sums run fewer than half the terms the caps allow
+    calls = _record_power_sums(monkeypatch)
+    table = shared_table()
+    total = former = 0
+    for tol in (1e-6, 1e-9, 1e-12, 1e-15):
+        for i in range(-11, 12):
+            pair = ModularPair.from_alpha(math.pi * 10.0 ** (i / 4.0))
+            for N in (1, 2, 3, 5, 8, 12, 20, 44):
+                calls.clear()
+                series.zeta_odd_general(N, pair, table, EvalParams(tol=tol))
+                for _, scale, cap, _, _, _, (csch, lam) in calls:
+                    assert cap == _scale_cap(scale, tol)
+                    assert csch[3] <= cap and lam[3] <= cap
+                    total += max(csch[3], lam[3])
+                    former += cap
+    assert total < former / 2
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-15])
+def test_zeta_odd_general_is_the_same_from_either_member_of_the_pair(tol):
+    # zeta(2N+1) does not depend on the pair, so alpha and pi^2/alpha agree
+    # within the sum of their estimates
+    table = shared_table()
+    p = EvalParams(tol=tol)
+    for i in range(-11, 12):
+        alpha = math.pi * 10.0 ** (i / 4.0)
+        for N in (1, 2, 5, 12, 44):
+            zv = series.zeta_odd_general(N, ModularPair.from_alpha(alpha), table, p)
+            zw = series.zeta_odd_general(N, ModularPair.from_alpha(math.pi**2 / alpha), table, p)
+            assert abs(zv.value - zw.value) <= zv.error_estimate + zw.error_estimate, (i, N)
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-15])
@@ -977,15 +1040,16 @@ def test_power_sums_within_rounding_of_mpmath(scale, power):
             value, _, rounding, _ = loop(power, scale, k_terms)
             partial = mpmath.fsum(mpmath.mpf(k) ** power * term(k) for k in range(1, k_terms + 1))
             assert abs(mpmath.mpf(value) - partial) <= rounding
-        # the fused a-scale sum of zeta_odd_general: its Lambert half takes
-        # power - 1, as k^{-2N-1} against the csch^2 half's k^{-2N}
-        halves = series._power_lambert_csch2_sum(power, scale, k_terms)
-        for (value, _, rounding, _), p, term in zip(
+        # zeta_odd_general's sums run to k_terms with zero shares: the
+        # Lambert half takes power - 1, as k^{-2N-1} against the csch^2
+        # half's k^{-2N}
+        halves = series._power_sums(power, scale, k_terms, 0.0, 0.0)
+        for (value, _, rounding, k_used), p, term in zip(
             halves,
-            (power - 1, power),
-            (lambda k: 1 / mpmath.expm1(2 * s * k), lambda k: mpmath.csch(s * k) ** 2),
+            (power, power - 1),
+            (lambda k: mpmath.csch(s * k) ** 2, lambda k: 1 / mpmath.expm1(2 * s * k)),
         ):
-            partial = mpmath.fsum(mpmath.mpf(k) ** p * term(k) for k in range(1, k_terms + 1))
+            partial = mpmath.fsum(mpmath.mpf(k) ** p * term(k) for k in range(1, k_used + 1))
             assert abs(mpmath.mpf(value) - partial) <= rounding
 
 
@@ -993,9 +1057,59 @@ def test_power_sums_within_rounding_of_mpmath(scale, power):
 @pytest.mark.parametrize("power", [-89, -9, -2, 0])
 @pytest.mark.parametrize("k_terms", [1, 10, 40, 6000])
 def test_fused_power_sums_are_bit_identical_to_the_separate_loops(scale, power, k_terms):
-    lam, csch = series._power_lambert_csch2_sum(power, scale, k_terms)
-    assert lam == identities._power_lambert_sum(power - 1, scale, k_terms)
-    assert csch == series._power_csch2_sum(power, scale, k_terms)
+    # with zero shares and capped where the separate loops stop (k_terms, or
+    # scale k > 350), zeta_odd_general's loop sums what they sum, bit for
+    # bit, in value and rounding bound. It stops at its first term that
+    # underflows to 0, where they run on over zero terms, and a sum that
+    # reaches k_terms is charged the same closed tail
+    csch2 = series._power_csch2_sum(power, scale, k_terms)
+    lambert = identities._power_lambert_sum(power - 1, scale, k_terms)
+    assert csch2[3] == lambert[3]
+    halves = series._power_sums(power, scale, csch2[3], 0.0, 0.0)
+    for mine, theirs in zip(halves, (csch2, lambert)):
+        assert mine[0] == theirs[0] and mine[2] == theirs[2]
+        assert mine[3] <= theirs[3]
+        if mine[3] == k_terms:
+            assert mine == theirs
+
+
+@pytest.mark.parametrize("scale", [0.004, 0.3, 1.0, math.pi, 30.0])
+@pytest.mark.parametrize("power", [-88, -9, -2, 0])
+@pytest.mark.parametrize("share", [1e-3, 1e-9, 1e-16])
+def test_power_sums_stop_before_their_first_term_within_share(scale, power, share):
+    # each sum stops before its first term t with t (1 + r)/(1 - q) <= its
+    # share, r its own rounding and q = e^{-2 scale}; its value plus that
+    # remainder brackets the whole series in mpmath
+    mpmath = pytest.importorskip("mpmath")
+    cap = 6000
+    one_minus_q = -math.expm1(-2.0 * scale)
+    halves = series._power_sums(power, scale, cap, share, share / 3.0)
+    weights = (
+        (power, planner._csch2, lambda s, k: mpmath.csch(s * k) ** 2, share),
+        (power - 1, lambda t: planner._inv_expm1(2.0 * t),
+         lambda s, k: 1 / mpmath.expm1(2 * s * k), share / 3.0),
+    )
+    with mpmath.workdps(40):
+        s = mpmath.mpf(scale)
+        for (value, tail, rounding, k_used), (p, weight, exact, own) in zip(halves, weights):
+            def term(k):
+                t = scale * k
+                return float(k) ** p * weight(t), series._summand_rounding(t, 0.0)
+
+            for k in range(1, k_used + 1):
+                t, r = term(k)
+                assert t * (1.0 + r) > own * one_minus_q
+            t, r = term(k_used + 1)
+            assert t * (1.0 + r) <= own * one_minus_q
+            assert tail == t * (1.0 + r) / one_minus_q * (1.0 + 1e-12)
+            assert tail <= own * (1.0 + 1e-12)
+            # twenty terms past the stop, and past them the same ratio bound
+            # in mpmath: the whole series lies within [partial, partial + rest]
+            n = k_used + 20
+            partial = mpmath.fsum(mpmath.mpf(k) ** p * exact(s, k) for k in range(1, n + 1))
+            rest = mpmath.mpf(n + 1) ** p * exact(s, n + 1) / -mpmath.expm1(-2 * s)
+            assert -rounding <= partial - mpmath.mpf(value)
+            assert partial + rest - mpmath.mpf(value) <= tail + rounding
 
 
 @pytest.mark.parametrize("m", [3, 5])
