@@ -4,7 +4,7 @@ bounds. The classical oracles (rapidpsi.oracles) and the identity checks
 (rapidpsi.identities) are imported from their own modules."""
 
 from .bernoulli import BernoulliTable, bernoulli_over_factorial, build_bernoulli_table
-from .errors import GuardBandError, ToleranceError
+from .errors import ToleranceError
 from .params import (
     DEFAULT_GUARD_DELTA,
     EvalParams,
@@ -31,7 +31,6 @@ __all__ = [
     "BernoulliTable",
     "bernoulli_over_factorial",
     "build_bernoulli_table",
-    "GuardBandError",
     "ToleranceError",
     "DEFAULT_GUARD_DELTA",
     "EvalParams",

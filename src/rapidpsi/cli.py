@@ -23,10 +23,8 @@ from functools import lru_cache
 
 from . import planner, series
 from .bernoulli import shared_table
-from .errors import GuardBandError, ToleranceError
-from .params import (
-    DEFAULT_GUARD_DELTA, EvalParams, ModularPair, Record, SeriesValue, check_tol
-)
+from .errors import ToleranceError
+from .params import EvalParams, ModularPair, Record, SeriesValue, check_tol
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -225,11 +223,6 @@ def _classical_naive(x: float, tol: float) -> tuple[SeriesValue, bool]:
 def cmd_bench(args) -> int:
     if not 0.0 < args.x < math.inf:
         return _fail("x must be positive and finite", EXIT_INPUT)
-    if planner._guard_index(args.x, DEFAULT_GUARD_DELTA):
-        return _fail(
-            f"x={args.x} lies in a guard band; pick a benchmark point away from integers",
-            EXIT_INPUT,
-        )
     for tol in args.tol:
         t0 = time.perf_counter_ns()
         sv = series.psi_ramanujan(args.x, planner.plan(tol, args.x))
@@ -273,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_psi)
     p_psi.set_defaults(func=cmd_psi)
 
-    p_pp = sub.add_parser("psi-prime", help="psi'(x+1) for x > 0 outside guard bands")
+    p_pp = sub.add_parser("psi-prime", help="psi'(x+1) for x > 0")
     p_pp.add_argument("--x", type=float, required=True)
     _add_common(p_pp)
     p_pp.set_defaults(func=cmd_psi_prime)
@@ -320,11 +313,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except ToleranceError as exc:
         return _fail(str(exc), EXIT_TOLERANCE)
-    except GuardBandError as exc:
-        message = str(exc)
-        if exc.suggestion:
-            message += f" (try: {exc.suggestion})"
-        return _fail(message, EXIT_INPUT)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
 

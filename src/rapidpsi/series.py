@@ -26,10 +26,11 @@ Numerical strategy notes:
   each k-sum stops at its own share of tol;
 - every trig argument is reduced to the signed distance from the nearest
   integer before multiplying by pi, so the k-series stay accurate for large x;
-- inside |x - m| < guard_delta the two singular pairings (the cot pole
-  against the k=m pole term, and the log|2 sin| singularity against the k=m
-  log term) are evaluated from pole-cancelled closed forms that are exact,
-  never from a truncated local expansion;
+- no evaluator refuses an x > 0 near an integer m: below 16, inside
+  |x - m| < guard_delta, the singular pairings (the cot pole against the k=m
+  pole term, and the log|2 sin| singularity against the k=m log term) are
+  evaluated from pole-cancelled closed forms that are exact, never from a
+  truncated local expansion, and from 16 on bounded at every y;
 - the inner sine/cosine sums of S(x) are split against the closed forms
   sum sin(n t)/n^2 and sum (1-cos(n t))/n^3, leaving remainders whose terms
   decay like n^-4 and n^-5, so double precision targets need ~10^4 terms
@@ -51,9 +52,8 @@ from functools import lru_cache
 
 from . import planner
 from .bernoulli import BernoulliTable, bernoulli_over_factorial, shared_table
-from .errors import GuardBandError, ToleranceError
+from .errors import ToleranceError
 from .params import (
-    DEFAULT_GUARD_DELTA,
     MAX_GAMMA_M,
     MAX_K_TERMS,
     EvalParams,
@@ -427,7 +427,8 @@ def _psi_rest(x: float, params: EvalParams) -> tuple[list[float], float, int]:
 # (ceil(log(142/1e-15)/(2 pi)) = 7), so it leaves planned calls as they are;
 # a larger hand-built count leaves k >= 8 to _moments' closed tails, below
 # 1e-21 at y >= 16. With 2K + 2 <= 16 every summed k has k/y <= 7/16, and
-# every index from floor(y) on carries e^{-2 pi (y-1)} <= e^{-30 pi}
+# every index from floor(y) on carries e^{-2 pi (y-1)} <= e^{-30 pi}, paired
+# with the trigonometric piece where y is near it, so no y >= 16 is refused
 _Y_MOMENT = 16.0
 _K_CAP = 7
 # moments tabulated per K for j < _J_CAP. At y >= 16 the k = 1, 2, 3 parts
@@ -469,47 +470,53 @@ def _far_bound(y: float) -> float:
     return planner.bound_exp_envelope(1, y) + far
 
 
-def _off_band_far(y: float, gap: float) -> tuple[float, float]:
+def _corollary_far() -> tuple[float, float]:
     """(D's, psi''s) terms at y >= 16 that their moment forms charge rather
-    than sum, for y at least gap from every integer. With n = floor(y),
-    q = e^{-2 pi}, E = e^{-2 pi (y-1)}, q_k = 1/(e^{2 pi k} - 1) and
-    c_k = csch^2(pi k): q(y) <= E q/(1 - q), q_{n+i} <= E q^i/(1 - q) and
-    c_{n+i} <= 4 E q^i/(1 - q)^2, and |k - y| >= gap for i = 0, 1 and >= 1
-    past them.
+    than sum, with m = round(y) >= 16, q(z) = 1/(e^{2 pi z} - 1), q_k = q(k),
+    c_k = csch^2(pi k) and q = e^{-2 pi}.
 
-    D (re_psi_complex_ramanujan):
-    - the cot piece, |pi cot(pi y)| q(y) <= q(y)/gap;
-    - the k-sum terms from n on, 4k y^2 q_k/(|k - y| (k + y)(k^2 + y^2)), at
-      most 2 q_k/|k - y| by k^2 + y^2 >= 2ky.
-    psi' (psi_prime_ramanujan):
-    - the csc^2 piece, pi^2 q(y)/sin^2(pi y) <= pi^2 q(y)/sin^2(pi gap);
-    - the k-sum terms from n on, 4k y q_k/((k - y)^2 (k + y)^2), at most
-      q_k/(k - y)^2 by 4ky <= (k + y)^2;
-    - what the moment form leaves of the csch^2 terms from n on (their
-      -(2 pi/y) c_k parts are in its exact 1/y), (2 pi/y) c_k s_k/|1 - s_k|
-      with s_k = (k/y)^4, that is 2 pi c_k k^4/(y |k - y| (k + y)(k^2 + y^2)),
-      at most 2 pi c_k (k/y)/|k - y|, where k/y <= 1 + (i + 1)/16
-      <= (17/16) 2^i.
+    The trigonometric piece pairs with the k = m terms. D's pair
+    -pi cot(pi z) q(z) - 4m z^2 q_m/((m - z)(m + z)(m^2 + z^2)) and psi''s
+    -pi^2 csc^2(pi z) q(z) + 4m z q_m/(m^2 - z^2)^2 + 2 pi m^4 c_m/(z (m^4 - z^4))
+    (whose simple poles cancel too: -q'(m) = (pi/2) c_m) are analytic in
+    |z - m| < 1, so at |y - m| <= 1/2 each is at most its maximum on
+    |z - m| = 1/2 (maximum-modulus principle). There, with
+    pi (z - m) = a + ib, |sin(pi z)|^2 = sin^2 a + sinh^2 b
+    >= (4/pi^2) a^2 + b^2 >= 1 by Jordan's inequality, so |csc(pi z)|^2 <= 1
+    and |cot(pi z)|^2 <= 1 + |csc(pi z)|^2 <= 2; |q(z)| <= q(m - 1/2);
+    m - 1/2 <= |z| <= m + 1/2, |m + z| >= 2m - 1/2 and
+    |m^2 + z^2| >= 2m^2 - m - 1/4. So D's pair is at most pi sqrt(2)
+    q(m - 1/2) + 8m (m + 1/2)^2 q_m/((2m - 1/2)(2m^2 - m - 1/4)), and psi''s
+    pi^2 q(m - 1/2) + 16m (m + 1/2) q_m/(2m - 1/2)^2
+    + 4 pi m^4 c_m/((m - 1/2)(2m - 1/2)(2m^2 - m - 1/4)); every factor falls
+    with m, so m = 16 bounds them all.
 
-    Each falls with y (only E depends on it), so the values at 16, _D_FAR
-    and _PRIME_FAR, bound them at every y >= 16. The 1e-12 covers their
-    rounding."""
+    Every other k >= floor(y) >= 16 lies at least 1/2 from y, and
+    q_{k+1} <= q q_k, c_{k+1} <= q c_k. D's k-sum term is at most
+    2 q_k/|k - y| <= 4 q_k (by k^2 + y^2 >= 2ky) and psi''s q_k/(k - y)^2
+    <= 4 q_k (by 4ky <= (k + y)^2), so each family 4 q_16/(1 - q). What
+    psi''s moment form leaves of its csch^2 term, 2 pi c_k k^4/(y (k^4 - y^4)),
+    is at most 2 pi c_k k/(y |k - y|) <= (pi/4) k c_k, so
+    4 pi c_16/(1 - 17q/16) in all. None of this depends on y. The 1e-12
+    covers the rounding."""
     q = _Q_UNIT
-    big_e = math.exp(-_TWO_PI * (y - 1.0))
-    near, rest = 1.0 + q, q * q / (1.0 - q)
-    d_far = big_e / (1.0 - q) * (q / gap + 2.0 * near / gap + 2.0 * rest)
-    csc = math.pi**2 * q / math.sin(math.pi * gap) ** 2
-    k_sum = near / gap**2 + rest
-    csch = 8.5 * math.pi * (near / gap + 4.0 * q * q / (1.0 - 2.0 * q)) / (1.0 - q)
-    prime_far = big_e / (1.0 - q) * (csc + k_sum + csch)
+    m = _Y_MOMENT
+    q_lo, q_m, c_m = _inv_expm1(_TWO_PI * (m - 0.5)), _inv_expm1(_TWO_PI * m), _csch2(math.pi * m)
+    plus, quad = 2.0 * m - 0.5, 2.0 * m * m - m - 0.25
+    rest = 4.0 * q_m / (1.0 - q)
+    d_far = math.pi * math.sqrt(2.0) * q_lo + 8.0 * m * (m + 0.5) ** 2 * q_m / (plus * quad) + rest
+    prime_far = (
+        math.pi**2 * q_lo
+        + 16.0 * m * (m + 0.5) * q_m / plus**2
+        + 4.0 * math.pi * m**4 * c_m / ((m - 0.5) * plus * quad)
+        + rest
+        + 4.0 * math.pi * c_m / (1.0 - 17.0 * q / 16.0)
+    )
     return d_far * (1.0 + 1e-12), prime_far * (1.0 + 1e-12)
 
 
 _PSI_FAR = _far_bound(_Y_MOMENT)
-# Re psi and psi' refuse the guard bands and gamma_any_x steps off them, but a
-# lifted fl(x + shift) may round up to an ulp into one: half the band is the
-# gap they can rely on
-_D_FAR, _PRIME_FAR = _off_band_far(_Y_MOMENT, DEFAULT_GUARD_DELTA / 2.0)
+_D_FAR, _PRIME_FAR = _corollary_far()
 
 
 class _Moments(Record):
@@ -709,8 +716,9 @@ def _d_moment(y: float, k: int, tol: float) -> tuple[list[float], float]:
     The bound charges the j-series' closed remainder within tol/4; its k > K
     terms up to y - 1, each at most twice the k-sum term 2k q_k/(y^2 - k^2)
     since 2y^2/(y^2 + k^2) <= 2, so 2a/((y - F)(y + F)) with _moments' a;
-    the cot piece and the indices from floor(y) on as _D_FAR; and the series'
-    rounding as in _psi_less_log."""
+    the cot piece with the k = m = round(y) term and the other indices from
+    floor(y) on as _D_FAR, at every y >= 16; and the series' rounding as in
+    _psi_less_log."""
     mom = _moments(k)
     u = 1.0 / (y * y)
     r = k * k * u
@@ -761,18 +769,37 @@ def _d_pole_block(x: float) -> tuple[list[float], float]:
 
 
 def _d_at(x: float, K: int, guard_delta: float) -> tuple[list[float], float]:
-    """D(x) at 0 < x < 16 outside the guard bands, summed at x itself over
-    K outer terms, as (pieces, bound). The k > K terms are each at most
-    twice the k-sum term 2k q_k/(k^2 - x^2), because
+    """D(x) at 0 < x < 16, summed at x itself over K outer terms, as
+    (pieces, bound). The k > K terms are each at most twice the k-sum term
+    2k q_k/(k^2 - x^2), because
     4k x^2/(k^4 - x^4) = 2k/(k^2 - x^2) * 2x^2/(k^2 + x^2), so twice
     planner.bound_psi_k_sum bounds their tail. The rounding
     charge goes beyond _close's 4 eps where a weight amplifies the rounding
     of its exponent: q(t) moves by (1 + t) times the relative error of t
     (_summand_rounding), and pi cot(pi d) by up to 2 eps absolute near
-    |d| = 1/2."""
+    |d| = 1/2.
+
+    Within guard_delta of a positive integer m the cot piece and the k = m
+    term, whose poles cancel, are summed as one pole-free pair,
+    -[_guard_pole_pair(m, x - m) - 2m q_m/(m^2 + x^2)], since
+    4m x^2/((m^2 - x^2)(m^2 + x^2)) = 2m/(m^2 - x^2) - 2m/(m^2 + x^2); k = m
+    leaves the loop and the tail. The pair's charge is (16 + 2t) eps of
+    _guard_pole_pair, whose q(x) takes at most (2 + 2t) eps from the
+    rounding of t = 2 pi x and whose other factors at most 14 eps
+    (1 - 2m g phi is at least 11 in size, so it keeps about the relative
+    error of 2m g phi, and the remainder r is below 1e-2 of the sum), and
+    (10 + 2 pi m) eps of the k = m piece, as for the loop's terms."""
+    m = _guard_index(x, guard_delta)
     if x < _D_SERIES_END:
         pieces, bound = _d_pole_block(x)
         rounding = 0.0
+    elif m:
+        t = _TWO_PI * x
+        pair = _guard_pole_pair(m, x - m)
+        near = 2.0 * m * _PI_WEIGHTS[m - 1][1] / (m * m + x * x)
+        pieces = [1.0 / (t * x), -0.5 / x, -pair, near]
+        bound = 0.0
+        rounding = (16.0 + 2.0 * t) * abs(pair) + (10.0 + _TWO_PI * m) * near
     else:
         t = _TWO_PI * x
         q = _inv_expm1(t)
@@ -781,10 +808,12 @@ def _d_at(x: float, K: int, guard_delta: float) -> tuple[list[float], float]:
         bound = 0.0
         rounding = (12.0 + 2.0 * t) * abs(cot_q) + 8.0 * q
     for k, q, _ in _PI_WEIGHTS[:K]:
+        if k == m:
+            continue
         term = 4.0 * k * x * x * q / ((k - x) * (k + x) * (k * k + x * x))
         pieces.append(-term)
         rounding += (10.0 + _TWO_PI * k) * abs(term)
-    tail = 2.0 * planner.bound_psi_k_sum(K + 1, x, guard_delta)
+    tail = 2.0 * planner.bound_psi_k_sum(K + 1, x, guard_delta, m)
     return pieces, bound + tail + rounding * _EPS
 
 
@@ -793,10 +822,7 @@ def gamma_any_x(x: float, params: EvalParams) -> SeriesValue:
     gamma = P(y) - Re psi(1+iy) = P(y) - psi(y+1) - D(y), with
     P(y) = sum_n y^2/(n(n^2+y^2)), at y = x lifted to y >= 16 by a whole
     shift. The value is constant in the argument, so the lift is free of
-    charge and no x is refused: a y within guard_delta of an integer is
-    replaced by 16.5, at least guard_delta/2 from every integer, the gap
-    _D_FAR assumes. plan's count never falls as x grows, so 16.5 gets at
-    least the terms it needs.
+    charge, and _D_FAR holds at every y >= 16, so no x is refused.
 
     Every piece is summed from psi's moment core: P(y) - log y from
     _pf_body and -log M + (1/2) log1p((M/y)^2), psi(y+1) - log y from
@@ -807,8 +833,6 @@ def gamma_any_x(x: float, params: EvalParams) -> SeriesValue:
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
     y = _lift(x, 1)[1]
-    if _guard_index(y, params.guard_delta):
-        y = _Y_MOMENT + 0.5
     k = min(params.k_terms, _K_CAP)
     psi_pieces, psi_bound = _psi_less_log(y, k, params.tol)
     d_pieces, d_bound = _d_moment(y, k, params.tol)
@@ -843,16 +867,11 @@ def re_psi_complex_ramanujan(x: float, params: EvalParams) -> SeriesValue:
     log y and the harmonic terms, _lift) and D from one K-term loop at x
     itself (_d_at). Either way every piece closes in one fsum, whose 4 eps
     sum|piece| covers each piece's rounding, with the bounds of both parts
-    and the lift's. x inside a guard band is rejected. k_used is K and
+    and the lift's. D's pole at an integer cancels in _D_FAR's pair from 16
+    on and in _d_at's below, so every x > 0 is admitted. k_used is K and
     n_used 0."""
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
-    m = _guard_index(x, params.guard_delta)
-    if m:
-        raise GuardBandError(
-            f"x={x} is within guard_delta of {m}; use an argument outside the band",
-            suggestion="shift x outside the guard band",
-        )
     k = min(params.k_terms, _K_CAP)
     if x >= _Y_MOMENT:
         pieces, bound = _psi_less_log(x, k, params.tol)
@@ -894,20 +913,13 @@ def psi_prime_ramanujan(x: float, params: EvalParams) -> SeriesValue:
     (4/y) (pi/2) c_k s_k/(1 - s_k), so (4/y) b s/(1 - s); the csc^2 piece
     and every index from floor(y) on as _PRIME_FAR; the rounding of x + shift
     (_lift) and of each series, as in _psi_less_log with two more eps for /y
-    and the weights (j+1). The csc^2 pole at integer x is genuine in
-    individual terms, so the guard band is rejected rather than regularized;
-    so is 0 < x < guard_delta, which the shift carries into the band
-    around 16.
+    and the weights (j+1). The csc^2 piece's pole at an integer m cancels
+    against the k = m terms in _PRIME_FAR's pair, so every x > 0 is
+    admitted, the integers and the x near 0 that lift to just above 16
+    among them.
     """
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
-    m = _guard_index(x, params.guard_delta)
-    if m or x < params.guard_delta:
-        raise GuardBandError(
-            f"x={x} is within guard_delta of {m}; the csc^2 pairing is singular "
-            f"there, evaluate outside the band",
-            suggestion="shift x outside the guard band",
-        )
     k = min(params.k_terms, _K_CAP)
     shift, y, lift_err = _lift(x, 2)
     mom = _moments(k)
@@ -1119,8 +1131,8 @@ def zeta_odd_general(
     than tol/10, which leaves the rest of tol to the rounding where the
     identity cancels. None sums more than
     2 + ceil(log(400/tol)/(2 s)) terms at its scale s; params.k_terms is not
-    read. A scale that would need more than MAX_K_TERMS terms is refused up
-    front with ToleranceError."""
+    read. A scale that would need more than MAX_K_TERMS terms at
+    min(tol, 1) is refused up front with ToleranceError."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     if table.max_index < 2 * N + 2:
@@ -1129,15 +1141,15 @@ def zeta_odd_general(
     if b < a:
         a, b = b, a
     # the cap on each scale's count is checked on the slower scale a before
-    # the ceilings, which fail once 2a underflows
+    # the ceilings, which fail once 2a underflows; a tol above 1 is checked
+    # as tol 1, since above 400 log_share is negative and would pass any a
     log_share = math.log(400.0 / params.tol)
-    span_a = log_share / (2.0 * a)
-    if not span_a <= MAX_K_TERMS - 2:
+    if not math.log(400.0 / min(params.tol, 1.0)) / (2.0 * a) <= MAX_K_TERMS - 2:
         raise ToleranceError(
             f"alpha={pair.alpha} needs more than {MAX_K_TERMS} hyperbolic terms "
             f"for tol={params.tol}"
         )
-    cap_a = 2 + max(0, math.ceil(span_a))
+    cap_a = 2 + max(0, math.ceil(log_share / (2.0 * a)))
     cap_b = 2 + max(0, math.ceil(log_share / (2.0 * b)))
     # b stands for pi^2/a; this covers the roundings of pi^2 and of the
     # quotient, and a pair given off the curve within ModularPair's check

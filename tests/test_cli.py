@@ -198,20 +198,25 @@ def test_psi_prime_half_integer(capsys):
     assert abs(r["value"] - (math.pi * math.pi / 2.0 - 4.0)) <= 1e-10
 
 
-def test_psi_prime_guard_band_is_input_error(capsys):
-    code, _, err = run_cli(capsys, ["psi-prime", "--x", "2.0005"])
-    assert code == cli.EXIT_INPUT
-    assert "guard" in err
+def _psi_prime_within_estimate_of_mpmath(capsys, x, *options):
+    mpmath = pytest.importorskip("mpmath")
+    code, out, err = run_cli(capsys, ["psi-prime", "--x", x, *options])
+    assert (code, err) == (cli.EXIT_OK, "")
+    r = rows(out)[0]
+    with mpmath.workdps(40):
+        truth = mpmath.psi(1, mpmath.mpf(float(x)) + 1)
+        assert abs(mpmath.mpf(r["value"]) - truth) <= r["abs_error_estimate"]
+
+
+@pytest.mark.parametrize("x", ["2.0005", "2", "1"])
+def test_psi_prime_guard_band_is_within_its_estimate(capsys, x):
+    _psi_prime_within_estimate_of_mpmath(capsys, x)
 
 
 @pytest.mark.parametrize("x", ["1e-5", "1e-300"])
-def test_psi_prime_near_zero_is_a_one_line_guard_error(capsys, x):
-    # x + 3 lands in the band around 3; at 1e-300 this was a ZeroDivisionError
-    code, out, err = run_cli(capsys, ["psi-prime", "--x", x])
-    assert code == cli.EXIT_INPUT
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1
-    assert "guard" in err
+def test_psi_prime_near_zero_is_within_its_estimate(capsys, x):
+    # x + 16 lands in the band around 16, at 1e-300 on 16 itself
+    _psi_prime_within_estimate_of_mpmath(capsys, x)
 
 
 def test_gamma_integer_route(capsys):
@@ -254,7 +259,7 @@ def _gamma_within_estimate_of_mpmath(capsys, x, *options):
 
 def test_gamma_guard_band_suggests_integer_route(capsys):
     # gamma --x refuses no x: its value does not depend on x, so an x in a
-    # guard band, also past the cap on --m, sums at a y off the bands
+    # guard band, also past the cap on --m, sums at its lifted y
     for x in ("1.0003", "2.0005", "200000.0002"):
         _gamma_within_estimate_of_mpmath(capsys, x)
 
@@ -411,9 +416,14 @@ def test_bench_terms_grow_with_tolerance(capsys):
     assert ks[0] <= ks[1]
 
 
-def test_bench_rejects_guard_band_x(capsys):
-    code, _, _ = run_cli(capsys, ["bench", "--x", "2.0005", "--tol", "1e-6"])
-    assert code == cli.EXIT_INPUT
+def test_bench_admits_guard_band_x(capsys):
+    mpmath = pytest.importorskip("mpmath")
+    code, out, _ = run_cli(capsys, ["bench", "--x", "2.0005", "--tol", "1e-6"])
+    assert code == cli.EXIT_OK
+    (r,) = [r for r in rows(out) if r["method"] == "ramanujan"]
+    with mpmath.workdps(30):
+        truth = mpmath.digamma(mpmath.mpf(2.0005) + 1)
+        assert abs(mpmath.mpf(r["value"]) - truth) <= r["abs_error_estimate"] <= 1e-6
 
 
 @pytest.mark.parametrize("argv", [["gamma", "--x", "2.5"], ["gamma", "--m", "2"]])
@@ -448,20 +458,16 @@ def test_psi_at_huge_x_is_within_its_estimate(capsys, x):
         assert abs(mpmath.mpf(r["value"]) - truth) <= r["abs_error_estimate"]
 
 
-@pytest.mark.parametrize("command", ["psi-prime"])
-def test_huge_x_sits_in_a_guard_band(capsys, command):
-    # every double this large is an integer
-    code, out, err = run_cli(capsys, [command, "--x", "1e300"])
-    assert code == cli.EXIT_INPUT
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1
-    assert "guard" in err
+@pytest.mark.parametrize("x", ["4503599627370496", "1e300"])
+def test_psi_prime_at_huge_x_is_within_its_estimate(capsys, x):
+    # every double from 2^52 on is an integer
+    _psi_prime_within_estimate_of_mpmath(capsys, x)
 
 
 @pytest.mark.parametrize("x", ["1000000000000", "4503599627370496", "1e300", "1.7e308"])
 def test_gamma_at_huge_x_is_within_its_estimate(capsys, x):
     # 1e12 and every double from 2^52 on are integers, so each lies in a
-    # guard band and gamma --x sums at 16.5
+    # guard band, which gamma --x sums through
     _gamma_within_estimate_of_mpmath(capsys, x, "--tol", "1e-9")
 
 
@@ -541,6 +547,17 @@ def test_zeta_odd_at_extreme_alpha_is_a_tolerance_error(alpha):
     assert done.stdout == ""
     assert len(done.stderr.strip().splitlines()) == 1
     assert str(MAX_K_TERMS) in done.stderr
+
+
+@pytest.mark.parametrize("alpha", ["1e-300", "1e300", "1e-30"])
+def test_zeta_odd_at_extreme_alpha_and_loose_tol_is_a_tolerance_error(capsys, alpha):
+    # a tol above 400 once made the up-front check pass any alpha, and the
+    # sums then ended in an OverflowError or a ZeroDivisionError
+    code, out, err = run_cli(capsys, ["zeta-odd", "--n", "2", "--tol", "1e5", "--alpha", alpha])
+    assert code == cli.EXIT_TOLERANCE
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert str(MAX_K_TERMS) in err
 
 
 def test_successive_main_calls_parse_independently(capsys):

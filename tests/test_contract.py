@@ -2,13 +2,13 @@
 
 One table drives the sweep of the psi family: each row names an evaluator
 and its 40-digit mpmath truth. Every row runs over the same arguments
-(log-spaced from 1e-12 to 1e12, 1e100 and 1e300, both edges of the guard
-bands around the integers the lifts land near, and the lift target 16 with
-its neighbours) at each tol, with planned counts and with hand-built ones;
-gamma_any_x's row adds points inside the bands. An argument an evaluator
-refuses with GuardBandError is outside its domain and is skipped. Euler's
-constant at integers and the two zeta(2N+1) evaluators, whose arguments are
-not x, have rows of their own over the same tols.
+(log-spaced from 1e-12 to 1e12, 1e100 and 1e300, both edges and the middles
+of the guard bands around the integers the lifts land near, those integers
+themselves and 2^52, 1e-5 and 1e-300, and the lift target 16 with its
+neighbours) at each tol, with planned counts and with hand-built ones, and
+every evaluator admits every one of them. Euler's constant at integers and
+the two zeta(2N+1) evaluators, whose arguments are not x, have rows of their
+own over the same tols.
 """
 
 import math
@@ -20,7 +20,7 @@ import pytest
 
 from rapidpsi import planner, series
 from rapidpsi.bernoulli import shared_table
-from rapidpsi.errors import GuardBandError, ToleranceError
+from rapidpsi.errors import ToleranceError
 from rapidpsi.params import MAX_GAMMA_M, EvalParams, ModularPair
 
 mpmath = pytest.importorskip("mpmath")
@@ -28,9 +28,11 @@ mpmath = pytest.importorskip("mpmath")
 DELTA = EvalParams.guard_delta
 Y = series._Y_MOMENT
 
-# psi's contract points, kept whole: log-spaced over 1e-12..1e12 and beyond,
-# both edges of the guard bands around the integers where lifts land (16 and
-# 17 among them), the lift target 16 itself, and x = 7
+# the contract points, kept whole: log-spaced over 1e-12..1e12 and beyond;
+# both edges and the middle of each half of the guard bands around the
+# integers where lifts land (16 and 17 among them); those integers, 2^52
+# (from which every double is an integer), 1e-5 and 1e-300 (which lift to
+# just above 16), the lift target 16 itself and its neighbours
 CONTRACT_X = (
     [10.0 ** (e / 4) for e in range(-48, 49)]
     + [1e100, 1e300]
@@ -38,19 +40,11 @@ CONTRACT_X = (
         m + s * f * DELTA
         for m in (1, 2, 3, 7, 8, 15, 16, 17, 100)
         for s in (-1, 1)
-        for f in (0.99, 1.01)
+        for f in (0.5, 0.99, 1.01)
     ]
-    + [Y - 1e-9, Y, Y + 1e-9, 7.0]
+    + [1.0, 2.0, 3.0, 7.0, 15.0, 17.0, 100.0, 2.0**52, 1e-5, 1e-300]
+    + [Y - 1e-9, Y, Y + 1e-9]
 )
-# gamma_any_x's value does not depend on x, so it refuses no x: its row adds
-# the middle of each guard band's halves and the in-band integers 1e12 and
-# 1e300, all of which it sums at 16.5
-EXTRA_X = {
-    "gamma_any_x": [
-        m + s * 0.5 * DELTA for m in (1, 2, 3, 7, 8, 15, 16, 17, 100) for s in (-1, 1)
-    ]
-    + [1e12, 1e300],
-}
 TOLS = (1e-6, 1e-9, 1e-12, 1e-15)
 # K = 1 leaves k = 2 on to the closed tails; 7 is the cap; 8, 111 and 6000
 # are cut to 7
@@ -70,17 +64,12 @@ ROWS = {
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("row", sorted(ROWS))
 def test_contract_against_mpmath(row, tol):
+    # no x is refused: a raise at any point fails the row
     evaluate, truth = ROWS[row]
-    points = CONTRACT_X + EXTRA_X.get(row, [])
-    admitted = 0
     with mpmath.workdps(40):
-        for x in points:
+        for x in CONTRACT_X:
             planned = planner.plan(tol, x)
-            try:
-                first = evaluate(x, planned)
-            except GuardBandError:
-                continue
-            admitted += 1
+            first = evaluate(x, planned)
             exact = truth(x)
             runs = [planned] + [EvalParams(tol=tol, k_terms=k) for k in HAND_K]
             for p in runs:
@@ -90,9 +79,6 @@ def test_contract_against_mpmath(row, tol):
             # tol 1e-15 is below the rounding floor of the summed magnitude
             if tol >= 1e-12:
                 assert first.error_estimate <= tol, x
-    assert admitted >= 60
-    if row == "gamma_any_x":
-        assert admitted == len(points)
 
 
 # gamma_at_integer sums at n = max(m, 16): every m below, at and past the lift
@@ -181,10 +167,7 @@ def test_hand_built_counts_past_the_cap_sum_what_the_cap_sums():
     # at MIN_TOL does; K = 111 lifted psi(1e-8) to 224
     for x in (1e-8, 0.3, 2.5, 16.5, 1e6 + 0.5):
         for evaluate, _ in ROWS.values():
-            try:
-                capped = evaluate(x, EvalParams(tol=1e-15, k_terms=7))
-            except GuardBandError:
-                continue
+            capped = evaluate(x, EvalParams(tol=1e-15, k_terms=7))
             for k in (8, 111, 6000):
                 assert evaluate(x, EvalParams(tol=1e-15, k_terms=k)) == capped
     assert max(planner.plan(1e-15, x).k_terms for x in (1e-300, 1.0, 1e300, 1.7e308)) == 7
@@ -284,15 +267,17 @@ def _prime_csch_term(k, y):
 
 
 def test_corollary_dropped_terms_within_their_charges():
-    # at y >= 16 and at least guard_delta/2 from an integer: D's cot piece and
-    # its k-sum from floor(y) on within _D_FAR; psi''s csc^2 piece and both
-    # its k-sums from floor(y) on within _PRIME_FAR; and the K < k <= y - 1
-    # terms within their closed tails, in 80-digit mpmath
+    # at every y >= 16, in a guard band or not: D's cot piece and its k-sum
+    # from floor(y) on within _D_FAR; psi''s csc^2 piece and both its k-sums
+    # from floor(y) on within _PRIME_FAR; and the K < k <= y - 1 terms within
+    # their closed tails, in 80-digit mpmath. The pole pairs are taken 1e-15
+    # from the integers, where their terms cancel to ~1e-50 of themselves
     with mpmath.workdps(80):
         pi = mpmath.pi
-        for y in (16 + DELTA / 2, 16.3, 16.5, 17 - DELTA / 2, 17 + DELTA / 2, 20.25, 100.5):
+        near = [m + s * mpmath.mpf("1e-15") for m in (16, 17, 100) for s in (-1, 1) if m + s >= 16]
+        for y in [16 + DELTA / 2, 16.3, 16.5, 17 - DELTA / 2, 17 + DELTA / 2, 20.25, 100.5] + near:
             yy = mpmath.mpf(y)
-            ks = range(math.floor(y), math.floor(y) + 40)
+            ks = range(int(mpmath.floor(yy)), int(mpmath.floor(yy)) + 40)
             q_y = 1 / mpmath.expm1(2 * pi * yy)
             d_far = -pi * mpmath.cot(pi * yy) * q_y - mpmath.fsum(_d_term(k, yy) for k in ks)
             assert abs(d_far) <= series._D_FAR, y
@@ -316,16 +301,20 @@ def test_corollary_dropped_terms_within_their_charges():
 
 def test_d_tail_below_the_lift_target_within_twice_the_k_sum_tail():
     # below 16 D's k > K terms are each at most twice the k-sum term, so
-    # twice bound_psi_k_sum bounds them, also just outside the
-    # guard bands where the near terms peak
+    # twice bound_psi_k_sum bounds them, also just outside the guard bands
+    # where the near terms peak, and inside them with the paired k = m
+    # skipped, as _d_at skips it
     xs = [0.01, 0.3, 1.7, 3.3, 7.9, 12.5, 15.5]
-    xs += [m + s * 1.01 * DELTA for m in (1, 2, 5, 8, 15) for s in (-1, 1)]
+    xs += [m + s * f * DELTA for m in (1, 2, 5, 8, 15) for s in (-1, 1) for f in (0.5, 1.01)]
+    xs += [1.0, 8.0, 15.0]
     with mpmath.workdps(40):
         for x in xs:
             xx = mpmath.mpf(x)
+            m = planner._guard_index(x, DELTA)
             for first in range(1, 10):
-                brute = mpmath.fsum(abs(_d_term(k, xx)) for k in range(first, first + 60))
-                assert brute <= 2 * planner.bound_psi_k_sum(first, x, DELTA), (x, first)
+                ks = [k for k in range(first, first + 60) if k != m]
+                brute = mpmath.fsum(abs(_d_term(k, xx)) for k in ks)
+                assert brute <= 2 * planner.bound_psi_k_sum(first, x, DELTA, m), (x, first)
 
 
 def test_partial_fraction_sum_within_its_error_at_any_x():

@@ -20,7 +20,7 @@ from rapidpsi.bernoulli import (
     build_bernoulli_table,
     shared_table,
 )
-from rapidpsi.errors import GuardBandError, ToleranceError
+from rapidpsi.errors import ToleranceError
 from rapidpsi.oracles import (
     DEFAULT_ORACLE,
     euler_gamma_reference,
@@ -436,8 +436,8 @@ def test_gamma_routes_agree():
 
 
 def test_gamma_any_x_guard_band_redirects():
-    # the value does not depend on x, so an x in a guard band sums at a y
-    # off the bands, also past MAX_GAMMA_M, where gamma_at_integer rejects m
+    # the value does not depend on x, so an x in a guard band lifts to a y
+    # in one, also past MAX_GAMMA_M, where gamma_at_integer rejects m
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         for x in (2.0005, 200000.0002):
@@ -448,17 +448,41 @@ def test_gamma_any_x_guard_band_redirects():
 @pytest.mark.parametrize(
     "x", [1e-12, 0.5, 2.0005, 15.9995, 16.0, 2.0**51, 2.0**51 + 0.5, 1e12, 2.0**52, 1e300]
 )
-def test_gamma_any_x_sums_half_a_band_off_the_integers(monkeypatch, x):
-    # _D_FAR bounds D's cot piece and its k = round(y) term apart, which
-    # holds only at least guard_delta/2 from an integer, so a y in a band,
-    # every double from 2^52 on included, must be replaced by 16.5
+def test_gamma_any_x_sums_at_the_lifted_argument(monkeypatch, x):
+    # _D_FAR pairs D's cot piece with its k = round(y) term, so it holds at
+    # every y >= 16: a y in a band, every double from 2^52 on included, is
+    # summed where the lift puts it
+    mpmath = pytest.importorskip("mpmath")
     seen = []
     d_moment = series._d_moment
     monkeypatch.setattr(series, "_d_moment", lambda y, k, tol: seen.append(y) or d_moment(y, k, tol))
-    series.gamma_any_x(x, P12)
-    (y,) = seen
-    assert y >= series._Y_MOMENT
-    assert abs(y - round(y)) >= EvalParams.guard_delta / 2
+    g = series.gamma_any_x(x, P12)
+    assert seen == [series._lift(x, 1)[1]]
+    with mpmath.workdps(30):
+        assert abs(mpmath.mpf(g.value) - mpmath.euler) <= g.error_estimate <= P12.tol
+
+
+@pytest.mark.parametrize(
+    "evaluator, order",
+    [("psi_ramanujan", 1), ("re_psi_complex_ramanujan", 1), ("psi_prime_ramanujan", 2)],
+)
+def test_lift_rounding_is_exact_and_charged(monkeypatch, evaluator, order):
+    # fl(0.1 + 16) rounds: _lift's d is that rounding exactly, and each
+    # evaluator that lowers by the recurrence adds _lift's charge to its
+    # estimate, so a larger charge moves the estimate by as much
+    x = 0.1
+    shift, y, charge = series._lift(x, order)
+    d = Fraction(x) + shift - Fraction(y)
+    assert d != 0 and shift == 16
+    assert charge == float(abs(d)) / (y - 1.0) ** order
+    p = planner.plan(1e-12, x)
+    evaluate = getattr(series, evaluator)
+    plain = evaluate(x, p)
+    lift = series._lift
+    monkeypatch.setattr(series, "_lift", lambda x, order: lift(x, order)[:2] + (1.0,))
+    charged = evaluate(x, p)
+    assert charged.value == plain.value
+    assert abs(charged.error_estimate - plain.error_estimate - (1.0 - charge)) <= 1e-12
 
 
 def test_gamma_any_x_rejects_nonpositive_x():
@@ -560,18 +584,30 @@ def test_trigamma_within_estimate_of_mpmath_near_zero():
 
 
 @pytest.mark.parametrize("x", [1e-5, 1e-12, 1e-300])
-def test_trigamma_rejects_the_band_around_zero(x):
-    # x + 3 lies within guard_delta of 3, where the unregularized csc^2 pair
-    # cancels (at 1e-300 sin(pi (x + 3)) is exactly 0)
-    with pytest.raises(GuardBandError):
-        series.psi_prime_ramanujan(x, planner.plan(1e-12, x))
+def test_trigamma_admits_the_band_around_zero(x):
+    # x + 16 lies within guard_delta of 16 (at 1e-300 it is 16 exactly),
+    # where the csc^2 piece pairs with the k = 16 terms inside _PRIME_FAR
+    mpmath = pytest.importorskip("mpmath")
+    assert _psi_prime_misses(mpmath, [x], (1e-6, 1e-9, 1e-12, 1e-15)) == []
 
 
 def test_trigamma_guard_band_and_validation():
-    with pytest.raises(GuardBandError):
-        series.psi_prime_ramanujan(2.0005, P_PRIME)
+    mpmath = pytest.importorskip("mpmath")
+    sv = series.psi_prime_ramanujan(2.0005, P_PRIME)
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(sv.value) - mpmath.psi(1, mpmath.mpf(3.0005))) <= sv.error_estimate
+    assert _psi_prime_misses(mpmath, [m + off for m in (1, 2, 15, 16, 17, 1000)
+                                      for off in (-5e-4, 0.0, 1e-12, 9.99e-4)], (1e-12,)) == []
     with pytest.raises(ValueError):
         series.psi_prime_ramanujan(-1.0, P_PRIME)
+
+
+def test_trigamma_at_one_is_zeta2_less_one():
+    # psi'(2) = pi^2/6 - 1
+    mpmath = pytest.importorskip("mpmath")
+    sv = series.psi_prime_ramanujan(1.0, planner.plan(1e-12, 1.0))
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(sv.value) - (mpmath.pi**2 / 6 - 1)) <= sv.error_estimate <= 1e-12
 
 
 # ---------------------------------------------------------------- Re psi
@@ -589,8 +625,17 @@ def test_re_psi_gamma_consistency():
 
 
 def test_re_psi_guard_band():
-    with pytest.raises(GuardBandError):
-        series.re_psi_complex_ramanujan(3.0002, P12)
+    # below 16 the cot piece pairs with the k = m term in _d_at, whether m is
+    # summed (m <= K) or left to the tail (m > K); from 16 on inside _D_FAR
+    mpmath = pytest.importorskip("mpmath")
+    offs = (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 3e-7, -2e-5, 4.99e-4, -9.99e-4)
+    runs = [P12, EvalParams(tol=1e-12, k_terms=1)]
+    with mpmath.workdps(40):
+        for x in [3.0002] + [m + off for m in range(1, 18) for off in offs]:
+            truth = mpmath.digamma(mpmath.mpc(1, x)).real
+            for p in runs + [planner.plan(1e-12, x)]:
+                sv = series.re_psi_complex_ramanujan(x, p)
+                assert abs(mpmath.mpf(sv.value) - truth) <= sv.error_estimate, (x, p)
 
 
 @pytest.mark.parametrize("evaluator", ["re_psi_complex_ramanujan", "gamma_any_x"])
