@@ -13,7 +13,6 @@ so their exact arithmetic runs once per table.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .params import Record
@@ -34,7 +33,7 @@ class BernoulliTable(Record):
     __slots__ = ("max_index", "values", "derived")
     _fields = ("max_index", "values")
 
-    def __init__(self, max_index: int, values: tuple[Fraction, ...]):
+    def __init__(self, max_index: int, values: tuple):  # exact Fractions
         if len(values) != max_index + 1:
             raise ValueError("values length must be max_index + 1")
         set_max_index, set_values, set_derived = self._setters
@@ -43,12 +42,24 @@ class BernoulliTable(Record):
         set_derived(self, {})
 
 
+def tangent_numbers(n: int) -> list[int]:
+    """[0, T_1, .., T_n] ([0, T_1] at n = 0): the integer recurrence
+    T_k = (k-1) T_{k-1}, then T_j = (j-k) T_{j-1} + (j-k+2) T_j for
+    k = 2..n and j = k..n, leaves T_1..T_n in place."""
+    tangent = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        tangent[k] = (k - 1) * tangent[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    return tangent
+
+
 def build_bernoulli_table(max_index: int) -> BernoulliTable:
     """Build B_0..B_max_index exactly from the tangent numbers.
 
-    max_index must be even and nonnegative. With n = max_index/2, the integer
-    recurrence T_k = (k-1) T_{k-1}, then T_j = (j-k) T_{j-1} + (j-k+2) T_j
-    for k = 2..n and j = k..n, leaves T_1..T_n in place, and
+    max_index must be even and nonnegative. With n = max_index/2 and
+    T_1..T_n from tangent_numbers,
 
       B_{2i} = (-1)^{i-1} 2i T_i / (4^i (4^i - 1)),
 
@@ -56,17 +67,15 @@ def build_bernoulli_table(max_index: int) -> BernoulliTable:
     values equal those of the defining recurrence sum_k C(n+1,k) B_k = 0,
     numerator for numerator. Cost is O(n^2) integer multiply-adds and n
     gcds: about 0.3 ms for the shared B_0..B_90 table and 1.4 ms for
-    B_0..B_200 (Python 3.11, one core of a shared Xeon).
+    B_0..B_200 (Python 3.11, one core of a shared Xeon). fractions is
+    imported here, so that importing the package does not load it.
     """
+    from fractions import Fraction
+
     if max_index < 0 or max_index % 2 != 0:
         raise ValueError("max_index must be an even integer >= 0")
     n = max_index // 2
-    tangent = [0, 1] + [0] * (n - 1)
-    for k in range(2, n + 1):
-        tangent[k] = (k - 1) * tangent[k - 1]
-    for k in range(2, n + 1):
-        for j in range(k, n + 1):
-            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    tangent = tangent_numbers(n)
     values = [Fraction(1)]
     for i in range(1, n + 1):
         four_i = 4**i
@@ -81,8 +90,8 @@ def shared_table() -> BernoulliTable:
     return build_bernoulli_table(SHARED_MAX_INDEX)
 
 
-def bernoulli_over_factorial(table: BernoulliTable, index: int) -> Fraction:
-    """Exact B_index / index!."""
+def bernoulli_over_factorial(table: BernoulliTable, index: int):
+    """Exact B_index / index!, a Fraction."""
     if not 0 <= index <= table.max_index:
         raise IndexError(f"index {index} outside table range 0..{table.max_index}")
     return table.values[index] / math.factorial(index)

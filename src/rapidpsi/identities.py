@@ -104,6 +104,29 @@ def _power_lambert_sum(
     return math.fsum(pieces), tail, rounding, len(pieces)
 
 
+def _power_csch2_sum(
+    power: int, scale: float, k_terms: int, scale_err: float = 0.0
+) -> tuple[float, float, float, int]:
+    """(value, tail bound, rounding bound, last k before underflow) for
+    sum_k k^power/sinh^2(scale k) over k <= k_terms, power <= 0; scale_err
+    bounds scale's relative error. Each weight is csch^2(scale k), formed as
+    planner._csch2 forms it; it underflows to 0 past scale k = 350, where
+    the loop stops. The csch^2 checks of acceptance criterion 2 read it, and
+    zeta_odd_general's loop (series._power_sums) sums the same terms bit for
+    bit."""
+    pieces = []
+    rounding = 0.0
+    for k in range(1, k_terms + 1):
+        t = scale * k
+        if t > 350.0:
+            break
+        piece = float(k) ** power * (4.0 * math.exp(-2.0 * t) / math.expm1(-2.0 * t) ** 2)
+        pieces.append(piece)
+        rounding += piece * series._summand_rounding(t, scale_err)
+    tail = planner.bound_csch2(k_terms + 1, power, scale)
+    return math.fsum(pieces), tail, rounding, len(pieces)
+
+
 def _lambert_closed_form(m: int, table: BernoulliTable) -> float:
     """B_{2m}/(4m), the shared closed form of the odd-power Lambert sum and
     its integral twin."""
@@ -163,7 +186,7 @@ def run_identities() -> Iterator[CheckResult]:
     p = _default_params()
     table = shared_table()
 
-    s, tail, _, _ = series._power_csch2_sum(0, math.pi, p.k_terms)
+    s, tail, _, _ = _power_csch2_sum(0, math.pi, p.k_terms)
     closed = 1.0 / 6.0 - 1.0 / _TWO_PI
     yield _abs_check("csch2_closed_form", p.k_terms, s + tail - closed, 1e-15)
 
@@ -254,7 +277,7 @@ def run_equivalence() -> Iterator[CheckResult]:
 def run_asymptotic() -> Iterator[CheckResult]:
     p = _default_params()
 
-    s, tail, _, _ = series._power_csch2_sum(0, math.pi, p.k_terms)
+    s, tail, _, _ = _power_csch2_sum(0, math.pi, p.k_terms)
     yield _abs_check(
         "log_coefficient_cancellation", 0, 1.0 - math.pi / 3.0 + _TWO_PI * (s + tail), 1e-13
     )

@@ -10,14 +10,16 @@ Numerical strategy notes:
 - psi_ramanujan sums the representation only in its moment form, at an
   argument lifted to y >= 16 for K <= 7 outer terms: the identity
   sum_k csch^2(pi k) = 1/6 - 1/(2 pi) makes log y exact, and the K-term
-  k-sums expand in 1/y^2 with x-independent moments tabulated once per K.
-  What it does not sum there (S(y), the trigonometric terms and every index
-  near or past y) carries e^{-2 pi (y-1)} and is charged as one constant;
+  k-sums expand in u = 1/y^2. The series' coefficients, degree and bound
+  constants depend only on (K, tol) and are tabulated once per form
+  (_moment_form), so a call is one Horner pass. What it does not sum there
+  (S(y), the trigonometric terms and every index near or past y) carries
+  e^{-2 pi (y-1)} and is charged as one constant;
 - the corollaries share that moment core. psi' is its term-by-term
   derivative. Re psi(1+ix) - psi(x+1) = D(x) is a short closed form, because
   the all-arguments identity shares S, the log|2 sin| piece and the log
   k-family with the representation; so Re psi is psi plus D, and Euler's
-  constant is the partial-fraction sum P(y) less psi(y+1) and D(y) at
+  constant is the partial-fraction sum P(y) less Re psi(1+iy), one form, at
   y >= 16, with P by Euler-Maclaurin in pure Python, or at an integer m
   H_n - psi(n+1) at n = max(m, 16). None of them sums S;
 - the odd zeta values read their scale-pi weights from _PI_WEIGHTS; the
@@ -47,11 +49,10 @@ Numerical strategy notes:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from . import planner
-from .bernoulli import BernoulliTable, bernoulli_over_factorial, shared_table
+from .bernoulli import BernoulliTable, bernoulli_over_factorial, tangent_numbers
 from .errors import ToleranceError
 from .params import (
     MAX_GAMMA_M,
@@ -80,8 +81,18 @@ def zeta_even(N: int, table: BernoulliTable) -> float:
     return sign * ratio * 2.0 ** (2 * N - 1) * math.pi ** (2 * N)
 
 
-# zeta at even arguments 2j for the coefficient expansions below; j up to 44
-_ZETA_EVEN = tuple(zeta_even(j, shared_table()) for j in range(45))
+# zeta at even arguments 2j for the coefficient expansions below, j up to 44,
+# from the tangent numbers: zeta(2j) = 2^{2j-1} pi^{2j} |B_{2j}|/(2j)! with
+# |B_{2j}| = 2j T_j/(4^j (4^j - 1)). The ratio is one int/int true division,
+# which rounds once as zeta_even's conversion of the exact ratio does, so
+# each value is zeta_even(j)'s bit for bit, and no rational is built
+_TANGENT = tangent_numbers(44)
+_ZETA_EVEN = (-0.5,) + tuple(
+    2 * j * _TANGENT[j] / (4**j * (4**j - 1) * math.factorial(2 * j))
+    * 2.0 ** (2 * j - 1)
+    * math.pi ** (2 * j)
+    for j in range(1, 45)
+)
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +442,12 @@ def _psi_rest(x: float, params: EvalParams) -> tuple[list[float], float, int]:
 # with the trigonometric piece where y is near it, so no y >= 16 is refused
 _Y_MOMENT = 16.0
 _K_CAP = 7
-# moments tabulated per K for j < _J_CAP. At y >= 16 the k = 1, 2, 3 parts
-# of the terms fall at least 256x, 64x and 28x per term and the rest start
-# below 1e-16, so at every admissible tol each j-series stops within six
-# terms; past the table _moment_series charges a closed bound instead
+# each j-family of a moment form is tabulated for j <= _J_CAP. At y = 16 the
+# k = 1, 2, 3 parts of its terms fall at least 256x, 64x and 28x per term
+# and the rest start below 1e-16, so at every admissible tol the stop rule
+# keeps at most five terms of a family, and no table's degree in u reaches
+# _J_CAP; a family the rule would run past _J_CAP terms is cut there and
+# charged its first omitted term, which the table always holds
 _J_CAP = 10
 
 
@@ -520,41 +533,23 @@ _D_FAR, _PRIME_FAR = _corollary_far()
 
 
 class _Moments(Record):
-    """The per-K moment tables of _moments."""
+    """The per-K moments of _moments."""
 
-    __slots__ = _fields = ("m", "l", "m_d", "m_prime", "l_prime", "rel", "a", "b")
+    __slots__ = _fields = ("m", "l4", "rel", "a", "b")
 
-    def __init__(
-        self,
-        m: tuple[float, ...],  # M_{2j+1}
-        l: tuple[float, ...],  # L_{4j+4}/(j+1)
-        m_d: tuple[float, ...],  # M_{4j+1}, D's series
-        m_prime: tuple[float, ...],  # (j+1) M_{2j+1}, psi''s k-sum series
-        l_prime: tuple[float, ...],  # L_{4j+4}, psi''s csch^2 series
-        rel: float,
-        a: float,
-        b: float,
-    ):
-        set_m, set_l, set_m_d, set_m_prime, set_l_prime, set_rel, set_a, set_b = self._setters
-        set_m(self, m)
-        set_l(self, l)
-        set_m_d(self, m_d)
-        set_m_prime(self, m_prime)
-        set_l_prime(self, l_prime)
-        set_rel(self, rel)
-        set_a(self, a)
-        set_b(self, b)
+    def __init__(self, m: tuple[float, ...], l4: tuple[float, ...], rel: float, a: float, b: float):
+        for set_field, value in zip(self._setters, (m, l4, rel, a, b)):
+            set_field(self, value)
 
 
 @lru_cache(maxsize=None)  # one entry per K <= _K_CAP
 def _moments(K: int) -> _Moments:
     """The moments of the k-sums cut at K <= _K_CAP, from _PI_WEIGHTS:
-    M_p = sum_{k<=K} k^p/(e^{2 pi k} - 1) and L_p = sum_{k<=K} k^p
-    csch^2(pi k), for j < _J_CAP, each weighted as its series takes it, so
-    that no evaluator weights them per call. k^p stays below 1e35, so
-    nothing overflows. Each moment is within rel of its exact value: the
-    largest _summand_rounding of its positive terms, (6 + 2 pi k + 1/(pi k))
-    eps at t = pi k; the integer weight of m_prime adds eps more.
+    m[i] = M_{2i+1} for i <= 2 _J_CAP and l4[j] = L_{4j+4} for j <= _J_CAP,
+    with M_p = sum_{k<=K} k^p/(e^{2 pi k} - 1) and L_p = sum_{k<=K} k^p
+    csch^2(pi k). k^p stays below 1e38, so nothing overflows. Each moment is
+    within rel of its exact value: the largest _summand_rounding of its
+    positive terms, (6 + 2 pi k + 1/(pi k)) eps at t = pi k, and eps more.
 
     a and b give the closed tails from F = K + 1 up to y - 1: the k-sum's
     sum_{F<=k<=y-1} 2k q_k/(y^2 - k^2) <= a/((y - F)(y + F)) and the log
@@ -566,45 +561,145 @@ def _moments(K: int) -> _Moments:
     before."""
     weights = _PI_WEIGHTS[:K]
     moment_m = tuple(
-        math.fsum(float(k) ** (2 * j + 1) * q for k, q, _ in weights) for j in range(_J_CAP)
+        math.fsum(float(k) ** (2 * i + 1) * q for k, q, _ in weights) for i in range(2 * _J_CAP + 1)
     )
     moment_l4 = tuple(
-        math.fsum(float(k) ** (4 * j + 4) * c for k, _, c in weights) for j in range(_J_CAP)
+        math.fsum(float(k) ** (4 * j + 4) * c for k, _, c in weights) for j in range(_J_CAP + 1)
     )
-    rel = (7.0 + _TWO_PI * K) * _EPS
     f = K + 1
     e = math.exp(-_TWO_PI * f)
     a = 2.0 * f * e / -math.expm1(-_TWO_PI * f) / (1.0 - 4.0 * _Q_UNIT) * (1.0 + 1e-12)
     b = (math.pi / 2.0) * 4.0 * e / math.expm1(-_TWO_PI * f) ** 2 / (1.0 - 32.0 * _Q_UNIT)
-    return _Moments(
-        m=moment_m,
-        l=tuple(v / (j + 1) for j, v in enumerate(moment_l4)),
-        m_d=moment_m[::2],
-        m_prime=tuple((j + 1) * v for j, v in enumerate(moment_m)),
-        l_prime=moment_l4,
-        rel=rel,
-        a=a,
-        b=b * (1.0 + 1e-12),
-    )
+    return _Moments(moment_m, moment_l4, (7.0 + _TWO_PI * K) * _EPS, a, b * (1.0 + 1e-12))
 
 
-def _moment_series(
-    coeffs: tuple[float, ...], first: float, step: float, ratio: float, share: float
-) -> tuple[float, float, int]:
-    """(value, remainder bound, terms summed) of sum_j coeffs[j] first step^j,
-    whose terms are nonnegative and each at most ratio < 1 times the one
-    before. It stops before the first term t with t/(1 - ratio) <= share,
-    which bounds the rest; past the table the last term summed times
-    ratio/(1 - ratio) does. The 1e-12 covers the rounding of the bound."""
-    total = 0.0
-    t = 0.0
-    for n, c in enumerate(coeffs):
-        t = c * first
-        if t <= share * (1.0 - ratio):
-            return total, t / (1.0 - ratio) * (1.0 + 1e-12), n
-        total += t
-        first *= step
-    return total, t * ratio / (1.0 - ratio) * (1.0 + 1e-12), len(coeffs)
+# (1 - 4q)/(1 - 8q): turns _moments' a, whose k-sum terms shrink by 4q, into
+# the bound for psi''s k-sum terms, which shrink by 8q
+_PRIME_A = (1.0 - 4.0 * _Q_UNIT) / (1.0 - 8.0 * _Q_UNIT)
+
+# the three moment forms, each a power series in u = 1/y^2 at y >= 16:
+# psi(y+1) - log y - 1/(2y), Re psi(1+iy) - log y and y psi'(y+1) - 1 + 1/(2y)
+_PSI, _RE_PSI, _PRIME = "psi", "re_psi", "psi_prime"
+
+
+class _MomentForm(Record):
+    """One moment form's table (_moment_form): the coefficients of the form
+    over u, highest power first, as many as its degree; (c, p) of each
+    j-family's first omitted term c u^p; (rho_1, rho_2); (K + 1)^2;
+    (t_a, t_b, squared) of the closed tails; far and mass."""
+
+    __slots__ = _fields = ("coeffs", "omitted", "ratios", "f2", "tails", "far", "mass")
+
+    def __init__(self, coeffs: tuple[float, ...], omitted: tuple, ratios: tuple, f2: float,
+                 tails: tuple, far: float, mass: float):
+        values = (coeffs, omitted, ratios, f2, tails, far, mass)
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+
+@lru_cache(maxsize=256)
+def _moment_form(family: str, K: int, tol: float) -> _MomentForm:
+    """The table of one moment form over K <= _K_CAP outer terms at tol,
+    memoized per (family, K, tol) in an LRU cache as plan is. A form is c_0 u
+    plus a k-family, term j c_j u^(j+1), each term at most rho_1 u times the
+    one before, and one or two families whose terms fall by at most
+    rho_2 u^2 = (K^2 u)^2 each, all from _moments(K):
+
+      psi:    -u/(4 pi) - 2 sum_j M_{2j+1} u^{j+1} + (pi/2) sum_j (L_{4j+4}/(j+1)) u^{2j+2},
+              rho_1 = K^2;
+      Re psi: u/(4 pi), psi's families and D's 4 sum_j M_{4j+1} u^{2j+1}
+              (psi + D, whose 1/(2y) cancel);
+      psi':   u/(2 pi) + 4 sum_j (j+1) M_{2j+1} u^{j+1} - 2 pi sum_j L_{4j+4} u^{2j+2},
+              rho_1 = 2K^2, as (j+2)/(j+1) <= 2.
+
+    The degree is fixed at y = 16, the worst case: each family keeps what the
+    stop rule keeps there, every term before the first whose remainder
+    c_j u^p/(1 - rho u^e) fits tol/4 (16 tol/4 for y psi'), and then every
+    term up to the highest power any family kept, at most _J_CAP. The first
+    omitted term of each family (a third with c = 0 for psi and psi') is
+    kept, so a call charges each remainder at its own u.
+
+    With F = K + 1 and w = F^2 u, the k > K terms up to y - 1 cost
+    t_a u/(1 - w) + t_b w^2/(1 - w^2), from _moments' a and b: psi's k-sum
+    a/((y - F)(y + F)) and log family b s/(1 - s), s = w^2; Re psi takes 3a,
+    as each of D's terms is at most twice psi's k-sum term
+    (2y^2/(y^2 + k^2) <= 2); y psi''s k-sum terms fall by 8q, so
+    2 _PRIME_A a u/(1 - w)^2 (squared), and its csch^2 terms cost
+    4b w^2/(1 - w^2). far bounds the rest at every y >= 16: _PSI_FAR,
+    _PSI_FAR + _D_FAR or _PRIME_FAR (for psi', not y psi').
+
+    mass u bounds the rounding: sum|c| 16^{-2(i-1)} over the powers u^i,
+    with sum|c| the parts of each coefficient before they are added, bounds
+    sum|c| u^{i-1} at y >= 16. Each part is within rel (moments) and 3 eps,
+    and Horner's rule over degree - 1 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 5.1), the powers of u (1/(y y) is within eps of u)
+    and the last products by u and 1/y add at most 2 degree eps: so
+    (2 degree + 4) eps of every part and rel of the moments, to first order
+    (Higham 3.1)."""
+    mom = _moments(K)
+    k2 = float(K * K)
+    m, l4 = mom.m[: _J_CAP + 1], mom.l4
+    # (coefficients, e, o): term j is c_j u^(e j + o)
+    k_sum = (tuple(-2.0 * v for v in m), 1, 1)
+    log = (tuple((math.pi / 2.0) * v / (j + 1) for j, v in enumerate(l4)), 2, 2)
+    rho_1 = k2
+    if family == _PSI:
+        constant, families = -1.0 / (4.0 * math.pi), (k_sum, log)
+        tails, far = (mom.a, mom.b, False), _PSI_FAR
+    elif family == _RE_PSI:
+        d_sum = (tuple(4.0 * v for v in mom.m[::2]), 2, 1)
+        constant, families = 1.0 / (4.0 * math.pi), (k_sum, log, d_sum)
+        tails, far = (3.0 * mom.a, mom.b, False), _PSI_FAR + _D_FAR
+    else:
+        k_prime = (tuple(4.0 * ((j + 1) * v) for j, v in enumerate(m)), 1, 1)
+        constant, families = 1.0 / _TWO_PI, (k_prime, (tuple(-_TWO_PI * v for v in l4), 2, 2))
+        tails, far = (2.0 * _PRIME_A * mom.a, 4.0 * mom.b, True), _PRIME_FAR
+        rho_1 = 2.0 * k2
+    u = 1.0 / (_Y_MOMENT * _Y_MOMENT)
+    shrink = {1: 1.0 - rho_1 * u, 2: 1.0 - (k2 * u) ** 2}
+    share = tol / 4.0 * (_Y_MOMENT if family == _PRIME else 1.0)
+    degree = 1
+    for coeffs, e, o in families:
+        for j in range(_J_CAP):
+            if abs(coeffs[j]) * u ** (e * j + o) / shrink[e] <= share:
+                break
+            degree = max(degree, e * j + o)
+    poly = [constant] + [0.0] * (degree - 1)
+    parts = [0.0] * degree
+    omitted = [0.0, 0] * 3
+    for f, (coeffs, e, o) in enumerate(families):
+        n = min(_J_CAP, (degree - o) // e + 1)
+        for j in range(n):
+            poly[e * j + o - 1] += coeffs[j]
+            parts[e * j + o - 1] += abs(coeffs[j])
+        omitted[2 * f : 2 * f + 2] = abs(coeffs[n]), e * n + o
+    rounding = (2 * degree + 4) * _EPS
+    mass = rounding * abs(constant)
+    mass += (rounding + mom.rel) * math.fsum(c * u**i for i, c in enumerate(parts))
+    ratios, f2 = (rho_1, k2 * k2), float((K + 1) ** 2)
+    return _MomentForm(tuple(reversed(poly)), tuple(omitted), ratios, f2, tails, far, mass)
+
+
+def _moment_sum(form: _MomentForm, y: float) -> tuple[float, float]:
+    """(value, bound) of form's power series at u = 1/y^2, y >= 16: one
+    Horner pass over its table, and the bound of _moment_form's docstring
+    without its constant far: each family's geometric remainder from its
+    first omitted term, the closed k > K tails and the rounding mass u. The
+    1e-12 covers the rounding of the remainders."""
+    u = 1.0 / (y * y)
+    h = 0.0
+    for c in form.coeffs:
+        h = h * u + c
+    c_1, p_1, c_2, p_2, c_3, p_3 = form.omitted
+    rho_1, rho_2 = form.ratios
+    rem = c_1 * u**p_1 / (1.0 - rho_1 * u) + (c_2 * u**p_2 + c_3 * u**p_3) / (1.0 - rho_2 * u * u)
+    t_a, t_b, squared = form.tails
+    w = form.f2 * u
+    near = 1.0 - w
+    if squared:
+        near *= near
+    ww = w * w
+    return u * h, rem * (1.0 + 1e-12) + (t_a / near + form.mass) * u + t_b * ww / (1.0 - ww)
 
 
 def _lift(x: float, order: int) -> tuple[int, float, float]:
@@ -625,58 +720,30 @@ def _lift(x: float, order: int) -> tuple[int, float, float]:
     return shift, y, abs(d) / (y - 1.0) ** order
 
 
-def _psi_less_log(y: float, k: int, tol: float) -> tuple[list[float], float]:
-    """psi(y+1) - log y at y >= 16 from the moment form over K = k <= _K_CAP
-    outer terms, as (pieces, bound). With u = 1/y^2:
-
-      psi(y+1) = log y + 1/(2y) - u/(4 pi) - 2u sum_j M_{2j+1} u^j
-                 + (pi/2) sum_{j>=1} (L_{4j}/j) u^{2j} + (dropped terms),
-
-    with the moments of _moments(k). log y is exact: the representation's
-    (pi/3) log y and the -2 pi log y csch^2(pi k) of every k's log term sum
-    to log y by sum_k csch^2(pi k) = 1/6 - 1/(2 pi); what is left of each log
-    term is -(pi/2) log(1 - (k/y)^4) csch^2(pi k). For k <= K < y/2 this and
-    the k-sum term 2k/((e^{2 pi k} - 1)(k^2 - y^2)) expand in u, so each
-    j-series stops at its own closed remainder (_moment_series) within tol/4.
-
-    The bound charges those remainders; the k > K terms up to y - 1 in
-    closed form (_moments' a and b); S(y), the trigonometric pieces and every
-    index from floor(y) on as the constant _PSI_FAR; and the rounding of
-    each j-series, its moments' rel plus (3n + 2) eps for its n terms and
-    the powers of u (Higham, Accuracy and Stability of Numerical Algorithms,
-    3.1 and 5.1). The caller's _close adds 4 eps of every piece."""
-    mom = _moments(k)
-    moment_m, moment_l, rel, a, b = mom.m, mom.l, mom.rel, mom.a, mom.b
-    u = 1.0 / (y * y)
-    r = k * k * u
-    share = tol / 4.0
-    k_sum, k_rem, n_k = _moment_series(moment_m, 2.0 * u, u, r, share)
-    log_sum, log_rem, n_log = _moment_series(moment_l, (math.pi / 2.0) * u * u, u * u, r * r, share)
-    f = k + 1.0
-    s = (f * f * u) ** 2
-    tails = a / ((y - f) * (y + f)) + b * s / (1.0 - s)
-    rounding = ((3 * n_k + 2) * _EPS + rel) * k_sum + ((3 * n_log + 2) * _EPS + rel) * log_sum
-    pieces = [0.5 / y, -u / (4.0 * math.pi), -k_sum, log_sum]
-    return pieces, k_rem + log_rem + tails + _PSI_FAR + rounding
-
-
 def psi_ramanujan(x: float, params: EvalParams) -> SeriesValue:
-    """psi(x+1) from the moment form of the representation at y >= 16
-    (_psi_less_log) over K = min(k_terms, 7) outer terms, lowered by the
-    recurrence psi(x+1) = psi(y+1) - sum_{i=1..shift} 1/(x+i), shift the
-    smallest with fl(x + shift) >= 16. The estimate adds the rounding of
-    x + shift (_lift) to _psi_less_log's bound, and _close's 4 eps
-    sum|piece| covers the harmonic terms. k_used is K and n_used 0: no
-    inner sum runs.
+    """psi(x+1) = log y + 1/(2y) + (psi's moment form in u = 1/y^2) at
+    y >= 16 over K = min(k_terms, 7) outer terms, lowered by the recurrence
+    psi(x+1) = psi(y+1) - sum_{i=1..shift} 1/(x+i), shift the smallest with
+    fl(x + shift) >= 16. log y is exact: the representation's (pi/3) log y
+    and the -2 pi log y csch^2(pi k) of every k's log term sum to log y by
+    sum_k csch^2(pi k) = 1/6 - 1/(2 pi); what is left of each log term,
+    -(pi/2) log(1 - (k/y)^4) csch^2(pi k), and each k-sum term
+    2k/((e^{2 pi k} - 1)(k^2 - y^2)) expand in u for k <= K < y/2. The
+    series is one Horner pass over its table for (K, tol) (_moment_form,
+    _moment_sum), whose bound is the estimate with the rounding of x + shift
+    (_lift); _close's 4 eps sum|piece| covers the harmonic terms. k_used is
+    K and n_used 0: no inner sum runs.
     """
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
     k = min(params.k_terms, _K_CAP)
     shift, y, lift_err = _lift(x, 1)
-    pieces, bound = _psi_less_log(y, k, params.tol)
-    pieces.append(math.log(y))
-    pieces.extend([-1.0 / (x + i) for i in range(1, shift + 1)])
-    return _close(pieces, bound + lift_err, k, 0)
+    form = _moment_form(_PSI, k, params.tol)
+    value, bound = _moment_sum(form, y)
+    pieces = [0.5 / y, value, math.log(y)]
+    if shift:
+        pieces += [-1.0 / (x + i) for i in range(1, shift + 1)]
+    return _close(pieces, bound + form.far + lift_err, k, 0)
 
 
 def _check_gamma_m(m: int) -> None:
@@ -690,43 +757,18 @@ def _check_gamma_m(m: int) -> None:
 def gamma_at_integer(m: int, params: EvalParams) -> SeriesValue:
     """Euler's constant from the integer specialization gamma = H_n - psi(n+1),
     which holds at every n, taken at n = max(m, 16): H_n - log n less
-    psi(n+1) - log n from psi's moment form (_psi_less_log) over
+    psi(n+1) - log n from psi's moment form (_moment_sum) over
     K = min(k_terms, 7) outer terms. n is exact, so there is no lift rounding,
     and no double series, guard pair or tail pass runs. The estimate is
-    _psi_less_log's bound plus _close's 4 eps of every piece, which covers the
-    rounding of H_n and log n. k_used is K and n_used 0."""
+    the moment form's bound plus _close's 4 eps of every piece, which covers
+    the rounding of H_n and log n. k_used is K and n_used 0."""
     _check_gamma_m(m)
     n = max(m, int(_Y_MOMENT))
     k = min(params.k_terms, _K_CAP)
-    pieces, bound = _psi_less_log(float(n), k, params.tol)
-    pieces = [math.fsum(1.0 / j for j in range(1, n + 1)), -math.log(n)] + [-p for p in pieces]
-    return _close(pieces, bound, k, 0)
-
-
-def _d_moment(y: float, k: int, tol: float) -> tuple[list[float], float]:
-    """D(y) = Re psi(1+iy) - psi(y+1) (re_psi_complex_ramanujan) at y >= 16
-    over K = k <= _K_CAP outer terms, as (pieces, bound). For k <= K the
-    k-sum terms expand as -4k q_k u/(1 - (k/y)^4) with u = 1/y^2, so
-
-      D(y) = -1/(2y) + 1/(2 pi y^2) + 4u sum_j M_{4j+1} u^{2j} + (dropped terms),
-
-    over the even entries of psi's M table; the u coefficient 1/(2 pi) + 4 M_1
-    is 1/6 up to the k > K tail of M_1 (criterion 3's Lambert sum).
-
-    The bound charges the j-series' closed remainder within tol/4; its k > K
-    terms up to y - 1, each at most twice the k-sum term 2k q_k/(y^2 - k^2)
-    since 2y^2/(y^2 + k^2) <= 2, so 2a/((y - F)(y + F)) with _moments' a;
-    the cot piece with the k = m = round(y) term and the other indices from
-    floor(y) on as _D_FAR, at every y >= 16; and the series' rounding as in
-    _psi_less_log."""
-    mom = _moments(k)
-    u = 1.0 / (y * y)
-    r = k * k * u
-    d_sum, d_rem, n = _moment_series(mom.m_d, 4.0 * u, u * u, r * r, tol / 4.0)
-    f = k + 1.0
-    tail = 2.0 * mom.a / ((y - f) * (y + f))
-    rounding = ((3 * n + 2) * _EPS + mom.rel) * d_sum
-    return [-0.5 / y, u / _TWO_PI, d_sum], d_rem + tail + _D_FAR + rounding
+    form = _moment_form(_PSI, k, params.tol)
+    value, bound = _moment_sum(form, float(n))
+    pieces = [math.fsum(1.0 / j for j in range(1, n + 1)), -math.log(n), -0.5 / n, -value]
+    return _close(pieces, bound + form.far, k, 0)
 
 
 # D's pole block is summed as a power series below this x, where its pieces
@@ -819,27 +861,26 @@ def _d_at(x: float, K: int, guard_delta: float) -> tuple[list[float], float]:
 
 def gamma_any_x(x: float, params: EvalParams) -> SeriesValue:
     """Euler's constant from the all-arguments identity
-    gamma = P(y) - Re psi(1+iy) = P(y) - psi(y+1) - D(y), with
-    P(y) = sum_n y^2/(n(n^2+y^2)), at y = x lifted to y >= 16 by a whole
-    shift. The value is constant in the argument, so the lift is free of
-    charge, and _D_FAR holds at every y >= 16, so no x is refused.
+    gamma = P(y) - Re psi(1+iy), with P(y) = sum_n y^2/(n(n^2+y^2)), at
+    y = x lifted to y >= 16 by a whole shift. The value is constant in the
+    argument, so the lift is free of charge, and _D_FAR holds at every
+    y >= 16, so no x is refused.
 
-    Every piece is summed from psi's moment core: P(y) - log y from
-    _pf_body and -log M + (1/2) log1p((M/y)^2), psi(y+1) - log y from
-    _psi_less_log and D(y) from _d_moment, so log y cancels exactly and no
-    double series, guard pair or tail pass runs. k_used is K and n_used 0.
-    The estimate is their bounds and _PF_REMAINDER, plus _close's 4 eps of
-    every piece, which covers the rounding of P's terms."""
+    P(y) - log y comes from _pf_body and -log M + (1/2) log1p((M/y)^2), and
+    Re psi(1+iy) - log y from Re psi's moment form (_moment_sum), so log y
+    cancels exactly and no double series, guard pair or tail pass runs.
+    k_used is K and n_used 0. The estimate is the moment form's bound and
+    _PF_REMAINDER, plus _close's 4 eps of every piece, which covers the
+    rounding of P's terms."""
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
     y = _lift(x, 1)[1]
     k = min(params.k_terms, _K_CAP)
-    psi_pieces, psi_bound = _psi_less_log(y, k, params.tol)
-    d_pieces, d_bound = _d_moment(y, k, params.tol)
+    form = _moment_form(_RE_PSI, k, params.tol)
+    value, bound = _moment_sum(form, y)
     r = _PF_M / y
-    pieces = [_pf_body(y), 0.5 * math.log1p(r * r), -_LOG_PF_M]
-    pieces.extend([-p for p in psi_pieces + d_pieces])
-    return _close(pieces, psi_bound + d_bound + _PF_REMAINDER, k, 0)
+    pieces = [_pf_body(y), 0.5 * math.log1p(r * r), -_LOG_PF_M, -value]
+    return _close(pieces, bound + form.far + _PF_REMAINDER, k, 0)
 
 
 def re_psi_complex_ramanujan(x: float, params: EvalParams) -> SeriesValue:
@@ -859,38 +900,32 @@ def re_psi_complex_ramanujan(x: float, params: EvalParams) -> SeriesValue:
 
     by 1/(k^2 + x^2) - 1/(k^2 - x^2) = -2x^2/((k^2 - x^2)(k^2 + x^2)). D's
     poles at the integers cancel between the cot piece and the k = m term,
-    and D is O(x) at 0.
-
-    At x >= 16, psi(x+1) - log x (_psi_less_log) and D (_d_moment) come from
-    the same moment table with no tail pass. Below 16, psi(x+1) comes from
-    the pieces psi_ramanujan sums (_psi_less_log at y = fl(x + shift) >= 16,
-    log y and the harmonic terms, _lift) and D from one K-term loop at x
-    itself (_d_at). Either way every piece closes in one fsum, whose 4 eps
-    sum|piece| covers each piece's rounding, with the bounds of both parts
-    and the lift's. D's pole at an integer cancels in _D_FAR's pair from 16
-    on and in _d_at's below, so every x > 0 is admitted. k_used is K and
-    n_used 0."""
+    and D is O(x) at 0. From 16 on D's k <= K terms expand in u = 1/x^2 as
+    -4k q_k u/(1 - (k/x)^4), so Re psi(1+ix) - log x is one Horner pass over
+    Re psi's moment form (_moment_sum), in which psi's 1/(2x) and D's
+    cancel; its u coefficient 1/(4 pi) + 2 M_1 is 1/12 up to the k > K tail
+    of M_1 (criterion 3's Lambert sum). Below 16,
+    psi(x+1) comes from the pieces psi_ramanujan sums (psi's moment form at
+    y = fl(x + shift) >= 16, log y and the harmonic terms, _lift) and D from
+    one K-term loop at x itself (_d_at). Either way every piece closes in one
+    fsum, whose 4 eps sum|piece| covers each piece's rounding, with the
+    bounds of both parts and the lift's. D's pole at an integer cancels in
+    _D_FAR's pair from 16 on and in _d_at's below, so every x > 0 is
+    admitted. k_used is K and n_used 0."""
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
     k = min(params.k_terms, _K_CAP)
     if x >= _Y_MOMENT:
-        pieces, bound = _psi_less_log(x, k, params.tol)
-        d_pieces, d_bound = _d_moment(x, k, params.tol)
-        pieces += d_pieces
-        pieces.append(math.log(x))
-        return _close(pieces, bound + d_bound, k, 0)
+        form = _moment_form(_RE_PSI, k, params.tol)
+        value, bound = _moment_sum(form, x)
+        return _close([value, math.log(x)], bound + form.far, k, 0)
     shift, y, lift_err = _lift(x, 1)
-    pieces, bound = _psi_less_log(y, k, params.tol)
-    d_pieces, d_bound = _d_at(x, k, params.guard_delta)
-    pieces += d_pieces
-    pieces.append(math.log(y))
+    form = _moment_form(_PSI, k, params.tol)
+    value, bound = _moment_sum(form, y)
+    pieces, d_bound = _d_at(x, k, params.guard_delta)
+    pieces += [0.5 / y, value, math.log(y)]
     pieces.extend([-1.0 / (x + i) for i in range(1, shift + 1)])
-    return _close(pieces, bound + d_bound + lift_err, k, 0)
-
-
-# (1 - 4q)/(1 - 8q): turns _moments' a, whose k-sum terms shrink by 4q, into
-# the bound for psi''s k-sum terms, which shrink by 8q
-_PRIME_A = (1.0 - 4.0 * _Q_UNIT) / (1.0 - 8.0 * _Q_UNIT)
+    return _close(pieces, bound + form.far + d_bound + lift_err, k, 0)
 
 
 def psi_prime_ramanujan(x: float, params: EvalParams) -> SeriesValue:
@@ -907,53 +942,38 @@ def psi_prime_ramanujan(x: float, params: EvalParams) -> SeriesValue:
     csch^2 terms 2 pi y^3 csch^2(pi k)/(k^4 - y^4) expand in u for k <= K.
     The u/y^3 coefficient 1/(2 pi) + 4 M_1 is 1/6 up to the k > K tail.
 
-    The estimate charges each j-series' closed remainder within tol/4; the
-    k > K terms up to y - 1: the k-sum's shrink by 8q, so they sum to at most
-    _PRIME_A a 2y/((y - F)(y + F))^2, and the csch^2 family's are
-    (4/y) (pi/2) c_k s_k/(1 - s_k), so (4/y) b s/(1 - s); the csc^2 piece
-    and every index from floor(y) on as _PRIME_FAR; the rounding of x + shift
-    (_lift) and of each series, as in _psi_less_log with two more eps for /y
-    and the weights (j+1). The csc^2 piece's pole at an integer m cancels
-    against the k = m terms in _PRIME_FAR's pair, so every x > 0 is
-    admitted, the integers and the x near 0 that lift to just above 16
-    among them.
+    The series in u, y psi'(y+1) - 1 + 1/(2y), is one Horner pass over its
+    table (_moment_sum), whose value and bound are divided by y. The
+    estimate adds _PRIME_FAR, which bounds the csc^2 piece and every index
+    from floor(y) on, and the rounding of x + shift (_lift). The csc^2
+    piece's pole at an integer m cancels against the k = m terms in
+    _PRIME_FAR's pair, so every x > 0 is admitted, the integers and the x
+    near 0 that lift to just above 16 among them.
     """
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
     k = min(params.k_terms, _K_CAP)
     shift, y, lift_err = _lift(x, 2)
-    mom = _moments(k)
-    u = 1.0 / (y * y)
-    r = k * k * u
-    share = params.tol / 4.0
-    # (j+2)/(j+1) <= 2 on top of K^2 u per term
-    k_sum, k_rem, n_k = _moment_series(mom.m_prime, 4.0 * u / y, u, 2.0 * r, share)
-    c_sum, c_rem, n_c = _moment_series(mom.l_prime, _TWO_PI * u * u / y, u * u, r * r, share)
-    f = k + 1.0
-    g = (y - f) * (y + f)
-    s = (f * f * u) ** 2
-    tails = _PRIME_A * mom.a * 2.0 * y / (g * g) + 4.0 / y * mom.b * s / (1.0 - s)
-    rounding = ((3 * n_k + 4) * _EPS + mom.rel) * k_sum + ((3 * n_c + 4) * _EPS + mom.rel) * c_sum
-    pieces = [1.0 / y, -0.5 * u, u / (_TWO_PI * y), k_sum, -c_sum]
-    pieces.extend([1.0 / ((x + i) * (x + i)) for i in range(1, shift + 1)])
-    bound = k_rem + c_rem + tails + _PRIME_FAR + lift_err + rounding
-    return _close(pieces, bound, k, 0)
+    form = _moment_form(_PRIME, k, params.tol)
+    value, bound = _moment_sum(form, y)
+    pieces = [1.0 / y, -0.5 / (y * y), value / y]
+    if shift:
+        pieces += [1.0 / ((x + i) * (x + i)) for i in range(1, shift + 1)]
+    return _close(pieces, bound / y + form.far + lift_err, k, 0)
 
 
 # ---------------------------------------------------------------------------
 # Lambert-type sums and zeta corollaries
 
 
-def _zeta_odd_products(N: int, table: BernoulliTable) -> list[Fraction]:
-    """The N+2 exact products B_{2j}/(2j)! B_{2N+2-2j}/(2N+2-2j)!, j = 0..N+1,
+def _zeta_odd_products(N: int, table: BernoulliTable) -> list:
+    """The N+2 exact Fraction products B_{2j}/(2j)! B_{2N+2-2j}/(2N+2-2j)!, j = 0..N+1,
     from one list of the B_{2i}/(2i)!."""
     over_factorial = [bernoulli_over_factorial(table, 2 * j) for j in range(N + 2)]
     return [over_factorial[j] * over_factorial[N + 1 - j] for j in range(N + 2)]
 
 
-def _zeta_odd_j_sum(
-    N: int, table: BernoulliTable, products: list[Fraction] | None = None
-) -> Fraction:
+def _zeta_odd_j_sum(N: int, table: BernoulliTable, products: list | None = None):
     """sum_{j=0}^{N+1} (-1)^{j+1} (2j-1) B_{2j}/(2j)! B_{2N+2-2j}/(2N+2-2j)!,
     in exact rational arithmetic (the alternating sum cancels badly in
     floating point once N grows), from _zeta_odd_products(N, table) unless
@@ -996,27 +1016,6 @@ def _summand_rounding(t: float, scale_err: float) -> float:
     return (6.0 + 2.0 * t + 1.0 / t) * _EPS + 2.0 * (1.0 + t) * scale_err
 
 
-def _power_csch2_sum(
-    power: int, scale: float, k_terms: int, scale_err: float = 0.0
-) -> tuple[float, float, float, int]:
-    """(value, tail bound, rounding bound, last k before underflow) for
-    sum_k k^power/sinh^2(scale k) over k <= k_terms, power <= 0; scale_err
-    bounds scale's relative error. Each weight is _csch2(scale k), formed as
-    it forms it; it underflows to 0 past scale k = 350, where the loop
-    stops."""
-    pieces = []
-    rounding = 0.0
-    for k in range(1, k_terms + 1):
-        t = scale * k
-        if t > 350.0:
-            break
-        piece = float(k) ** power * (4.0 * math.exp(-2.0 * t) / math.expm1(-2.0 * t) ** 2)
-        pieces.append(piece)
-        rounding += piece * _summand_rounding(t, scale_err)
-    tail = planner.bound_csch2(k_terms + 1, power, scale)
-    return math.fsum(pieces), tail, rounding, len(pieces)
-
-
 def _power_sums(
     power: int,
     scale: float,
@@ -1036,7 +1035,7 @@ def _power_sums(
     before: k^power does not grow, sinh^2(tk)/sinh^2(t(k+1)) <= e^{-2t} and
     (e^{2tk} - 1)/(e^{2t(k+1)} - 1) <= e^{-2t}. So each sum stops before its
     first term t with t (1 + r)/(1 - q) <= its share, where r is the term's
-    own _summand_rounding, and that bounds the rest, as in _moment_series;
+    own _summand_rounding, and that bounds the rest (a geometric tail);
     q is taken at scale (1 - scale_err), and the 1e-12 covers the rounding
     of the bound. A sum that reaches cap terms is charged the closed tail
     from cap + 1 (planner.bound_csch2, planner.bound_lambert). The default

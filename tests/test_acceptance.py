@@ -49,7 +49,7 @@ def test_criterion_01_gamma_truncated_decimal(capsys):
 
 def test_criterion_02_csch2_closed_form(capsys):
     p = EvalParams(tol=1e-12, k_terms=10, n_terms=16)
-    partial = series._power_csch2_sum(0, math.pi, p.k_terms)[0]
+    partial = identities._power_csch2_sum(0, math.pi, p.k_terms)[0]
     total = partial + planner.tail_bound("csch2", 11).bound
     gap = abs(total - (1.0 / 6.0 - 1.0 / (2.0 * math.pi)))
     assert _line(capsys, 2, "csch2_closed_form", gap <= 1e-15, f"gap={gap:.2e}")
@@ -142,7 +142,7 @@ def test_criterion_10_asymptotic_residual(capsys):
     scaled = {x: x * abs(identities.asymptotic_residual(x, p)) for x in (2.5, 5.5, 10.5, 20.5)}
     no_growth = scaled[20.5] <= 2.0 * scaled[2.5]
     # the N = 0 limit of the odd-zeta family collapses to an exact cancellation
-    csch2 = series._power_csch2_sum(0, math.pi, p.k_terms)[0]
+    csch2 = identities._power_csch2_sum(0, math.pi, p.k_terms)[0]
     eq_zero = abs(1.0 - math.pi / 3.0 + 2.0 * math.pi * csch2)
     ok = no_growth and eq_zero <= 1e-13
     assert _line(capsys, 10, "asymptotic_residual", ok,

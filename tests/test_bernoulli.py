@@ -57,9 +57,11 @@ def test_zeta_even_floats_are_those_of_the_recurrence():
     assert [x.hex() for x in series._ZETA_EVEN] == [x.hex() for x in expected]
 
 
-def test_package_import_and_a_psi_command_build_one_table():
+def test_package_import_and_a_psi_command_build_no_table():
     # counted by a profile hook set before the package's first import, so
-    # every call is seen, whichever module holds the name
+    # every call is seen, whichever module holds the name: _ZETA_EVEN comes
+    # from the tangent numbers, so no table is built until a zeta command
+    # builds the shared one, once
     probe = (
         "import sys\n"
         "calls = []\n"
@@ -71,6 +73,9 @@ def test_package_import_and_a_psi_command_build_one_table():
         "sys.setprofile(hook)\n"
         "import rapidpsi, rapidpsi.cli\n"
         "code = rapidpsi.cli.main(['psi', '--x', '2.5'])\n"
+        "print(code, len(calls))\n"
+        "for n in ('3', '5'):\n"
+        "    code = rapidpsi.cli.main(['zeta-odd', '--n', n])\n"
         "sys.setprofile(None)\n"
         "print(code, len(calls))\n"
     )
@@ -80,7 +85,9 @@ def test_package_import_and_a_psi_command_build_one_table():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split()[-2:] == ["0", "1"]
+    lines = done.stdout.splitlines()
+    assert lines[1].split() == ["0", "0"]
+    assert lines[-1].split()[-2:] == ["0", "1"]
 
 # classical values, exact
 KNOWN = [

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,25 @@ def test_gamma_guard_band_suggests_integer_route(capsys):
         _gamma_within_estimate_of_mpmath(capsys, x)
 
 
+# Euler's constant to 40 digits, exact as a decimal string
+GAMMA_40 = "0.5772156649015328606065120900824024310422"
+
+
+def test_psi_and_gamma_at_sixteen_within_their_estimates(capsys):
+    # y = 16 is where the moment forms' fixed degree is sized; psi(17) is
+    # H_16 - gamma, compared in exact rationals (the CI smoke step's twin)
+    gamma = Fraction(GAMMA_40)
+    code, out, _ = run_cli(capsys, ["psi", "--x", "16", "--tol", "1e-15"])
+    assert code == cli.EXIT_OK
+    r = rows(out)[0]
+    truth = sum(Fraction(1, j) for j in range(1, 17)) - gamma
+    assert abs(Fraction(r["value"]) - truth) <= r["abs_error_estimate"]
+    code, out, _ = run_cli(capsys, ["gamma", "--m", "16", "--tol", "1e-12"])
+    assert code == cli.EXIT_OK
+    r = rows(out)[0]
+    assert abs(Fraction(r["value"]) - gamma) <= r["abs_error_estimate"] <= 1e-12
+
+
 def test_gamma_near_zero_is_not_a_guard_band(capsys):
     # x + lift_shift(x) = 3.0005 is near 3, but x itself is in no band
     code, out, _ = run_cli(capsys, ["gamma", "--x", "0.0005"])
@@ -515,10 +535,12 @@ def test_planned_psi_imports_no_numpy(call):
 
 def test_import_path_loads_no_dataclasses_typing_or_numpy():
     # -S keeps site out, which can import typing through a .pth file and
-    # so hide a module the package itself pulls in
+    # so hide a module the package itself pulls in; fractions (and decimal
+    # with it) loads only with a Bernoulli table, on a zeta command
+    names = ('dataclasses', 'inspect', 'typing', 'numpy', 'fractions', 'decimal')
     probe = (
         "import sys, rapidpsi, rapidpsi.cli; rapidpsi.cli.main(['psi', '--x', '2.5']); "
-        "print([m for m in ('dataclasses', 'inspect', 'typing', 'numpy') if m in sys.modules])"
+        f"print([m for m in {names!r} if m in sys.modules])"
     )
     done = _fresh_python("-S", "-c", probe)
     assert done.returncode == 0, done.stderr

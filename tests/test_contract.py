@@ -176,8 +176,9 @@ def test_hand_built_counts_past_the_cap_sum_what_the_cap_sums():
 def test_moment_form_third_order_coefficient_is_one_sixth():
     # psi'(y+1) = 1/y - 1/(2y^2) + (1/(2 pi) + 4 M_1)/y^3 + ...: the Lambert
     # sum M_1 = 1/24 - 1/(8 pi) makes it 1/6, up to its k > 7 tail
-    m1 = series._moments(series._K_CAP).m[0]
-    assert abs(1.0 / (2.0 * math.pi) + 4.0 * m1 - 1.0 / 6.0) <= 1e-16
+    # read as the u coefficient of psi''s table, whose last entry it is
+    form = series._moment_form(series._PRIME, series._K_CAP, 1e-15)
+    assert abs(form.coeffs[-1] - 1.0 / 6.0) <= 1e-16
 
 
 BANNED = ("double_series_S", "_double_series_at", "_inner_pair", "_guard_log_pair", "_psi_rest")
@@ -297,6 +298,165 @@ def test_corollary_dropped_terms_within_their_charges():
                 assert mpmath.fsum(abs(_prime_k_term(k, yy)) for k in ks) <= k_tail
                 csch_tail = 4 / y * mom.b * s / (1 - s)
                 assert mpmath.fsum(abs(_prime_csch_term(k, yy)) for k in ks) <= csch_tail
+
+
+def _psi_k_term(k, y):
+    return 2 * k / (mpmath.expm1(2 * mpmath.pi * k) * (k * k - y * y))
+
+
+def _psi_log_term(k, y):
+    pi = mpmath.pi
+    return -pi / 2 * mpmath.log(abs(1 - (mpmath.mpf(k) / y) ** 4)) * mpmath.csch(pi * k) ** 2
+
+
+def _form_tails(form, y):
+    """The two closed k > K tails _moment_sum charges for form at y."""
+    t_a, t_b, squared = form.tails
+    u = 1.0 / (y * y)
+    w = form.f2 * u
+    near = (1.0 - w) ** (2 if squared else 1)
+    return t_a * u / near, t_b * w * w / (1.0 - w * w)
+
+
+def test_moment_sum_bound_is_its_remainders_tails_and_rounding():
+    # the bound charges every family's remainder from its first omitted
+    # term at the call's u, both closed tails and the rounding mass u, and
+    # nothing else (the 1e-12 on the remainders aside)
+    for family in (series._PSI, series._RE_PSI, series._PRIME):
+        for k_cut in range(1, series._K_CAP + 1):
+            for tol in (1e-6, 1e-12, 1e-15):
+                form = series._moment_form(family, k_cut, tol)
+                c_1, p_1, c_2, p_2, c_3, p_3 = form.omitted
+                rho_1, rho_2 = form.ratios
+                for y in (16.0, 40.25, 1e3):
+                    u = 1.0 / (y * y)
+                    parts = [
+                        c_1 * u**p_1 / (1.0 - rho_1 * u),
+                        c_2 * u**p_2 / (1.0 - rho_2 * u * u),
+                        c_3 * u**p_3 / (1.0 - rho_2 * u * u),
+                        *_form_tails(form, y),
+                        form.mass * u,
+                    ]
+                    total = math.fsum(parts)
+                    bound = series._moment_sum(form, y)[1]
+                    assert total * (1 - 1e-13) <= bound <= total * (1 + 2e-12), (family, k_cut, tol, y)
+
+
+def test_moment_form_tails_bound_each_familys_dropped_terms():
+    # each form's closed tails, as its table holds them, bound the k > K
+    # terms up to y - 1 of the families they stand for, in 80-digit mpmath:
+    # psi's k-sum and log family, Re psi's k-sum with D's terms, and y psi''s
+    # k-sum (squared denominator) and csch^2 family
+    with mpmath.workdps(80):
+        for k_cut in range(1, series._K_CAP + 1):
+            ks = lambda y: range(k_cut + 1, math.floor(y))  # noqa: E731
+            for y in (16.0, 16.5, 40.25):
+                yy = mpmath.mpf(y)
+                k_sum = mpmath.fsum(abs(_psi_k_term(k, yy)) for k in ks(y))
+                log = mpmath.fsum(abs(_psi_log_term(k, yy)) for k in ks(y))
+                d_sum = mpmath.fsum(abs(_d_term(k, yy)) for k in ks(y))
+                prime_k = yy * mpmath.fsum(abs(_prime_k_term(k, yy)) for k in ks(y))
+                prime_c = yy * mpmath.fsum(abs(_prime_csch_term(k, yy)) for k in ks(y))
+                expected = {
+                    series._PSI: (k_sum, log),
+                    series._RE_PSI: (k_sum + d_sum, log),
+                    series._PRIME: (prime_k, prime_c),
+                }
+                for family, (a_part, b_part) in expected.items():
+                    tail_a, tail_b = _form_tails(series._moment_form(family, k_cut, 1e-12), y)
+                    assert a_part <= tail_a and b_part <= tail_b, (family, k_cut, y)
+
+
+def _family_terms(family, k_cut):
+    """{power of u: [terms]} of a moment form, its constant first and then
+    each j-family in _moment_form's order, from _moments, for j <= _J_CAP."""
+    mom = series._moments(k_cut)
+    m, l4, n = mom.m, mom.l4, series._J_CAP + 1
+    pi = math.pi
+    if family == series._PRIME:
+        constant = 1.0 / (2.0 * pi)
+        families = [
+            [(j + 1, 4.0 * ((j + 1) * m[j])) for j in range(n)],
+            [(2 * j + 2, -2.0 * pi * l4[j]) for j in range(n)],
+        ]
+    else:
+        constant = -1.0 / (4.0 * pi) if family == series._PSI else 1.0 / (4.0 * pi)
+        families = [
+            [(j + 1, -2.0 * m[j]) for j in range(n)],
+            [(2 * j + 2, (pi / 2.0) * l4[j] / (j + 1)) for j in range(n)],
+        ]
+        if family == series._RE_PSI:
+            families.append([(2 * j + 1, 4.0 * m[2 * j]) for j in range(n)])
+    return constant, families
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-15])
+@pytest.mark.parametrize("family", [series._PSI, series._RE_PSI, series._PRIME])
+def test_moment_form_table_partitions_each_family(family, tol):
+    # every term of each family up to the degree is summed in its power's
+    # coefficient, and the first term past it is the one the table charges
+    for k_cut in range(1, series._K_CAP + 1):
+        form = series._moment_form(family, k_cut, tol)
+        degree = len(form.coeffs)
+        constant, families = _family_terms(family, k_cut)
+        coeffs = [constant] + [0.0] * (degree - 1)
+        omitted = []
+        for terms in families:
+            kept = [(p, c) for p, c in terms if p <= degree]
+            for p, c in kept:
+                coeffs[p - 1] += c
+            p, c = terms[len(kept)]
+            omitted += [abs(c), p]
+        omitted += [0.0, 0] * (3 - len(families))
+        assert form.coeffs == tuple(reversed(coeffs))
+        assert form.omitted == tuple(omitted)
+
+
+def test_moment_sum_rounding_within_the_mass_charge():
+    # the Horner pass over the table's own coefficients, at fl(1/(y y)),
+    # lands within mass u of the exact polynomial at the exact u
+    ys = [16.0 * 1.37**i for i in range(60)] + [16.0 + i / 7.0 for i in range(1, 60)]
+    with mpmath.workdps(60):
+        for family in (series._PSI, series._RE_PSI, series._PRIME):
+            for tol in (1e-6, 1e-15):
+                form = series._moment_form(family, series._K_CAP, tol)
+                degree = len(form.coeffs)
+                for y in ys:
+                    value = series._moment_sum(form, y)[0]
+                    u = 1 / mpmath.mpf(y) ** 2
+                    exact = mpmath.fsum(c * u ** (degree - i) for i, c in enumerate(form.coeffs))
+                    assert abs(value - exact) <= form.mass / (y * y), (family, tol, y)
+
+
+@pytest.mark.parametrize(
+    "evaluator, arg",
+    [
+        ("psi_ramanujan", 0.3),
+        ("psi_ramanujan", 1e6 + 0.5),
+        ("re_psi_complex_ramanujan", 0.3),
+        ("re_psi_complex_ramanujan", 1e6 + 0.5),
+        ("psi_prime_ramanujan", 0.3),
+        ("psi_prime_ramanujan", 1e6 + 0.5),
+        ("gamma_any_x", 0.3),
+        ("gamma_at_integer", 2),
+    ],
+)
+def test_each_evaluator_charges_its_forms_far_constant(monkeypatch, evaluator, arg):
+    # a form whose far constant is 1 moves the estimate by 1: every
+    # evaluator adds its form's far, unscaled, to its bound
+    p = planner.plan(1e-12, float(arg))
+    evaluate = getattr(series, evaluator)
+    plain = evaluate(arg, p)
+    table = series._moment_form
+
+    def with_far_one(family, k, tol):
+        form = table(family, k, tol)
+        return series._MomentForm(*[1.0 if f == "far" else getattr(form, f) for f in form._fields])
+
+    monkeypatch.setattr(series, "_moment_form", with_far_one)
+    charged = evaluate(arg, p)
+    assert charged.value == plain.value
+    assert abs(charged.error_estimate - plain.error_estimate - 1.0) <= 1e-12
 
 
 def test_d_tail_below_the_lift_target_within_twice_the_k_sum_tail():

@@ -236,6 +236,85 @@ def test_psi_dropped_terms_within_their_charges():
                 assert mpmath.fsum(abs(log_term(k, yy)) for k in ks) <= b * s / (1 - s)
 
 
+KERNEL_TOLS = [1e-6, 1e-9, 1e-12, 1e-15, 3.7e-13]
+FAMILIES = (series._PSI, series._RE_PSI, series._PRIME)
+
+
+@pytest.mark.parametrize("tol", KERNEL_TOLS)
+@pytest.mark.parametrize("k", range(1, series._K_CAP + 1))
+def test_moment_form_degree_and_remainders_at_sixteen(k, tol):
+    # the fixed degree is sized at y = 16: it stays inside the moment
+    # tables, and each j-family's remainder from its first omitted term is
+    # within tol/4 there (16 tol/4 for y psi', which psi' divides by y)
+    u = 1.0 / 256.0
+    for family in FAMILIES:
+        form = series._moment_form(family, k, tol)
+        degree = len(form.coeffs)
+        assert 1 <= degree < series._J_CAP
+        share = tol / 4.0 * (16.0 if family == series._PRIME else 1.0)
+        c_1, p_1, c_2, p_2, c_3, p_3 = form.omitted
+        rho_1, rho_2 = form.ratios
+        assert c_1 * u**p_1 / (1.0 - rho_1 * u) <= share
+        for c, p in ((c_2, p_2), (c_3, p_3)):
+            assert c * u**p / (1.0 - rho_2 * u * u) <= share
+        # no omitted term lies at or below the degree summed
+        assert min(p_1, p_2) > degree and (c_3 == 0.0 or p_3 > degree)
+
+
+KERNEL_Y = [16.0, 16.0 + 1e-12, 16.5, 17.0, 100.5, 2.0**52, 1e154, 1e300]
+
+
+def test_moment_forms_within_estimate_of_mpmath():
+    # every evaluator that sums a moment form, at the y where its degree is
+    # sized and far past it, for every K and tol, against 50-digit mpmath
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for y in KERNEL_Y:
+            yy = mpmath.mpf(y)
+            truths = {
+                "psi_ramanujan": mpmath.digamma(yy + 1),
+                "re_psi_complex_ramanujan": mpmath.re(mpmath.digamma(mpmath.mpc(1, yy))),
+                "psi_prime_ramanujan": mpmath.psi(1, yy + 1),
+                "gamma_any_x": +mpmath.euler,
+            }
+            for tol in KERNEL_TOLS:
+                for k in range(1, series._K_CAP + 1):
+                    p = EvalParams(tol=tol, k_terms=k)
+                    for name, truth in truths.items():
+                        sv = getattr(series, name)(y, p)
+                        assert abs(mpmath.mpf(sv.value) - truth) <= sv.error_estimate, (name, y, tol, k)
+
+
+@pytest.mark.parametrize(
+    "evaluator, arg",
+    [
+        ("psi_ramanujan", 0.3),
+        ("psi_ramanujan", 1e6 + 0.5),
+        ("re_psi_complex_ramanujan", 0.3),
+        ("re_psi_complex_ramanujan", 1e6 + 0.5),
+        ("psi_prime_ramanujan", 0.3),
+        ("psi_prime_ramanujan", 1e6 + 0.5),
+        ("gamma_at_integer", 2),
+        ("gamma_at_integer", 1000),
+    ],
+)
+def test_each_evaluator_sums_one_moment_form(monkeypatch, evaluator, arg):
+    # one Horner pass per call, over the table of the evaluator's family
+    # (gamma_any_x's is checked in test_gamma_any_x_sums_at_the_lifted_argument)
+    seen = []
+    moment_sum = series._moment_sum
+    monkeypatch.setattr(
+        series, "_moment_sum", lambda form, y: seen.append(form) or moment_sum(form, y)
+    )
+    p = planner.plan(1e-12, float(arg))
+    getattr(series, evaluator)(arg, p)
+    family = {
+        "psi_prime_ramanujan": series._PRIME,
+        "re_psi_complex_ramanujan": series._RE_PSI if arg >= 16 else series._PSI,
+    }.get(evaluator, series._PSI)
+    assert seen == [series._moment_form(family, p.k_terms, p.tol)]
+
+
 # accuracy of the in-repo oracles at the points below, measured against
 # 30-digit mpmath (quadrature of the integral form for S): all within 1e-15
 ORACLE_SLACK = 1e-14
@@ -454,10 +533,14 @@ def test_gamma_any_x_sums_at_the_lifted_argument(monkeypatch, x):
     # summed where the lift puts it
     mpmath = pytest.importorskip("mpmath")
     seen = []
-    d_moment = series._d_moment
-    monkeypatch.setattr(series, "_d_moment", lambda y, k, tol: seen.append(y) or d_moment(y, k, tol))
+    moment_sum = series._moment_sum
+    monkeypatch.setattr(
+        series, "_moment_sum", lambda form, y: seen.append((form, y)) or moment_sum(form, y)
+    )
     g = series.gamma_any_x(x, P12)
-    assert seen == [series._lift(x, 1)[1]]
+    # one Horner pass, over Re psi's table, at the lifted argument
+    form = series._moment_form(series._RE_PSI, series._K_CAP, P12.tol)
+    assert seen == [(form, series._lift(x, 1)[1])]
     with mpmath.workdps(30):
         assert abs(mpmath.mpf(g.value) - mpmath.euler) <= g.error_estimate <= P12.tol
 
@@ -696,7 +779,7 @@ def test_zeta_odd_within_estimate_of_mpmath(tol):
 def _zeta_odd_per_k_weights(N, table, params):
     """(value, error_estimate, k_used) of zeta_odd with both weights of each
     k formed in its own scale-pi loop, as identities._power_lambert_sum and
-    _power_csch2_sum form them, rather than read from _PI_WEIGHTS."""
+    identities._power_csch2_sum form them, rather than read from _PI_WEIGHTS."""
 
     def loop(weight, power, k_terms):
         pieces = []
@@ -1026,7 +1109,7 @@ def test_lambert_negative_power_window():
 
 
 def test_csch2_closed_form():
-    value = series._power_csch2_sum(0, math.pi, P12.k_terms)[0]
+    value = identities._power_csch2_sum(0, math.pi, P12.k_terms)[0]
     assert abs(value - (1.0 / 6.0 - 1.0 / (2.0 * math.pi))) <= 1e-14
 
 
@@ -1079,7 +1162,7 @@ def test_power_sums_within_rounding_of_mpmath(scale, power):
     with mpmath.workdps(40):
         s = mpmath.mpf(scale)
         for loop, term in (
-            (series._power_csch2_sum, lambda k: mpmath.csch(s * k) ** 2),
+            (identities._power_csch2_sum, lambda k: mpmath.csch(s * k) ** 2),
             (identities._power_lambert_sum, lambda k: 1 / mpmath.expm1(2 * s * k)),
         ):
             value, _, rounding, _ = loop(power, scale, k_terms)
@@ -1107,7 +1190,7 @@ def test_fused_power_sums_are_bit_identical_to_the_separate_loops(scale, power, 
     # bit, in value and rounding bound. It stops at its first term that
     # underflows to 0, where they run on over zero terms, and a sum that
     # reaches k_terms is charged the same closed tail
-    csch2 = series._power_csch2_sum(power, scale, k_terms)
+    csch2 = identities._power_csch2_sum(power, scale, k_terms)
     lambert = identities._power_lambert_sum(power - 1, scale, k_terms)
     assert csch2[3] == lambert[3]
     halves = series._power_sums(power, scale, csch2[3], 0.0, 0.0)
