@@ -329,6 +329,11 @@ def lift_shift(x: float) -> int:
     return shift
 
 
+# plan's weight max(40, log(x)/5) is 40 up to here: log(exp(200.0)) is
+# 200.0 exactly, and log is monotone
+_WEIGHT_FLOOR_END = math.exp(200.0)
+
+
 def plan(tol: float, x: float) -> EvalParams:
     """Pick the outer count k_terms so each k-sum tail family (k-sum, csch2,
     log-weighted csch2) is individually below tol/4, in closed form:
@@ -343,11 +348,14 @@ def plan(tol: float, x: float) -> EvalParams:
     its own sums from tol (outer_weights), so n_terms is the cap MAX_N_TERMS.
 
     The result is memoized on (tol, max(40, log(x)/5)) in an LRU cache of
-    256 entries (_planned). The weight is 40 for every x below e^200, so
-    there all callers at one tol share one immutable EvalParams; above it
-    each x has its own entry. x is checked before the cache is reached, and a
-    refused tol is never cached: it raises again on every call.
+    256 entries (_planned). The weight is 40 for every x up to
+    fl(e^200), so there all callers at one tol share one immutable
+    EvalParams, which plan looks up with one comparison and no log; above
+    it each x has its own entry. x is checked before the cache is reached,
+    and a refused tol is never cached: it raises again on every call.
     """
+    if 0.0 < x <= _WEIGHT_FLOOR_END:
+        return _planned(tol, 40.0)
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
     return _planned(tol, max(40.0, math.log(x) / 5.0))

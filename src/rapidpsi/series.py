@@ -43,7 +43,10 @@ Numerical strategy notes:
   1e-6 or above. Below 3, S is R(x) - psi(x+1) and loads none;
 - error_estimate fields combine the planner's rigorous tail bounds with a
   rounding allowance proportional to the summed magnitude; the evaluators
-  that end in one fsum of their pieces add it in _close.
+  that end in one fsum of their pieces add it in _close, except psi from 16
+  on, which closes its three pieces in place with the same two fsums. Every
+  result is built by params.series_value, which checks the estimate as
+  SeriesValue does without its setter calls.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from .params import (
     ModularPair,
     Record,
     SeriesValue,
+    series_value,
 )
 from .planner import _EPS, _Q_UNIT, _csch2, _guard_index, _inv_expm1
 
@@ -271,7 +275,7 @@ def _inner_pair(k: int, theta: float, n_sin: int, n_cos: int):
 
 
 # S where every weight e^{-2 pi k x} underflows (x >= ~118.6): no term, no tail
-_ZERO_SERIES = SeriesValue(0.0, 0.0, 0, 0)
+_ZERO_SERIES = series_value(0.0, 0.0, 0, 0)
 
 
 def _double_series_at(x: float, params: EvalParams) -> SeriesValue:
@@ -284,7 +288,7 @@ def _double_series_at(x: float, params: EvalParams) -> SeriesValue:
         return _ZERO_SERIES
     weights, tail = planner.outer_weights(x, params.k_terms, params.tol)
     if not weights:
-        return SeriesValue(0.0, tail, 0, 0)
+        return series_value(0.0, tail, 0, 0)
     theta = _TWO_PI * _dist(x)
     if theta:
         lengths = planner._inner_lengths(params.tol, weights)
@@ -307,14 +311,14 @@ def _double_series_at(x: float, params: EvalParams) -> SeriesValue:
     k_used = len(weights)
     value = _TWO_PI * math.fsum(pieces)
     err = tail + _TWO_PI * trunc + 4.0 * _EPS * _TWO_PI * mass
-    return SeriesValue(value=value, error_estimate=err, k_used=k_used, n_used=n_used)
+    return series_value(value, err, k_used, n_used)
 
 
 def _close(pieces: list[float], bound: float, k_used: int, n_used: int) -> SeriesValue:
     """The fsum of pieces, with the truncation bound plus the rounding
     allowance 4 eps sum|piece| as its error estimate."""
     mass = math.fsum(map(abs, pieces))
-    return SeriesValue(math.fsum(pieces), bound + 4.0 * _EPS * mass, k_used, n_used)
+    return series_value(math.fsum(pieces), bound + 4.0 * _EPS * mass, k_used, n_used)
 
 
 def double_series_S(x: float, params: EvalParams) -> SeriesValue:
@@ -731,18 +735,28 @@ def psi_ramanujan(x: float, params: EvalParams) -> SeriesValue:
     2k/((e^{2 pi k} - 1)(k^2 - y^2)) expand in u for k <= K < y/2. The
     series is one Horner pass over its table for (K, tol) (_moment_form,
     _moment_sum), whose bound is the estimate with the rounding of x + shift
-    (_lift); _close's 4 eps sum|piece| covers the harmonic terms. k_used is
-    K and n_used 0: no inner sum runs.
+    (_lift). The value is the fsum of the pieces, 1/(2y), the series, log y
+    and the harmonic terms, and the estimate adds 4 eps of the fsum of their
+    magnitudes, which covers each piece's rounding (_close). From 16 on,
+    where there is no shift, the three pieces close in place. k_used is K
+    and n_used 0: no inner sum runs.
     """
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
-    k = min(params.k_terms, _K_CAP)
-    shift, y, lift_err = _lift(x, 1)
+    k = params.k_terms
+    if k > _K_CAP:
+        k = _K_CAP
     form = _moment_form(_PSI, k, params.tol)
+    if x >= _Y_MOMENT:
+        value, bound = _moment_sum(form, x)
+        half, log_y = 0.5 / x, math.log(x)
+        mass = math.fsum((half, abs(value), log_y))
+        estimate = bound + form.far + 4.0 * _EPS * mass
+        return series_value(math.fsum((half, value, log_y)), estimate, k, 0)
+    shift, y, lift_err = _lift(x, 1)
     value, bound = _moment_sum(form, y)
     pieces = [0.5 / y, value, math.log(y)]
-    if shift:
-        pieces += [-1.0 / (x + i) for i in range(1, shift + 1)]
+    pieces += [-1.0 / (x + i) for i in range(1, shift + 1)]
     return _close(pieces, bound + form.far + lift_err, k, 0)
 
 
@@ -1107,7 +1121,7 @@ def zeta_odd(N: int, table: BernoulliTable, params: EvalParams) -> SeriesValue:
         hyp = math.fsum(float(k) ** (-2 * N) * c for k, _, c in weights)
         value -= 2.0 * math.pi * hyp
         err += 2.0 * math.pi * planner.bound_csch2(params.k_terms + 1, -2 * N)
-    return SeriesValue(value / (2.0 * N), err / (2.0 * N) + 4.0 * _EPS, len(weights), 0)
+    return series_value(value / (2.0 * N), err / (2.0 * N) + 4.0 * _EPS, len(weights), 0)
 
 
 def zeta_odd_general(
@@ -1188,6 +1202,6 @@ def zeta_odd_general(
     )
     tails = pow_a * s_a_tail + pow_b * s_b_tail
     err = (tails + rounding) * scaling + 2.0 * (lam_a_tail + lam_a_rnd)
-    return SeriesValue(
+    return series_value(
         value, err + 4.0 * _EPS * (abs(value) + 2.0 * lam_a + 1.0), max(k_s_a, k_lam_a, k_s_b), 0
     )

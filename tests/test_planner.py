@@ -468,6 +468,25 @@ def test_plan_shares_one_instance_per_tol_below_e200():
         shared.k_terms = 1
 
 
+def test_plan_takes_no_log_up_to_e200_and_the_same_entry_past_it(monkeypatch):
+    # plan's weight is 40 up to fl(e^200) with no log taken, and just past
+    # it log(x)/5 still rounds to 40: every x near the switch gets the
+    # entry of x = 1, and the log-free side adds no cache entry
+    switch = math.exp(200.0)
+    assert planner._WEIGHT_FLOOR_END == switch and math.log(switch) == 200.0
+    below = [math.nextafter(switch, 0.0), switch, 1e80, 1e-300]
+    above = [math.nextafter(switch, math.inf), switch * (1.0 + 1e-15)]
+    for tol in MEMO_TOLS:
+        shared = planner.plan(tol, 1.0)
+        size = planner._planned.cache_info().currsize
+        assert all(planner.plan(tol, x) is shared for x in below + above)
+        assert planner._planned.cache_info().currsize == size
+    with monkeypatch.context() as patch:
+        patch.setattr(math, "log", lambda x: pytest.fail("plan took a log"))
+        for x in below:
+            planner.plan(1e-12, x)
+
+
 @pytest.mark.parametrize(
     "tol, error",
     [(0.0, ValueError), (-1.0, ValueError), (math.nan, ValueError), (math.inf, ValueError),
@@ -476,9 +495,10 @@ def test_plan_shares_one_instance_per_tol_below_e200():
 def test_plan_refuses_a_bad_tol_on_every_call(tol, error):
     messages = []
     hits = planner._planned.cache_info().hits
-    for _ in range(3):
+    # either side of the log-free switch at e^200
+    for x in (2.5, 2.5, 1e100):
         with pytest.raises(error) as caught:
-            planner.plan(tol, 2.5)
+            planner.plan(tol, x)
         assert type(caught.value) is error
         messages.append(str(caught.value))
     assert messages == messages[:1] * 3

@@ -14,7 +14,14 @@ from rapidpsi.cli import Report
 from rapidpsi.errors import ToleranceError
 from rapidpsi.identities import CheckResult
 from rapidpsi.oracles import OracleConfig
-from rapidpsi.params import EvalParams, ModularPair, Record, SeriesValue, TailBound
+from rapidpsi.params import (
+    EvalParams,
+    ModularPair,
+    Record,
+    SeriesValue,
+    TailBound,
+    series_value,
+)
 
 # (build, the repr text a frozen dataclass printed for it); build() gives a
 # fresh instance with equal fields on every call
@@ -52,9 +59,14 @@ RECORDS = [
         "passed=True)",
     ),
     (lambda: OracleConfig(), "OracleConfig(target_tolerance=1e-13, shift_threshold=16.0)"),
+    # the evaluators' builder gives the same record as SeriesValue(...)
+    (
+        lambda: series_value(1.5, 2.5e-16, 5, 0),
+        "SeriesValue(value=1.5, error_estimate=2.5e-16, k_used=5, n_used=0)",
+    ),
 ]
 
-IDS = [text.split("(", 1)[0] for _, text in RECORDS]
+IDS = [text.split("(", 1)[0] for _, text in RECORDS[:-1]] + ["series_value"]
 
 
 @pytest.mark.parametrize(("build", "text"), RECORDS, ids=IDS)
@@ -104,6 +116,12 @@ def test_unequal_fields_give_unequal_records():
     assert ModularPair(math.pi, math.pi) != OracleConfig(math.pi, math.pi)
 
 
+def test_series_value_builds_the_record_series_value_init_builds():
+    built, constructed = series_value(1.5, 2.5e-16, 5, 0), SeriesValue(1.5, 2.5e-16, 5, 0)
+    assert type(built) is SeriesValue
+    assert built == constructed and hash(built) == hash(constructed)
+
+
 def test_bernoulli_memo_takes_no_part_in_equality_hash_or_repr():
     used, fresh = build_bernoulli_table(4), build_bernoulli_table(4)
     used.derived[1] = 0.5
@@ -150,6 +168,9 @@ ORACLE_TOL = "target_tolerance must be >= 1e-15 in double precision"
         (lambda: SeriesValue(1.0, math.nan, 1, 0), ValueError, ESTIMATE),
         (lambda: SeriesValue(1.0, math.inf, 1, 0), ValueError, ESTIMATE),
         (lambda: SeriesValue(1.0, -1e-300, 1, 0), ValueError, ESTIMATE),
+        (lambda: series_value(1.0, math.nan, 1, 0), ValueError, ESTIMATE),
+        (lambda: series_value(1.0, math.inf, 1, 0), ValueError, ESTIMATE),
+        (lambda: series_value(1.0, -1e-300, 1, 0), ValueError, ESTIMATE),
         (lambda: ModularPair(0.0, math.pi), ValueError, PAIR_SIGN),
         (lambda: ModularPair(-math.pi, -math.pi), ValueError, PAIR_SIGN),
         (lambda: ModularPair(1.0, 1.0), ValueError, "alpha * beta must equal pi^2"),

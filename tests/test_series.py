@@ -30,7 +30,7 @@ from rapidpsi.oracles import (
     s_integral_oracle,
     zeta_direct_oracle,
 )
-from rapidpsi.params import MAX_GAMMA_M, EvalParams, ModularPair
+from rapidpsi.params import MAX_GAMMA_M, EvalParams, ModularPair, SeriesValue
 
 TABLE = build_bernoulli_table(20)
 P12 = EvalParams(tol=1e-12, k_terms=12, n_terms=200000)
@@ -236,6 +236,32 @@ def test_psi_dropped_terms_within_their_charges():
                 assert mpmath.fsum(abs(log_term(k, yy)) for k in ks) <= b * s / (1 - s)
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-15])
+@pytest.mark.parametrize(
+    "x",
+    [16.0, 16.5, 17.146370822161767, 1000.3, 2.0**52, 1e12, 1e300, 1e-8, 0.5, 2.5, 15.9995],
+)
+def test_psi_is_the_fsum_of_its_pieces_bit_for_bit(x, tol):
+    # psi's value is the fsum of 1/(2y), the moment series, log y and the
+    # harmonic terms, and its estimate the series' bound, the far constant,
+    # the lift's charge and 4 eps of the fsum of |piece|; from 16 on, where
+    # the three pieces close in place, as below it. At tol 1e-12 a plain
+    # sum of the three pieces in any order rounds away from their fsum at
+    # x = 17.146370822161767
+    p = planner.plan(tol, x)
+    k = min(p.k_terms, series._K_CAP)
+    shift, y, lift_err = series._lift(x, 1)
+    assert (shift == 0) == (x >= 16.0)
+    form = series._moment_form(series._PSI, k, tol)
+    value, bound = series._moment_sum(form, y)
+    pieces = [0.5 / y, value, math.log(y)] + [-1.0 / (x + i) for i in range(1, shift + 1)]
+    estimate = bound + form.far + lift_err + 4.0 * planner._EPS * math.fsum(map(abs, pieces))
+    sv = series.psi_ramanujan(x, p)
+    assert sv.value == math.fsum(pieces)
+    assert sv.error_estimate == estimate
+    assert (sv.k_used, sv.n_used) == (k, 0)
+
+
 KERNEL_TOLS = [1e-6, 1e-9, 1e-12, 1e-15, 3.7e-13]
 FAMILIES = (series._PSI, series._RE_PSI, series._PRIME)
 
@@ -313,6 +339,35 @@ def test_each_evaluator_sums_one_moment_form(monkeypatch, evaluator, arg):
         "re_psi_complex_ramanujan": series._RE_PSI if arg >= 16 else series._PSI,
     }.get(evaluator, series._PSI)
     assert seen == [series._moment_form(family, p.k_terms, p.tol)]
+
+
+def test_evaluators_build_their_results_without_series_value_init(monkeypatch):
+    # every evaluator builds its record through params.series_value, which
+    # skips SeriesValue.__init__'s setter calls; a call through __init__ on
+    # these paths would bring that cost back
+    calls = []
+    init = SeriesValue.__init__
+    monkeypatch.setattr(
+        SeriesValue, "__init__", lambda self, *args: calls.append(args) or init(self, *args)
+    )
+    p = planner.plan(1e-12, 2.5)
+    results = [series.gamma_at_integer(m, p) for m in (2, 1000)]
+    results.append(series.zeta_odd(2, TABLE, P12))
+    results.append(series.zeta_odd_general(2, ModularPair.from_alpha(2.0), TABLE, P12))
+    for x in (0.3, 2.0, 3.5, 16.0, 1e6 + 0.5):
+        for name in (
+            "psi_ramanujan",
+            "gamma_any_x",
+            "re_psi_complex_ramanujan",
+            "psi_prime_ramanujan",
+            "double_series_S",
+        ):
+            results.append(getattr(series, name)(x, p))
+    assert calls == []
+    assert all(type(sv) is SeriesValue for sv in results)
+    # the patch itself is live: a direct construction is counted
+    SeriesValue(1.0, 0.0, 1, 0)
+    assert calls == [(1.0, 0.0, 1, 0)]
 
 
 # accuracy of the in-repo oracles at the points below, measured against
