@@ -206,8 +206,9 @@ def _classical_naive(x: float, tol: float) -> tuple[SeriesValue, bool]:
     from .oracles import euler_gamma_reference
 
     cap = 100_000_000
-    needed = math.ceil(x / tol)
-    n_total = min(needed, cap)
+    # x / tol can overflow to inf, whose ceil raises: compare it with the cap first
+    ratio = x / tol
+    n_total = cap if ratio > cap else math.ceil(ratio)
     total = 0.0
     chunk = 1 << 22
     start = 1
@@ -217,7 +218,7 @@ def _classical_naive(x: float, tol: float) -> tuple[SeriesValue, bool]:
         total += float(np.sum(x / (n * (n + x))))
         start = stop + 1
     sv = SeriesValue(total - euler_gamma_reference(), x / n_total + 1e-13, 0, n_total)
-    return sv, n_total < needed
+    return sv, ratio > cap
 
 
 def cmd_bench(args) -> int:

@@ -20,7 +20,7 @@ import math
 from collections.abc import Iterator
 from fractions import Fraction
 
-from . import planner, series
+from . import double_series, planner, series
 from .bernoulli import BernoulliTable, shared_table
 from .oracles import euler_gamma_reference, psi_oracle, re_psi_one_plus_ik, zeta_direct_oracle
 from .params import EvalParams, Record
@@ -67,7 +67,7 @@ def quasi_random_grid(count: int = 50, lo: float = 0.05, hi: float = 25.0):
 def digamma_partial_fraction_rhs(x: float, params: EvalParams) -> float:
     """psi(x+1) + gamma as the partial-fraction rearrangement: the quartic-gap
     k-sum replaces the log terms of the main series, term-for-term in k."""
-    pf, _ = series._partial_fraction_gamma_sum(x)
+    pf, _ = double_series._partial_fraction_gamma_sum(x)
     pieces = [
         0.5 / x,
         -1.0 / (_TWO_PI * x * x),
@@ -265,7 +265,7 @@ def run_equivalence() -> Iterator[CheckResult]:
         r = series.re_psi_complex_ramanujan(x, p)
         yield _abs_check("re_psi_vs_oracle", x, r.value - re_psi_one_plus_ik(x), 1e-10)
         g = series.gamma_any_x(x, p)
-        pf, pf_err = series._partial_fraction_gamma_sum(x)
+        pf, pf_err = double_series._partial_fraction_gamma_sum(x)
         yield _abs_check(
             "re_psi_gamma_consistency",
             x,

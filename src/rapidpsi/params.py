@@ -95,8 +95,8 @@ class EvalParams(Record):
     stops each of its k-sums at its own share of tol. The double
     series, which double_series_S sums where it stands from
     planner.LIFT_TARGET on and at the integers, sizes its outer and inner
-    sums itself from tol (planner.outer_weights), and both counts only cap
-    it: plan sets n_terms to planner.MAX_N_TERMS.
+    sums itself from tol (double_series.outer_weights), and both counts
+    only cap it: plan sets n_terms to planner.MAX_N_TERMS.
     """
 
     __slots__ = _fields = ("tol", "k_terms", "n_terms")

@@ -2,13 +2,12 @@
 
 Every bound is a closed-form overestimate of the true tail: soundness over
 tightness (looseness up to roughly a factor of 10 is accepted by design).
-The k-sum tails whose terms depend on x (k_sum_tails) take only floor(x)
-and ceil(x) at their actual size and bound every other index, at least 1
-from x, by a geometric envelope in e^{-2 pi k}; no tail is walked term by
-term. bound_psi_k_sum and bound_log_csch2 each compute only their own
-family; k_sum_tails gives both.
-The evaluators in series.py reuse these bounds to assemble honest error
-estimates, so nothing here may depend on series.py.
+The k-sum tails whose terms depend on x (bound_psi_k_sum, bound_log_csch2)
+take only floor(x) and ceil(x) at their actual size and bound every other
+index, at least 1 from x, by a geometric envelope in e^{-2 pi k}; no tail is
+walked term by term. The evaluators in series.py and the double series in
+double_series.py reuse these bounds to assemble honest error estimates, so
+nothing here may depend on either; the double series sizes its own sums.
 plan is memoized: one EvalParams per (tol, max(40, log(x)/5)) in an LRU
 cache of 256 entries, so below x = e^200, where that weight is 40, every
 caller at one tol shares one immutable instance.
@@ -29,17 +28,14 @@ FAMILIES = ("exp_envelope", "csch2", "lambert", "log_csch2")
 
 # caps each inner sum of the double series, which sizes them itself
 MAX_N_TERMS = 500_000
-MIN_N_TERMS = 16
 # double_series_S sums the double series where it stands from this x on, and
 # takes it from psi below: every double-series term carries e^{-2 pi k x}, so
 # at x >= 3 the outer count is set by the x-independent k-sums and the inner
 # series stay short. psi, psi', Re psi and gamma_any_x sum no double series:
 # their moment forms lift to 16 (series._Y_MOMENT)
 LIFT_TARGET = 3.0
-# the double series sizes itself and holds its truncation to tol/4: this share
-# of tol for its outer envelope tail (outer_weights) and the same share for its
-# inner remainders (_inner_lengths)
-S_TAIL_SHARE = 1.0 / 8.0
+# bound_exp_envelope where q = e^{-2 pi x} underflows to 0 (derived there)
+_ENVELOPE_FLOOR = 20.0 * math.ulp(0.0)
 
 
 def _geom(first: int, q: float) -> float:
@@ -127,12 +123,18 @@ def bound_exp_envelope(first: int, x: float) -> float:
     - Abel against the bounded partial sums of sin/cos (away from integer x):
       |A_k| <= s/(k^2+1) and |C_k| <= c/(k^2+1) with s = 1/|sin(theta/2)|,
       c = 1/2 + s/2, theta = 2 pi dist(x), so the summand is <= s + c k.
+
+    Where q underflows to 0 (x >~ 118.6) S is not 0, so neither is its
+    bound: a faithful exp returns 0 only for q < ulp(0.0), and there the
+    uniform envelope from k = 1, 2 pi sum_k k (3.1 + log k) q^k, is at most
+    2 pi (3.1 q + 8 q^2) < 19.5 q + 51 q^2 < 20 q, so _ENVELOPE_FLOOR =
+    20 ulp(0.0) (~9.9e-323) bounds every tail at every such x.
     """
     if not x > 0:
         raise ValueError("x must be positive")
     q = math.exp(-_TWO_PI * x)
     if q == 0.0:
-        return 0.0
+        return _ENVELOPE_FLOOR
     if q >= 1.0:
         return math.inf
     lead = (3.1 + math.log(first)) * _geom_k(first, q)
@@ -174,14 +176,6 @@ def _split_tail(first: int, x: float, skip: int = 0) -> tuple[list[int], bool, i
     if first <= hi and lo < _NEAR_END:
         near = [k for k in range(max(first, lo), min(hi + 1, _NEAR_END)) if k != skip]
     return near, first < lo, max(first, hi + 1)
-
-
-def k_sum_tails(
-    first: int, x: float, guard_delta: float = DEFAULT_GUARD_DELTA, skip: int = 0
-) -> tuple[float, float]:
-    """(psi_tail, log_tail): bound_psi_k_sum and bound_log_csch2 from k = first,
-    for the evaluators that charge both families."""
-    return bound_psi_k_sum(first, x, guard_delta, skip), bound_log_csch2(first, x, skip)
 
 
 def bound_psi_k_sum(
@@ -271,53 +265,6 @@ def tail_bound(family: str, first_omitted: int, x: float = 1.0, power: int = 1) 
     return TailBound(family=family, first_omitted_index=first_omitted, bound=b)
 
 
-def outer_weights(x: float, k_terms: int, tol: float) -> tuple[list[float], float]:
-    """(weights, tail): the weights e^{-2 pi k x} of the double series for
-    k = 1..k_terms, ending before the first one that underflows
-    (2 pi k x >= 745) or whose outer tail bound_exp_envelope(k, x) is at most
-    tol * S_TAIL_SHARE, and bound_exp_envelope at the index it stopped on
-    (k_terms + 1 at the cap). These are the outer indices the double series
-    sums, and the only ones an inner budget is split over: S sizes itself
-    from tol this way, and k_terms only caps it."""
-    weights = []
-    for k in range(1, k_terms + 1):
-        t = _TWO_PI * k * x
-        tail = bound_exp_envelope(k, x)
-        if t >= 745.0 or tail <= tol * S_TAIL_SHARE:
-            return weights, tail
-        weights.append(math.exp(-t))
-    return weights, bound_exp_envelope(k_terms + 1, x)
-
-
-def _inner_lengths(tol: float, weights: list[float]) -> list[tuple[int, int]]:
-    """Per-outer-index inner series lengths (sine length, cosine length) for
-    the outer weights e^{-2 pi k x} of outer_weights.
-
-    The inner budget tol * S_TAIL_SHARE is split evenly over the outer terms
-    that run and the two inner series; lengths solve
-    2 pi weight * tail(N) <= share with tail_sin(N) <= 1/(3 N^3) and
-    tail_cos(N) <= 1/(2 N^4).
-    """
-    share = tol * S_TAIL_SHARE / (2.0 * max(1, len(weights)))
-    out = []
-    for k, w in enumerate(weights, 1):
-        w = _TWO_PI * w
-        out.append(
-            (
-                _solve_length(w * float(k) ** 4, share, 3, 3.0),
-                _solve_length(w * float(k) ** 5, share, 4, 2.0),
-            )
-        )
-    return out
-
-
-def _solve_length(weight: float, share: float, order: int, coeff: float) -> int:
-    if weight <= 0.0 or share / weight >= 1.0 / coeff:
-        return MIN_N_TERMS
-    n = (weight / (coeff * share)) ** (1.0 / order)
-    return max(MIN_N_TERMS, math.ceil(n))
-
-
 def lift_shift(x: float) -> int:
     """The smallest j >= 0 with x + j >= LIFT_TARGET (in floating point):
     double_series_S sums where it stands when this is 0."""
@@ -345,7 +292,8 @@ def plan(tol: float, x: float) -> EvalParams:
     log(x)/5 < 40, so the lift never moves the count, and at MIN_TOL the
     count is 7 for every finite x. plan evaluates no bound: the
     evaluators charge the real tails at k_terms + 1. The double series sizes
-    its own sums from tol (outer_weights), so n_terms is the cap MAX_N_TERMS.
+    its own sums from tol (double_series.outer_weights), so n_terms is the
+    cap MAX_N_TERMS.
 
     The result is memoized on (tol, max(40, log(x)/5)) in an LRU cache of
     256 entries (_planned). The weight is 40 for every x up to

@@ -29,18 +29,11 @@ Numerical strategy notes:
 - every trig argument is reduced to the signed distance from the nearest
   integer before multiplying by pi, so the k-series stay accurate for large x;
 - no evaluator refuses an x > 0 near an integer m: below 16, inside
-  |x - m| < guard_delta, the singular pairings (the cot pole against the k=m
-  pole term, and the log|2 sin| singularity against the k=m log term) are
-  evaluated from pole-cancelled closed forms that are exact, never from a
-  truncated local expansion, and from 16 on bounded at every y;
-- the inner sine/cosine sums of S(x) are split against the closed forms
-  sum sin(n t)/n^2 and sum (1-cos(n t))/n^3, leaving remainders whose terms
-  decay like n^-4 and n^-5, so double precision targets need ~10^4 terms
-  instead of ~10^11; numpy, which sums them and nothing else here, is
-  imported on first use. So only S off the integers from x = 3
-  (planner.LIFT_TARGET) loads it, and only while its outer sum keeps a
-  term: up to x ~ 5.2 at tol 1e-12 and ~ 6.3 at 1e-15, nowhere at tol
-  1e-6 or above. Below 3, S is R(x) - psi(x+1) and loads none;
+  |x - m| < guard_delta, the cot pole and the k=m pole term are evaluated
+  as one pole-cancelled closed form that is exact, never as a truncated
+  local expansion, and from 16 on bounded at every y;
+- S itself, which no evaluator sums, lives in rapidpsi.double_series, and
+  double_series_S imports it on its first call;
 - error_estimate fields combine the planner's rigorous tail bounds with a
   rounding allowance proportional to the summed magnitude; the evaluators
   that end in one fsum of their pieces add it in _close, except psi from 16
@@ -115,46 +108,6 @@ def _cotpi(x: float) -> float:
     return math.cos(math.pi * d) / math.sin(math.pi * d)
 
 
-def _log_2sinpi_abs(x: float) -> float:
-    return math.log(2.0 * abs(math.sin(math.pi * _dist(x))))
-
-
-# ---------------------------------------------------------------------------
-# coefficient expansions: Clausen-type sums and the cot pole remainder
-
-
-def _clausen_sin2(theta: float) -> float:
-    """sum_n sin(n theta)/n^2 for 0 < theta <= pi, via the even-zeta
-    power series around the theta log theta singularity."""
-    r = (theta / _TWO_PI) ** 2
-    acc = 0.0
-    p = 1.0
-    for j in range(1, 45):
-        p *= r
-        t = _ZETA_EVEN[j] * p / (j * (2 * j + 1))
-        acc += t
-        if t < 1e-18:
-            break
-    return theta * (1.0 - math.log(theta)) + theta * acc
-
-
-def _one_minus_cos_sum3(theta: float) -> float:
-    """sum_n (1 - cos(n theta))/n^3 for 0 <= theta <= pi (the antiderivative
-    of _clausen_sin2, fixed to vanish at 0)."""
-    if theta == 0.0:
-        return 0.0
-    r = (theta / _TWO_PI) ** 2
-    acc = 0.0
-    p = 1.0
-    for j in range(1, 45):
-        p *= r
-        t = _ZETA_EVEN[j] * p / (j * (2 * j + 1) * (2 * j + 2))
-        acc += t
-        if t < 1e-18:
-            break
-    return theta * theta * ((0.75 - 0.5 * math.log(theta)) + acc)
-
-
 def _cot_pole_remainder(eps: float) -> float:
     """pi cot(pi eps) - 1/eps = -2 sum_j zeta(2j) eps^{2j-1}, |eps| < 1."""
     if eps == 0.0:
@@ -172,7 +125,7 @@ def _cot_pole_remainder(eps: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the double series
+# the partial-fraction sum of gamma_any_x and the closing step
 
 
 # P(y) = sum_{n>=1} f(n), f(n) = y^2/(n(n^2+y^2)) = 1/n - Re 1/(n+iy), adds
@@ -212,108 +165,6 @@ def _pf_body(y: float) -> float:
     return math.fsum(terms) + _EM_AT_M - horner.real
 
 
-def _partial_fraction_gamma_sum(x: float) -> tuple[float, float]:
-    """(value, error) for P(x) = sum_{n>=1} x^2/(n(n^2+x^2)) at any x > 0:
-    _pf_body plus the integral int_M^inf f = (1/2) log(1 + (x/M)^2), taken
-    as log(x/M) + (1/2) log1p((M/x)^2) past x = M so that no square
-    overflows. The error is _PF_REMAINDER and 4 eps of the two parts plus 1,
-    which covers the rounding of the logarithm and of the final sum."""
-    body = _pf_body(x)
-    r = x / _PF_M
-    if r <= 1.0:
-        integral = 0.5 * math.log1p(r * r)
-    else:
-        integral = math.log(r) + 0.5 * math.log1p(1.0 / (r * r))
-    return body + integral, _PF_REMAINDER + 4.0 * _EPS * (body + integral + 1.0)
-
-
-# the evaluators sum the double series only at x >= 1 (lifted arguments and
-# integers m), where the weight e^{-2 pi k x} underflows before k = 119, so
-# the cache holds every row a call can reach
-@lru_cache(maxsize=128)
-def _cosine_row_at_zero(k: int) -> tuple[float, float]:
-    """(C_k(0), error) with C_k(0) = sum_n 1/(n(n^2+k^2)) = (gamma + Re psi(1+ik))/k^2,
-    the closed inner cosine row, from the partial-fraction sum."""
-    k2 = float(k) * float(k)
-    value, err = _partial_fraction_gamma_sum(float(k))
-    return value / k2, err / k2
-
-
-def _inner_pair(k: int, theta: float, n_sin: int, n_cos: int):
-    """(A_k, C_k, err_A, err_C) for signed theta in [-pi, pi], where
-    A_k = sum_n sin(n theta)/(k^2+n^2) and C_k = sum_n cos(n theta)/(n(n^2+k^2)).
-
-    Splitting against the closed forms turns the raw 1/n and 1/n^2 decay into
-    n^-4 and n^-5 remainder series:
-      A_k = Cl(theta) - k^2 sum_n sin(n theta)/(n^2(n^2+k^2)),
-      C_k = C_k(0) - I(theta) + k^2 sum_n (1-cos(n theta))/(n^3(n^2+k^2)),
-    with Cl = _clausen_sin2, I = _one_minus_cos_sum3 and
-    C_k(0) = (gamma + Re psi(1+ik))/k^2 (_cosine_row_at_zero).
-    """
-    k2 = float(k) * float(k)
-    c0, c0_err = _cosine_row_at_zero(k)
-    at = abs(theta)
-    if at == 0.0:
-        return 0.0, c0, 0.0, c0_err
-    import numpy as np
-
-    n = np.arange(1.0, n_sin + 1.0)
-    q_sum = float(np.sum(np.sin(n * at) / (n * n * (n * n + k2))))
-    n = np.arange(1.0, n_cos + 1.0)
-    p_sum = float(np.sum((1.0 - np.cos(n * at)) / (n * n * n * (n * n + k2))))
-    a = _clausen_sin2(at) - k2 * q_sum
-    if theta < 0.0:
-        a = -a
-    c = c0 - _one_minus_cos_sum3(at) + k2 * p_sum
-    err_a = k2 / (3.0 * float(n_sin) ** 3) + 4.0 * _EPS * (1.1 + k2 * abs(q_sum))
-    err_c = (
-        k2 / (2.0 * float(n_cos) ** 4)
-        + c0_err
-        + 4.0 * _EPS * (c0 + 1.1 + k2 * p_sum)
-    )
-    return a, c, err_a, err_c
-
-
-# S where every weight e^{-2 pi k x} underflows (x >= ~118.6): no term, no tail
-_ZERO_SERIES = series_value(0.0, 0.0, 0, 0)
-
-
-def _double_series_at(x: float, params: EvalParams) -> SeriesValue:
-    """S(x) summed directly at x, without the recurrence lift. The outer sum
-    stops at its own envelope (planner.outer_weights), which also gives the
-    outer tail it is charged; where no term is needed S is 0, charged
-    bound_exp_envelope(1, x), with k_used and n_used 0. At integer x the
-    inner sums collapse to C_k(0), so none is sized and n_used is 0."""
-    if math.exp(-_TWO_PI * x) == 0.0:
-        return _ZERO_SERIES
-    weights, tail = planner.outer_weights(x, params.k_terms, params.tol)
-    if not weights:
-        return series_value(0.0, tail, 0, 0)
-    theta = _TWO_PI * _dist(x)
-    if theta:
-        lengths = planner._inner_lengths(params.tol, weights)
-    else:
-        lengths = [(0, 0)] * len(weights)
-    pieces = []
-    trunc = 0.0
-    mass = 0.0
-    n_used = 0
-    for k, (w, (n_sin, n_cos)) in enumerate(zip(weights, lengths), 1):
-        n_sin = min(n_sin, params.n_terms)
-        n_cos = min(n_cos, params.n_terms)
-        a, c, err_a, err_c = _inner_pair(k, theta, n_sin, n_cos)
-        k2 = float(k) ** 2
-        k3 = float(k) ** 3
-        pieces.append(w * (k2 * a - k3 * c))
-        trunc += w * (k2 * err_a + k3 * err_c)
-        mass += w * (k2 * abs(a) + k3 * abs(c))
-        n_used = max(n_used, n_sin, n_cos)
-    k_used = len(weights)
-    value = _TWO_PI * math.fsum(pieces)
-    err = tail + _TWO_PI * trunc + 4.0 * _EPS * _TWO_PI * mass
-    return series_value(value, err, k_used, n_used)
-
-
 def _close(pieces: list[float], bound: float, k_used: int, n_used: int) -> SeriesValue:
     """The fsum of pieces, with the truncation bound plus the rounding
     allowance 4 eps sum|piece| as its error estimate."""
@@ -322,29 +173,12 @@ def _close(pieces: list[float], bound: float, k_used: int, n_used: int) -> Serie
 
 
 def double_series_S(x: float, params: EvalParams) -> SeriesValue:
-    """2 pi sum_k e^{-2 pi k x} (k^2 A_k - k^3 C_k), the exponentially
-    weighted double series; the inner sums see x only through the reduced
-    angle theta = 2 pi (x - round(x)), and at integer x they collapse to the
-    closed form C_k = (gamma + Re psi(1+ik))/k^2 with A_k = 0. The outer sum
-    sizes itself from tol: it stops at the first k whose envelope tail
-    planner.bound_exp_envelope(k, x) is at most tol * planner.S_TAIL_SHARE,
-    and k_terms only caps it (planner.outer_weights).
+    """The double series S(x) of the representation, from
+    rapidpsi.double_series, which this imports on its first call: no
+    evaluator sums S, so no other call loads that module."""
+    from . import double_series
 
-    At integer x, where no inner sum runs, and from planner.LIFT_TARGET on,
-    S is summed where it stands. Below LIFT_TARGET off the integers it comes
-    from the representation instead: S(x) = R(x) - psi(x+1), with R the
-    non-S part (_psi_rest, at x itself) and psi(x+1) from psi_ramanujan,
-    whose moment form sums no double series. k_used is the larger of their
-    outer counts, and n_used is 0.
-    """
-    if not 0.0 < x < math.inf:
-        raise ValueError("x must be positive and finite")
-    if planner.lift_shift(x) == 0 or x == round(x):
-        return _double_series_at(x, params)
-    psi = psi_ramanujan(x, params)
-    pieces, tail, k_used = _psi_rest(x, params)
-    pieces.append(-psi.value)
-    return _close(pieces, psi.error_estimate + tail, max(k_used, psi.k_used), 0)
+    return double_series.double_series_S(x, params)
 
 
 # ---------------------------------------------------------------------------
@@ -370,70 +204,8 @@ def _guard_pole_pair(m: int, eps: float) -> float:
     )
 
 
-def _guard_log_pair(m: int, eps: float) -> float:
-    """Combined value of pi log|2 sin(pi x)| csch^2(pi x)/2 and the k=m log
-    term -(pi/2) log|m^4-x^4| csch^2(pi m) at x = m + eps.
-
-    The log|eps| pieces pair against the csch^2 difference, which is computed
-    from the product identity csch^2 a - csch^2 b = sinh(b+a) sinh(b-a)
-    csch^2 a csch^2 b in exponential form, so nothing cancels catastrophically.
-    """
-    cm = _csch2(math.pi * m)
-    if eps == 0.0:
-        # log(pi / (2 m^3)) without forming m^3, which overflows past m ~ 5e102
-        return (math.pi / 2.0) * cm * (math.log(math.pi / 2.0) - 3.0 * math.log(m))
-    x = m + eps
-    cx = _csch2(math.pi * x)
-    w = math.exp(-math.pi * (m + x)) if math.pi * (m + x) < 745.0 else 0.0
-    qx = math.exp(-_TWO_PI * x)
-    qm = math.exp(-_TWO_PI * m)
-    # sinh(pi(m+x)) csch^2(pi x) csch^2(pi m), overflow-free
-    h = 8.0 * w * (1.0 - w * w) / ((1.0 - qx) ** 2 * (1.0 - qm) ** 2)
-    delta = -math.sinh(math.pi * eps) * h
-    sin_ratio = math.sin(math.pi * eps) / (math.pi * eps)
-    return (math.pi / 2.0) * (
-        math.log(abs(eps)) * delta
-        + (math.log(_TWO_PI) + math.log(sin_ratio)) * cx
-        - math.log((2.0 * m + eps) * (m * m + x * x)) * cm
-    )
-
-
 # ---------------------------------------------------------------------------
 # the main evaluator and its corollaries
-
-
-def _psi_rest(x: float, params: EvalParams) -> tuple[list[float], float, int]:
-    """R(x) = psi(x+1) + S(x), the non-S part of the representation, as
-    (pieces, tail bound of the k-sum and the log k-sum, last k reached before
-    the weights underflow), evaluated at x itself.
-
-    Within guard_delta of a positive integer m the cot/pole and log/log
-    pairings switch to their pole-cancelled closed forms and the k=m terms
-    are excluded from the plain sums.
-    """
-    m = _guard_index(x, params.guard_delta)
-    pieces = [
-        (math.pi / 3.0) * math.log(x),
-        0.5 / x,
-        -1.0 / (4.0 * math.pi * x * x),
-    ]
-    if m == 0:
-        pieces.append(math.pi * _cotpi(x) * _inv_expm1(_TWO_PI * x))
-        pieces.append(math.pi * _log_2sinpi_abs(x) * _csch2(math.pi * x) / 2.0)
-    else:
-        eps = x - m
-        pieces.append(_guard_pole_pair(m, eps))
-        pieces.append(_guard_log_pair(m, eps))
-    weights = _PI_WEIGHTS[: params.k_terms]
-    for k, q, csch in weights:
-        if k == m:
-            continue
-        # (k-x)(k+x), not k^2 - x^2: fl(x*x) carries eps/2 of x^2, which
-        # k^2 - x^2 would magnify by ~x/(2|k-x|) on a term of size ~q/|k-x|
-        pieces.append(2.0 * k * q / ((k - x) * (k + x)))
-        pieces.append(-(math.pi / 2.0) * planner.log_abs_quartic_gap(float(k), x) * csch)
-    tail, log_tail = planner.k_sum_tails(params.k_terms + 1, x, params.guard_delta, skip=m)
-    return pieces, tail + log_tail, len(weights)
 
 
 # psi, psi' and gamma_any_x sum their moment forms at y >= _Y_MOMENT, and

@@ -428,6 +428,15 @@ def test_bench_classical_caps_at_hard_limit(capsys):
     assert capped[0]["n_used"] == 100000000
 
 
+def test_bench_caps_the_classical_sum_where_x_over_tol_overflows(capsys):
+    # 1e300/1e-12 is inf, whose ceiling raised OverflowError after the
+    # first record; the ratio now meets the cap first
+    code, out, _ = run_cli(capsys, ["bench", "--x", "1e300", "--tol", "1e-12"])
+    assert code == cli.EXIT_OK
+    (capped,) = [r for r in rows(out) if r["method"] == "classical-capped"]
+    assert capped["n_used"] == 100000000
+
+
 def test_bench_terms_grow_with_tolerance(capsys):
     code, out, _ = run_cli(capsys, ["bench", "--x", "2.5", "--tol", "1e-3", "1e-6"])
     assert code == cli.EXIT_OK
@@ -536,8 +545,10 @@ def test_planned_psi_imports_no_numpy(call):
 def test_import_path_loads_no_dataclasses_typing_or_numpy():
     # -S keeps site out, which can import typing through a .pth file and
     # so hide a module the package itself pulls in; fractions (and decimal
-    # with it) loads only with a Bernoulli table, on a zeta command
-    names = ('dataclasses', 'inspect', 'typing', 'numpy', 'fractions', 'decimal')
+    # with it) loads only with a Bernoulli table, on a zeta command, and the
+    # double series only with a double_series_S call
+    names = ('dataclasses', 'inspect', 'typing', 'numpy', 'fractions', 'decimal',
+             'rapidpsi.double_series')
     probe = (
         "import sys, rapidpsi, rapidpsi.cli; rapidpsi.cli.main(['psi', '--x', '2.5']); "
         f"print([m for m in {names!r} if m in sys.modules])"

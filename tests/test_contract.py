@@ -8,9 +8,11 @@ themselves and 2^52, 1e-5 and 1e-300, and the lift target 16 with its
 neighbours) at each tol, with planned counts and with hand-built ones, and
 every evaluator admits every one of them. Euler's constant at integers and
 the two zeta(2N+1) evaluators, whose arguments are not x, have rows of their
-own over the same tols.
+own over the same tols, and so does the double series S, whose truth needs
+a precision that grows with x.
 """
 
+import functools
 import math
 import subprocess
 import sys
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from rapidpsi import planner, series
+from rapidpsi import double_series, planner, series
 from rapidpsi.bernoulli import shared_table
 from rapidpsi.errors import ToleranceError
 from rapidpsi.params import MAX_GAMMA_M, EvalParams, ModularPair
@@ -148,6 +150,53 @@ def test_zeta_odd_general_contract_against_mpmath(tol):
         assert sum(N <= 12 for _, N in above) <= 48
 
 
+# the double series S: four points per decade from 1e-3 to 100 and 118; the
+# integers, where its inner sums collapse; both sides of the guard bands of
+# R(x) - psi(x+1) below 3 and of the direct sum above it; both sides of 3;
+# and past ~118.6, where e^{-2 pi x} underflows but S is not 0
+S_CONTRACT_X = (
+    [10.0 ** (e / 4) for e in range(-12, 9)]
+    + [118.0, 1.0, 2.0, 3.0, 4.0, 7.0, 16.0, 17.0, 100.0]
+    + [m + s * f * DELTA for m in (1, 2, 3, 7) for s in (-1, 1) for f in (0.5, 0.99, 1.01)]
+    + [3.0 - 1e-9, 3.0 + 1e-9, 3.0123, 3.5, 118.6, 119.3, 130.3]
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _s_truth(x):
+    """S(x) at 40 + ceil(2.73 x) digits, which resolve e^{-2 pi x}: at an
+    integer m -2 pi sum_k e^{-2 pi k m} k (gamma + Re psi(1+ik)), elsewhere
+    R(x) - psi(x+1) with R the non-S part of the representation
+    (test_series.py's _r_of_x_mpmath). Every k-sum runs past k = x + 19,
+    where its terms fall below e^{-2 pi x} 1e-50."""
+    with mpmath.workdps(40 + math.ceil(2.73 * x)):
+        xx, pi = mpmath.mpf(x), mpmath.pi
+        if x == round(x):
+            rows = (mpmath.euler + mpmath.digamma(mpmath.mpc(1, k)).real for k in range(1, 20))
+            return -2 * pi * mpmath.fsum(
+                k * mpmath.exp(-2 * pi * k * xx) * row for k, row in enumerate(rows, 1)
+            )
+        v = pi / 3 * mpmath.log(xx) + 1 / (2 * xx) - 1 / (4 * pi * xx * xx)
+        v += pi * mpmath.cot(pi * xx) / mpmath.expm1(2 * pi * xx)
+        v += pi / 2 * mpmath.log(abs(2 * mpmath.sin(pi * xx))) * mpmath.csch(pi * xx) ** 2
+        for k in range(1, math.ceil(x) + 20):
+            v += 2 * k / (mpmath.expm1(2 * pi * k) * (k * k - xx * xx))
+            v -= pi / 2 * mpmath.log(abs(k**4 - xx**4)) * mpmath.csch(pi * k) ** 2
+        return v - mpmath.digamma(xx + 1)
+
+
+@pytest.mark.parametrize("tol", TOLS)
+def test_double_series_contract_against_mpmath(tol):
+    # only the estimate is asked, not that it meets tol: near 0 it exceeds
+    # tol (929x at x = 1e-3 and tol 1e-12). Past the underflow S is 0 with
+    # the envelope's floor 20 ulp(0.0) as its estimate
+    for x in S_CONTRACT_X:
+        sv = series.double_series_S(x, planner.plan(tol, x))
+        truth = _s_truth(x)
+        with mpmath.workdps(40 + math.ceil(2.73 * x)):
+            assert abs(mpmath.mpf(sv.value) - truth) <= sv.error_estimate, x
+
+
 @pytest.mark.parametrize(
     "x, tol", [(1.00101, 1e-3), (2.00101, 1e-3), (0.99899, 1e-6)]
 )
@@ -181,14 +230,14 @@ def test_moment_form_third_order_coefficient_is_one_sixth():
     assert abs(form.coeffs[-1] - 1.0 / 6.0) <= 1e-16
 
 
-BANNED = ("double_series_S", "_double_series_at", "_inner_pair", "_guard_log_pair", "_psi_rest")
-TAIL_PASSES = ("k_sum_tails", "bound_psi_k_sum", "bound_log_csch2")
+TAIL_PASSES = ("bound_psi_k_sum", "bound_log_csch2")
 COROLLARIES = ("re_psi_complex_ramanujan", "gamma_any_x", "psi_prime_ramanujan", "gamma_at_integer")
 
 
 @pytest.mark.parametrize("evaluator", COROLLARIES)
 def test_corollaries_take_the_moment_core_path(monkeypatch, evaluator):
-    # none sums the double series, the non-S part R(x) or a guard pair, and
+    # none sums the double series (nor loads its module, which
+    # test_corollary_round_imports_no_numpy checks in a fresh process), and
     # from the lift target on none makes a tail pass; gamma_at_integer makes
     # none at any m
     reached = []
@@ -200,8 +249,7 @@ def test_corollaries_take_the_moment_core_path(monkeypatch, evaluator):
 
         return call
 
-    for name in BANNED:
-        monkeypatch.setattr(series, name, banned(name))
+    monkeypatch.setattr(series, "double_series_S", banned("double_series_S"))
     evaluate = getattr(series, evaluator)
     if evaluator == "gamma_at_integer":
         for name in TAIL_PASSES:
@@ -226,7 +274,9 @@ def test_corollaries_take_the_moment_core_path(monkeypatch, evaluator):
 
 
 def test_corollary_round_imports_no_numpy():
-    # one operation of each corollaries-workload evaluator, in a fresh process
+    # one operation of psi and of each corollaries-workload evaluator, in a
+    # fresh process, loads neither numpy nor rapidpsi.double_series; a
+    # double_series_S call then loads the latter
     src = str(Path(series.__file__).resolve().parents[1])
     probe = (
         "import sys\n"
@@ -235,6 +285,8 @@ def test_corollary_round_imports_no_numpy():
         "from rapidpsi.bernoulli import shared_table\n"
         "from rapidpsi.params import EvalParams, ModularPair\n"
         "p = planner.plan(1e-12, 0.5)\n"
+        "series.psi_ramanujan(0.5, p)\n"
+        "series.psi_ramanujan(20.5, planner.plan(1e-12, 20.5))\n"
         "series.gamma_any_x(0.5, p)\n"
         "series.gamma_at_integer(2, planner.plan(1e-12, 2.0))\n"
         "series.re_psi_complex_ramanujan(0.5, p)\n"
@@ -243,11 +295,13 @@ def test_corollary_round_imports_no_numpy():
         "series.zeta_odd(3, shared_table(), EvalParams(tol=1e-12))\n"
         "pair = ModularPair.from_alpha(2.0)\n"
         "series.zeta_odd_general(3, pair, shared_table(), EvalParams(tol=1e-12))\n"
-        "print('numpy' in sys.modules)\n"
+        "print([m in sys.modules for m in ('numpy', 'rapidpsi.double_series')])\n"
+        "series.double_series_S(0.5, p)\n"
+        "print('rapidpsi.double_series' in sys.modules)\n"
     )
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.splitlines() == ["[False, False]", "True"]
 
 
 def _d_term(k, x):
@@ -483,7 +537,7 @@ def test_partial_fraction_sum_within_its_error_at_any_x():
     xs += [1e4, 1e12, 1e160, 1e300, 1.7e308]
     with mpmath.workdps(40):
         for x in xs:
-            value, err = series._partial_fraction_gamma_sum(x)
+            value, err = double_series._partial_fraction_gamma_sum(x)
             truth = mpmath.digamma(mpmath.mpc(1, x)).real + mpmath.euler
             assert abs(mpmath.mpf(value) - truth) <= err, x
             assert err <= 4e-15 * max(1.0, math.log(x)), x

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rapidpsi import planner, series
+from rapidpsi import double_series, planner, series
 from rapidpsi.errors import ToleranceError
 from rapidpsi.oracles import psi_oracle
 from rapidpsi.params import DEFAULT_GUARD_DELTA, MAX_K_TERMS, EvalParams, TailBound
@@ -51,7 +51,7 @@ def _brute_tail(family: str, first: int, x: float) -> float:
             t = TWO_PI * k * x
             if t > 700.0:
                 break
-            a, c, _, _ = series._inner_pair(k, theta, 4000, 4000)
+            a, c, _, _ = double_series._inner_pair(k, theta, 4000, 4000)
             total += TWO_PI * math.exp(-t) * (k * k * abs(a) + k**3 * abs(c))
         return total
     raise AssertionError(family)
@@ -203,7 +203,7 @@ def test_closed_tails_take_few_quartic_gaps(monkeypatch):
         planner, "log_abs_quartic_gap", lambda k, x: calls.append(k) or gap(k, x)
     )
     p = planner.plan(1e-15, 1e12)
-    series._psi_rest(1e12 + 0.5, p)
+    double_series._psi_rest(1e12 + 0.5, p)
     assert len(calls) <= p.k_terms + 4
 
 
@@ -274,10 +274,8 @@ def test_log_csch2_singular_omitted_term_is_unbounded():
     # truncating just below an integer x leaves the singular term in the tail
     assert planner.tail_bound("log_csch2", 2, 5.0).bound == math.inf
     assert math.isfinite(planner.bound_log_csch2(2, 5.0, skip=5))
-    # the fused pass still finishes the k-sum's tail past the singular index
-    psi_tail, log_tail = planner.k_sum_tails(2, 5.0)
-    assert log_tail == math.inf
-    assert math.isfinite(psi_tail) and psi_tail == planner.bound_psi_k_sum(2, 5.0)
+    # the k-sum's tail past the singular index stays finite
+    assert math.isfinite(planner.bound_psi_k_sum(2, 5.0))
 
 
 def test_plan_examples():
@@ -309,9 +307,9 @@ def test_planned_cap_never_cuts_the_double_series_short(tol):
     for x in (1e-8, 0.3, 1.0, 2.9999, 3.0, 3.0015, 3.2, 5.5, 17.0, 60.0, 1e6, 1e100):
         p = planner.plan(tol, x)
         y = x + planner.lift_shift(x)
-        share = tol * planner.S_TAIL_SHARE
+        share = tol * double_series.S_TAIL_SHARE
         assert planner.bound_exp_envelope(p.k_terms + 1, y) <= share, x
-        assert len(planner.outer_weights(y, MAX_K_TERMS, tol)[0]) <= p.k_terms, x
+        assert len(double_series.outer_weights(y, MAX_K_TERMS, tol)[0]) <= p.k_terms, x
 
 
 @pytest.mark.parametrize("tol", [1e3, 1.0, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15])
@@ -324,6 +322,11 @@ def test_csch2_family_fits_at_the_planned_floor(tol):
     assert planner.bound_csch2(k + 1) <= 4.0 * q * (tol / 40.0) / (1.0 - q) ** 3 < tol / 4.0
 
 
+def _k_sum_tails(first, y, skip):
+    """The two k-sum tails plan holds to tol/4, from first."""
+    return planner.bound_psi_k_sum(first, y, skip=skip), planner.bound_log_csch2(first, y, skip)
+
+
 def _minimal_k(tol, x):
     """The smallest outer count from the csch2 floor on whose k-sum tails at
     the lifted argument both fit tol/4: the k-loop plan's closed form
@@ -331,7 +334,7 @@ def _minimal_k(tol, x):
     y = x + planner.lift_shift(x)
     guard = planner._guard_index(y, DEFAULT_GUARD_DELTA)
     k = max(1, math.ceil(math.log(40.0 / tol) / TWO_PI))
-    while max(planner.k_sum_tails(k + 1, y, skip=guard)) > tol / 4.0:
+    while max(_k_sum_tails(k + 1, y, guard)) > tol / 4.0:
         k += 1
         assert k <= MAX_K_TERMS
     return k
@@ -367,7 +370,7 @@ def test_planned_count_fits_every_k_sum_tail():
         guard = planner._guard_index(y, DEFAULT_GUARD_DELTA)
         for tol in tols:
             first = planner.plan(tol, x).k_terms + 1
-            assert max(planner.k_sum_tails(first, y, skip=guard)) <= tol / 4.0, (x, tol)
+            assert max(_k_sum_tails(first, y, guard)) <= tol / 4.0, (x, tol)
             assert planner.bound_csch2(first) <= tol / 4.0, (x, tol)
 
 
@@ -375,17 +378,19 @@ def test_planned_count_fits_every_k_sum_tail():
 def test_planned_psi_sums_only_its_moment_form(monkeypatch, x):
     # plan evaluates no bound; psi then takes its own lift and sums no double
     # series, no guard pair and no k-sum tail pass: at y >= 16 they are one
-    # charged constant
+    # charged constant. That psi never loads rapidpsi.double_series is
+    # checked in a fresh process (test_contract.py)
     def forbidden(*args, **kwargs):
         raise AssertionError("not on the planned psi path")
 
-    for name in ("k_sum_tails", "_guard_index", "lift_shift", "bound_csch2"):
+    tail_passes = ("bound_psi_k_sum", "bound_log_csch2")
+    for name in tail_passes + ("_guard_index", "lift_shift", "bound_csch2"):
         monkeypatch.setattr(planner, name, forbidden)
     params = planner.plan(1e-12, x)
     monkeypatch.undo()
-    for name in ("k_sum_tails", "bound_csch2", "lift_shift", "outer_weights"):
+    for name in tail_passes + ("bound_csch2", "lift_shift"):
         monkeypatch.setattr(planner, name, forbidden)
-    for name in ("_double_series_at", "_inner_pair", "_guard_pole_pair", "_guard_log_pair"):
+    for name in ("double_series_S", "_guard_pole_pair"):
         monkeypatch.setattr(series, name, forbidden)
     sv = series.psi_ramanujan(x, params)
     assert (sv.k_used, sv.n_used) == (params.k_terms, 0)
@@ -395,8 +400,9 @@ def test_plan_leaves_the_double_series_to_size_itself(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("plan sizes only the k-sums")
 
-    for name in ("bound_exp_envelope", "outer_weights", "_inner_lengths"):
-        monkeypatch.setattr(planner, name, forbidden)
+    monkeypatch.setattr(planner, "bound_exp_envelope", forbidden)
+    for name in ("outer_weights", "_inner_lengths"):
+        monkeypatch.setattr(double_series, name, forbidden)
     for x, tol in ((1e-8, 1e-15), (2.5, 1e-12), (3.0015, 1e-6), (1e12, 1e-9)):
         assert planner.plan(tol, x).n_terms == planner.MAX_N_TERMS
 
@@ -406,14 +412,15 @@ def test_plan_leaves_the_double_series_to_size_itself(monkeypatch):
 )
 def test_outer_weights_return_the_tail_they_stop_on(x, k_terms):
     # the envelope stop, the underflow stop (2 pi k x >= 745) and the cap
-    # k_terms each hand back bound_exp_envelope at the first index not summed
+    # k_terms each hand back bound_exp_envelope at the first index not summed;
+    # where e^{-2 pi x} underflows that is the floor 20 ulp(0.0), not 0
     tol = 1e-15
-    weights, tail = planner.outer_weights(x, k_terms, tol)
+    weights, tail = double_series.outer_weights(x, k_terms, tol)
     assert tail == planner.bound_exp_envelope(len(weights) + 1, x)
     if len(weights) == k_terms:
-        assert tail > tol * planner.S_TAIL_SHARE
+        assert tail > tol * double_series.S_TAIL_SHARE
     if TWO_PI * x >= 745.0:
-        assert weights == [] and tail == 0.0
+        assert weights == [] and tail == 20.0 * math.ulp(0.0)
 
 
 def test_plan_validation():

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from fractions import Fraction
 
-from rapidpsi import identities, planner, series
+from rapidpsi import double_series, identities, planner, series
 from rapidpsi.bernoulli import (
     BernoulliTable,
     bernoulli_over_factorial,
@@ -180,7 +180,7 @@ def test_double_series_runs_only_the_terms_its_envelope_needs(tol):
         p = planner.plan(tol, y)
         sv = series.double_series_S(y, p)
         needed = 0
-        while planner.bound_exp_envelope(needed + 1, y) > tol * planner.S_TAIL_SHARE:
+        while planner.bound_exp_envelope(needed + 1, y) > tol * double_series.S_TAIL_SHARE:
             needed += 1
         assert sv.k_used == needed <= p.k_terms, y
         if needed == 0:
@@ -478,7 +478,7 @@ def test_double_series_estimate_covers_short_k_truncation():
     # estimate must still dominate the miss: both for the direct sum at x and
     # for the recurrence-lifted S, which needs far fewer terms to miss
     truth = s_integral_oracle(0.3)
-    for evaluate, k_terms in ((series._double_series_at, 12), (series.double_series_S, 2)):
+    for evaluate, k_terms in ((double_series._double_series_at, 12), (series.double_series_S, 2)):
         sv = evaluate(0.3, EvalParams(tol=1e-12, k_terms=k_terms, n_terms=200000))
         miss = abs(sv.value - truth)
         assert miss > 1e-10
@@ -505,7 +505,7 @@ def test_cosine_row_matches_the_oracle():
     # the engine sums C_k(0) = (gamma + Re psi(1+ik))/k^2 itself; the oracle's
     # gamma_plus_re_psi is a separate implementation with its own cut-off
     for k in range(1, 41):
-        a, c0, err_a, err_c = series._inner_pair(k, 0.0, 16, 16)
+        a, c0, err_a, err_c = double_series._inner_pair(k, 0.0, 16, 16)
         assert a == 0.0 and err_a == 0.0
         reference = gamma_plus_re_psi(float(k)) / (k * k)
         assert abs(c0 - reference) <= err_c + DEFAULT_ORACLE.target_tolerance / (k * k)
@@ -515,7 +515,7 @@ def test_cosine_row_error_covers_mpmath():
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         for k in range(1, 119):
-            _, c0, _, err = series._inner_pair(k, 0.0, 16, 16)
+            _, c0, _, err = double_series._inner_pair(k, 0.0, 16, 16)
             truth = (mpmath.euler + mpmath.digamma(mpmath.mpc(1, k)).real) / (k * k)
             assert abs(mpmath.mpf(c0) - truth) <= err
 
@@ -794,7 +794,6 @@ def test_re_psi_charges_twice_the_k_sum_half_of_its_one_pass(monkeypatch, evalua
     p = planner.plan(1e-12, 7.3)
     monkeypatch.setattr(planner, "bound_psi_k_sum", k_sum)
     monkeypatch.setattr(planner, "bound_log_csch2", log_half)
-    monkeypatch.setattr(planner, "k_sum_tails", log_half)
     sv = getattr(series, evaluator)(7.3, p)
     if evaluator == "gamma_any_x":
         assert calls == [] and sv.error_estimate <= p.tol
@@ -1170,27 +1169,29 @@ def test_csch2_closed_form():
 
 @pytest.mark.parametrize("x", [118.7, 1e6, 1e300])
 def test_underflowed_double_series_does_no_work(monkeypatch, x):
-    # every weight e^{-2 pi k x} is 0, so S is 0 with a 0 tail, unsized
+    # every weight e^{-2 pi k x} is 0, so S is 0, unsized, charged the
+    # envelope's floor 20 ulp(0.0): S itself is not 0 there
     def forbidden(*args, **kwargs):
         raise AssertionError("S sizes nothing once its weights underflow")
 
-    monkeypatch.setattr(planner, "outer_weights", forbidden)
-    monkeypatch.setattr(planner, "_inner_lengths", forbidden)
-    sv = series._double_series_at(x, EvalParams(tol=1e-15))
-    assert (sv.value, sv.error_estimate, sv.k_used, sv.n_used) == (0.0, 0.0, 0, 0)
+    monkeypatch.setattr(double_series, "outer_weights", forbidden)
+    monkeypatch.setattr(double_series, "_inner_lengths", forbidden)
+    sv = double_series._double_series_at(x, EvalParams(tol=1e-15))
+    floor = 20.0 * math.ulp(0.0)
+    assert (sv.value, sv.error_estimate, sv.k_used, sv.n_used) == (0.0, floor, 0, 0)
 
 
 def test_double_series_with_no_outer_term_sizes_no_inner_sum(monkeypatch):
     # below the underflow the envelope can stop before k = 1; S is then 0,
     # charged that envelope tail
     x = 15.25
-    assert planner.outer_weights(x, 6000, 1e-12)[0] == []
+    assert double_series.outer_weights(x, 6000, 1e-12)[0] == []
 
     def forbidden(*args, **kwargs):
         raise AssertionError("no outer term, no inner lengths")
 
-    monkeypatch.setattr(planner, "_inner_lengths", forbidden)
-    sv = series._double_series_at(x, EvalParams(tol=1e-12))
+    monkeypatch.setattr(double_series, "_inner_lengths", forbidden)
+    sv = double_series._double_series_at(x, EvalParams(tol=1e-12))
     assert sv.error_estimate == planner.bound_exp_envelope(1, x) > 0.0
     assert (sv.value, sv.k_used, sv.n_used) == (0.0, 0, 0)
 
