@@ -8,7 +8,10 @@ k_terms and n_terms as caps only. The inner sums, split against closed
 Clausen-type forms, need ~10^4 terms instead of ~10^11, and numpy, which sums
 them, is imported on first use: only S off the integers from x = 3 loads it,
 while its outer sum keeps a term, up to x ~ 5.2 at tol 1e-12 and ~ 6.3 at
-1e-15. Below 3 off the integers S is R(x) - psi(x+1) and loads none.
+1e-15. Below 3 off the integers S is R(x) - psi(x+1) and loads none; R's
+argument-reduced cot and pole-cancelled guard pair, which the identity
+checks also read, and the zeta(2j) table of its expansions live here.
+Below S_FLOOR = 7.9e-154 S is refused.
 """
 
 from __future__ import annotations
@@ -17,16 +20,79 @@ import math
 from functools import lru_cache
 
 from . import planner
+from .bernoulli import tangent_numbers
+from .errors import ToleranceError
 from .params import EvalParams, SeriesValue, series_value
 from .planner import _EPS, _csch2, _guard_index, _inv_expm1
-from .series import (_PF_M, _PF_REMAINDER, _PI_WEIGHTS, _TWO_PI, _ZETA_EVEN, _close, _cotpi, _dist,
-                     _guard_pole_pair, _pf_body, psi_ramanujan)
+from .series import _PF_M, _PF_REMAINDER, _PI_WEIGHTS, _TWO_PI, _close, _pf_body, psi_ramanujan
 
 MIN_N_TERMS = 16
+# the smallest x at which S is summed (derived in double_series_S)
+S_FLOOR = 7.9e-154
 # S holds its truncation to tol/4: this share of tol for its outer envelope
 # tail (outer_weights) and the same share for its inner remainders
 # (_inner_lengths)
 S_TAIL_SHARE = 1.0 / 8.0
+
+# zeta at even arguments 2j for the coefficient expansions below, j up to 44,
+# from the tangent numbers: zeta(2j) = 2^{2j-1} pi^{2j} |B_{2j}|/(2j)! with
+# |B_{2j}| = 2j T_j/(4^j (4^j - 1)). The ratio is one int/int true division,
+# which rounds once as series.zeta_even's conversion of the exact ratio does,
+# so each value is zeta_even(j)'s bit for bit, and no rational is built
+_TANGENT = tangent_numbers(44)
+_ZETA_EVEN = (-0.5,) + tuple(
+    2 * j * _TANGENT[j] / (4**j * (4**j - 1) * math.factorial(2 * j))
+    * 2.0 ** (2 * j - 1)
+    * math.pi ** (2 * j)
+    for j in range(1, 45)
+)
+
+
+def _dist(x: float) -> float:
+    """Signed distance to the nearest integer, in [-0.5, 0.5]."""
+    return x - round(x)
+
+
+def _cotpi(x: float) -> float:
+    d = _dist(x)
+    if abs(d) == 0.5:
+        return 0.0
+    return math.cos(math.pi * d) / math.sin(math.pi * d)
+
+
+def _cot_pole_remainder(eps: float) -> float:
+    """pi cot(pi eps) - 1/eps = -2 sum_j zeta(2j) eps^{2j-1}, |eps| < 1."""
+    if eps == 0.0:
+        return 0.0
+    acc = 0.0
+    p = 1.0 / eps
+    e2 = eps * eps
+    for j in range(1, 45):
+        p *= e2
+        t = _ZETA_EVEN[j] * p
+        acc += t
+        if abs(t) < 1e-18:
+            break
+    return -2.0 * acc
+
+
+def _guard_pole_pair(m: int, eps: float) -> float:
+    """Combined value of pi cot(pi x)/(e^{2 pi x}-1) and the k=m pole term
+    2m/((e^{2 pi m}-1)(m^2-x^2)) at x = m + eps.
+
+    The two simple poles cancel; this closed form never builds either one:
+      pair = [ (1 - 2m g phi(eps)) / (2m+eps) + r(eps) ] / (e^{2 pi x}-1)
+    with g = e^{2 pi m}/(e^{2 pi m}-1), phi(eps) = expm1(2 pi eps)/eps
+    (phi(0) = 2 pi) and r = _cot_pole_remainder. Exact in the limit eps=0.
+    """
+    inv_e = _inv_expm1(_TWO_PI * (m + eps))
+    if inv_e == 0.0:
+        return 0.0
+    g = 1.0 / -math.expm1(-_TWO_PI * m)
+    phi = math.expm1(_TWO_PI * eps) / eps if eps != 0.0 else _TWO_PI
+    return inv_e * (
+        (1.0 - 2.0 * m * g * phi) / (2.0 * m + eps) + _cot_pole_remainder(eps)
+    )
 
 
 def outer_weights(x: float, k_terms: int, tol: float) -> tuple[list[float], float]:
@@ -284,9 +350,23 @@ def double_series_S(x: float, params: EvalParams) -> SeriesValue:
     it is R(x) - psi(x+1), with R the non-S part (_psi_rest, at x itself)
     and psi(x+1) from psi_ramanujan, whose moment form sums no double
     series; k_used is the larger of their outer counts and n_used is 0.
+
+    Near 0, S(x) ~ log(2 pi x)/(2 pi x^2), R's log|2 sin| csch^2 piece. |S|
+    passes the largest double (~1.8e308) near x = 5.6e-154, but that piece's
+    product pi log|2 sin(pi x)| csch^2(pi x) ~ log(2 pi x)/(pi x^2), formed
+    before its halving, overflows first: it passes the largest double
+    between x = 7.880116142161301e-154 and the next double up. At S_FLOOR =
+    7.9e-154, the first round value above that, the product is -1.789e308,
+    0.5% inside the double range, where the few eps by which a libm's sin,
+    sinh and log may move it do not reach; S is -8.93e307, the sum of the
+    pieces' magnitudes 8.98e307 and the estimate 8.0e292, all falling as x
+    grows, and (2 pi x)^2, which csch^2 divides by, is normal.
+    Below S_FLOOR S raises ToleranceError.
     """
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
+    if x < S_FLOOR:
+        raise ToleranceError(f"S(x) exceeds double range below x = {S_FLOOR}; got x = {x}")
     if planner.lift_shift(x) == 0 or x == round(x):
         return _double_series_at(x, params)
     psi = psi_ramanujan(x, params)

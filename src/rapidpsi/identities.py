@@ -71,7 +71,7 @@ def digamma_partial_fraction_rhs(x: float, params: EvalParams) -> float:
     pieces = [
         0.5 / x,
         -1.0 / (_TWO_PI * x * x),
-        math.pi * series._cotpi(x) * series._inv_expm1(_TWO_PI * x),
+        math.pi * double_series._cotpi(x) * series._inv_expm1(_TWO_PI * x),
         pf,
     ]
     for k, q, _ in series._PI_WEIGHTS[: params.k_terms]:
@@ -218,7 +218,7 @@ def run_identities() -> Iterator[CheckResult]:
         b = _TWO_PI * math.exp(_TWO_PI * m) / math.expm1(_TWO_PI * m) ** 2
         yield _abs_check(f"pole_pair_limit_forms_m{m}", m, a - b, 16.0 * _EPS * a + 1e-30)
         direct = 1.0 / (2.0 * m * math.expm1(_TWO_PI * m)) - a
-        guard = series._guard_pole_pair(m, 0.0)
+        guard = double_series._guard_pole_pair(m, 0.0)
         yield _abs_check(
             f"pole_pair_guard_form_m{m}", m, guard - direct, 16.0 * _EPS * (abs(direct) + a)
         )

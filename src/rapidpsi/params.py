@@ -90,7 +90,8 @@ class EvalParams(Record):
     gamma_at_integer and re_psi_complex_ramanujan take their moments over
     K = min(k_terms, 7) outer terms (plan's count never exceeds 7) and sum
     them at an argument lifted to 16 or more, at max(m, 16) for
-    gamma_at_integer, or at x itself for Re psi. zeta_odd sums
+    gamma_at_integer, or for Re psi at x from 16 on and at 16 below (where it
+    is P(x) - gamma). zeta_odd sums
     k <= k_terms at scale pi; zeta_odd_general does not read k_terms and
     stops each of its k-sums at its own share of tol. The double
     series, which double_series_S sums where it stands from

@@ -43,16 +43,6 @@ def _geom(first: int, q: float) -> float:
     return q**first / (1.0 - q)
 
 
-def _geom_k(first: int, q: float) -> float:
-    """sum_{k>=first} k q^k."""
-    return q**first * (first - (first - 1) * q) / (1.0 - q) ** 2
-
-
-def _geom_k_centered(first: int, q: float) -> float:
-    """sum_{k>=first} k (k - first) q^k."""
-    return q**first * (q * (1.0 + q) / (1.0 - q) ** 3 + first * q / (1.0 - q) ** 2)
-
-
 def _inv_expm1(t: float) -> float:
     """1/(e^t - 1) for t > 0, underflowing to 0 instead of overflowing;
     expm1 keeps 1 - e^{-t} accurate at small t."""
@@ -129,6 +119,14 @@ def bound_exp_envelope(first: int, x: float) -> float:
     uniform envelope from k = 1, 2 pi sum_k k (3.1 + log k) q^k, is at most
     2 pi (3.1 q + 8 q^2) < 19.5 q + 51 q^2 < 20 q, so _ENVELOPE_FLOOR =
     20 ulp(0.0) (~9.9e-323) bounds every tail at every such x.
+
+    Where q^first underflows but q does not, the tail is not 0 either. Let h
+    be the first index with fl(q^h) = 0 (by bisection). A faithful pow gives
+    0 only for q^h < ulp(0.0), and both closed forms are q^h times a C(h)
+    that does not underflow, so the tail from first >= h is below
+    C(h) ulp(0.0) <= ceil(C(h) (1 + 1e-12)) ulp(0.0), a double exactly (the
+    1e-12 covers C's rounding), and below the bound from h - 1. The smaller
+    of the two does not depend on first, so the bound stays nonincreasing.
     """
     if not x > 0:
         raise ValueError("x must be positive")
@@ -137,16 +135,30 @@ def bound_exp_envelope(first: int, x: float) -> float:
         return _ENVELOPE_FLOOR
     if q >= 1.0:
         return math.inf
-    lead = (3.1 + math.log(first)) * _geom_k(first, q)
-    slope = _geom_k_centered(first, q) / first
-    uniform = _TWO_PI * (lead + slope)
+    qf = q**first
+    if qf:
+        return _envelope(first, qf, q, x)
+    last, h = 1, first  # q^last does not underflow, q^h does
+    while h - last > 1:
+        mid = (last + h) // 2
+        last, h = (mid, h) if q**mid else (last, mid)
+    from_h = math.ceil(_envelope(h, 1.0, q, x) * (1.0 + 1e-12)) * math.ulp(0.0)
+    return min(_envelope(last, q**last, q, x), from_h)
+
+
+def _envelope(first: int, qf: float, q: float, x: float) -> float:
+    """bound_exp_envelope's smaller closed form at qf = q^first, from
+    sum_{k>=F} k q^k = qf (F - (F-1) q)/(1-q)^2 and
+    sum_{k>=F} k (k-F) q^k = qf (q (1+q)/(1-q)^3 + F q/(1-q)^2)."""
+    geom_k = qf * (first - (first - 1) * q) / (1.0 - q) ** 2
+    centered = qf * (q * (1.0 + q) / (1.0 - q) ** 3 + first * q / (1.0 - q) ** 2)
+    uniform = _TWO_PI * ((3.1 + math.log(first)) * geom_k + centered / first)
     dist = abs(x - round(x))
     if dist == 0.0:
         return uniform
     s = 1.0 / math.sin(math.pi * dist)
     c = 0.5 + 0.5 * s
-    oscillatory = _TWO_PI * (s * _geom(first, q) + c * _geom_k(first, q))
-    return min(uniform, oscillatory)
+    return min(uniform, _TWO_PI * (s * (qf / (1.0 - q)) + c * geom_k))
 
 
 def log_abs_quartic_gap(k: float, x: float) -> float:

@@ -18,22 +18,19 @@ Numerical strategy notes:
 - the corollaries share that moment core. psi' is its term-by-term
   derivative. Re psi(1+ix) - psi(x+1) = D(x) is a short closed form, because
   the all-arguments identity shares S, the log|2 sin| piece and the log
-  k-family with the representation; so Re psi is psi plus D, and Euler's
-  constant is the partial-fraction sum P(y) less Re psi(1+iy), one form, at
-  y >= 16, with P by Euler-Maclaurin in pure Python, or at an integer m
-  H_n - psi(n+1) at n = max(m, 16). None of them sums S;
+  k-family with the representation; so from 16 on Re psi is psi plus D, one
+  form. Euler's constant is H_n - psi(n+1) at n = max(m, 16) at an integer
+  m, and the partial-fraction sum P(y) less Re psi(1+iy) at y >= 16 away
+  from one, with P by Euler-Maclaurin in pure Python; below 16 Re psi is
+  that identity read the other way, P(x) less gamma at n = 16. None of them
+  sums S or meets a pole;
 - the odd zeta values read their scale-pi weights from _PI_WEIGHTS; the
   two-parameter form is summed at the smaller member of its pair, where
   one exp/expm1 pair per k gives both the Lambert and the csch^2 weight and
   each k-sum stops at its own share of tol;
-- every trig argument is reduced to the signed distance from the nearest
-  integer before multiplying by pi, so the k-series stay accurate for large x;
-- no evaluator refuses an x > 0 near an integer m: below 16, inside
-  |x - m| < guard_delta, the cot pole and the k=m pole term are evaluated
-  as one pole-cancelled closed form that is exact, never as a truncated
-  local expansion, and from 16 on bounded at every y;
-- S itself, which no evaluator sums, lives in rapidpsi.double_series, and
-  double_series_S imports it on its first call;
+- S itself, which no evaluator sums, lives in rapidpsi.double_series with
+  the argument-reduced trigonometry and the pole-cancelled guard pairs it
+  alone needs, and double_series_S imports it on its first call;
 - error_estimate fields combine the planner's rigorous tail bounds with a
   rounding allowance proportional to the summed magnitude; the evaluators
   that end in one fsum of their pieces add it in _close, except psi from 16
@@ -48,7 +45,7 @@ import math
 from functools import lru_cache
 
 from . import planner
-from .bernoulli import BernoulliTable, bernoulli_over_factorial, tangent_numbers
+from .bernoulli import BernoulliTable, bernoulli_over_factorial
 from .errors import ToleranceError
 from .params import (
     MAX_GAMMA_M,
@@ -59,6 +56,8 @@ from .params import (
     SeriesValue,
     series_value,
 )
+# _guard_index is read from here by perfbench/worker.py, though no evaluator
+# here calls it
 from .planner import _EPS, _Q_UNIT, _csch2, _guard_index, _inv_expm1
 
 _TWO_PI = 2.0 * math.pi
@@ -78,52 +77,6 @@ def zeta_even(N: int, table: BernoulliTable) -> float:
     return sign * ratio * 2.0 ** (2 * N - 1) * math.pi ** (2 * N)
 
 
-# zeta at even arguments 2j for the coefficient expansions below, j up to 44,
-# from the tangent numbers: zeta(2j) = 2^{2j-1} pi^{2j} |B_{2j}|/(2j)! with
-# |B_{2j}| = 2j T_j/(4^j (4^j - 1)). The ratio is one int/int true division,
-# which rounds once as zeta_even's conversion of the exact ratio does, so
-# each value is zeta_even(j)'s bit for bit, and no rational is built
-_TANGENT = tangent_numbers(44)
-_ZETA_EVEN = (-0.5,) + tuple(
-    2 * j * _TANGENT[j] / (4**j * (4**j - 1) * math.factorial(2 * j))
-    * 2.0 ** (2 * j - 1)
-    * math.pi ** (2 * j)
-    for j in range(1, 45)
-)
-
-
-# ---------------------------------------------------------------------------
-# argument-reduced trigonometry
-
-
-def _dist(x: float) -> float:
-    """Signed distance to the nearest integer, in [-0.5, 0.5]."""
-    return x - round(x)
-
-
-def _cotpi(x: float) -> float:
-    d = _dist(x)
-    if abs(d) == 0.5:
-        return 0.0
-    return math.cos(math.pi * d) / math.sin(math.pi * d)
-
-
-def _cot_pole_remainder(eps: float) -> float:
-    """pi cot(pi eps) - 1/eps = -2 sum_j zeta(2j) eps^{2j-1}, |eps| < 1."""
-    if eps == 0.0:
-        return 0.0
-    acc = 0.0
-    p = 1.0 / eps
-    e2 = eps * eps
-    for j in range(1, 45):
-        p *= e2
-        t = _ZETA_EVEN[j] * p
-        acc += t
-        if abs(t) < 1e-18:
-            break
-    return -2.0 * acc
-
-
 # ---------------------------------------------------------------------------
 # the partial-fraction sum of gamma_any_x and the closing step
 
@@ -138,10 +91,11 @@ _EM_WEIGHTS = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0)
 _EM_AT_M = math.fsum(w * float(_PF_M) ** (-2 * j) for j, w in enumerate(_EM_WEIGHTS, 1))
 # (n, n^3) for n <= M: the directly summed n < M and the half-weight f(M)
 _PF_TERMS = tuple((float(n), float(n) ** 3) for n in range(1, _PF_M + 1))
-# the remainder past f^(9): |B_10|/10! = 2 zeta(10)/(2 pi)^10 against
-# int_M^inf |f^(10)| <= int 10!/t^11 + int 10!/|t+iy|^11 <= 2 * 9!/M^10, at any
-# y; 1.35e-17, with 1e-12 for its own rounding
-_PF_REMAINDER = 4.0 * _ZETA_EVEN[5] * math.factorial(9) / (_TWO_PI * _PF_M) ** 10 * (1.0 + 1e-12)
+# the remainder past f^(9): |B_10|/10! = 2 zeta(10)/(2 pi)^10, with
+# zeta(10) = pi^10/93555, against int_M^inf |f^(10)| <= int 10!/t^11 +
+# int 10!/|t+iy|^11 <= 2 * 9!/M^10, at any y; 1.35e-17, with 1e-12 for its
+# own rounding
+_PF_REMAINDER = 4.0 * math.pi**10 / 93555 * math.factorial(9) / (_TWO_PI * _PF_M) ** 10 * (1.0 + 1e-12)
 
 
 def _pf_body(y: float) -> float:
@@ -182,29 +136,6 @@ def double_series_S(x: float, params: EvalParams) -> SeriesValue:
 
 
 # ---------------------------------------------------------------------------
-# pole-cancelled guard pairs
-
-
-def _guard_pole_pair(m: int, eps: float) -> float:
-    """Combined value of pi cot(pi x)/(e^{2 pi x}-1) and the k=m pole term
-    2m/((e^{2 pi m}-1)(m^2-x^2)) at x = m + eps.
-
-    The two simple poles cancel; this closed form never builds either one:
-      pair = [ (1 - 2m g phi(eps)) / (2m+eps) + r(eps) ] / (e^{2 pi x}-1)
-    with g = e^{2 pi m}/(e^{2 pi m}-1), phi(eps) = expm1(2 pi eps)/eps
-    (phi(0) = 2 pi) and r = _cot_pole_remainder. Exact in the limit eps=0.
-    """
-    inv_e = _inv_expm1(_TWO_PI * (m + eps))
-    if inv_e == 0.0:
-        return 0.0
-    g = 1.0 / -math.expm1(-_TWO_PI * m)
-    phi = math.expm1(_TWO_PI * eps) / eps if eps != 0.0 else _TWO_PI
-    return inv_e * (
-        (1.0 - 2.0 * m * g * phi) / (2.0 * m + eps) + _cot_pole_remainder(eps)
-    )
-
-
-# ---------------------------------------------------------------------------
 # the main evaluator and its corollaries
 
 
@@ -234,8 +165,9 @@ def _far_bound(y: float) -> float:
 
     - S(y), at most bound_exp_envelope(1, y), whose uniform form (the one it
       takes at integer y) grows with e^{-2 pi y};
-    - the cot piece with the k = m pole term, in _guard_pole_pair's form: at
-      most q(y) ((1 + 2m g phi(1/2))/(2m - 1/2) + 2) <= 48 q(y), since
+    - the cot piece with the k = m pole term, in the pole-cancelled form of
+      double_series._guard_pole_pair: at most
+      q(y) ((1 + 2m g phi(1/2))/(2m - 1/2) + 2) <= 48 q(y), since
       phi(1/2) = 2 (e^pi - 1), m >= 16 and |pi cot(pi eps) - 1/eps| <= 2;
     - the other k-sum terms from floor(y) on, |k - y| >= 1/2, each at most
       4 q_k: 4.01 E/(1 - q) together;
@@ -540,109 +472,26 @@ def _check_gamma_m(m: int) -> None:
         raise ValueError(f"m must be at most {MAX_GAMMA_M}")
 
 
-def gamma_at_integer(m: int, params: EvalParams) -> SeriesValue:
-    """Euler's constant from the integer specialization gamma = H_n - psi(n+1),
-    which holds at every n, taken at n = max(m, 16): H_n - log n less
-    psi(n+1) - log n from psi's moment form (_moment_sum) over
-    K = min(k_terms, 7) outer terms. n is exact, so there is no lift rounding,
-    and no double series, guard pair or tail pass runs. The estimate is
-    the moment form's bound plus _close's 4 eps of every piece, which covers
-    the rounding of H_n and log n. k_used is K and n_used 0."""
-    _check_gamma_m(m)
-    n = max(m, int(_Y_MOMENT))
-    k = min(params.k_terms, _K_CAP)
-    form = _moment_form(_PSI, k, params.tol)
+def _gamma_at(n: int, k: int, tol: float) -> tuple[list[float], float]:
+    """gamma = H_n - psi(n+1) at an integer n >= 16 as (pieces, bound): H_n,
+    -log n, -1/(2n) and less psi's moment form over k <= _K_CAP terms, with
+    its bound and far. n is exact, so nothing is lifted; _close's 4 eps of
+    every piece covers the rounding of H_n and log n."""
+    form = _moment_form(_PSI, k, tol)
     value, bound = _moment_sum(form, float(n))
-    pieces = [math.fsum(1.0 / j for j in range(1, n + 1)), -math.log(n), -0.5 / n, -value]
-    return _close(pieces, bound + form.far, k, 0)
+    harmonic = math.fsum(1.0 / j for j in range(1, n + 1))
+    return [harmonic, -math.log(n), -0.5 / n, -value], bound + form.far
 
 
-# D's pole block is summed as a power series below this x, where its pieces
-# would cancel like x^-2
-_D_SERIES_END = 0.25
-
-
-def _d_pole_block(x: float) -> tuple[list[float], float]:
-    """h(x) = 1/(2 pi x^2) - 1/(2x) - pi cot(pi x) q(x) for 0 < x < 1/4, as
-    (pieces, bound), without the x^-2 cancellation. With
-    A = sum_n zeta(2n) x^{2n-1} and B = sum_n (-1)^{n+1} zeta(2n) x^{2n-1},
-    pi cot(pi x) = 1/x - 2A and q(x) = 1/(2 pi x) - 1/2 + B/pi (the Bernoulli
-    series of 1/(e^t - 1) at t = 2 pi x), so
-
-      h = (A - B)/(pi x) - A + 2AB/pi,   A - B = 2 A_even,
-
-    with A_even the even-n part of A. The sums stop at the first n with
-    x^{2n-2} <= 1e-19; the rest of each is at most T = zeta(2n) x^{2n-1}/(1 - x^2),
-    which moves h by at most T (1/x + 2), as |A| + |B| < 0.9. Each piece
-    carries at most 8 eps of rounding beyond _close's 4 eps (zeta(2n) is a
-    few eps off, and 2AB/pi compounds two sums)."""
-    odd = even = 0.0
-    p = x
-    x2 = x * x
-    n = 1
-    while True:
-        t = _ZETA_EVEN[n] * p
-        if n % 2:
-            odd += t
-        else:
-            even += t
-        n += 1
-        p *= x2
-        if p <= 1e-19 * x:
-            break
-    a, b = odd + even, odd - even
-    pieces = [2.0 * even / (math.pi * x), -a, 2.0 * a * b / math.pi]
-    tail = _ZETA_EVEN[n] * p / (1.0 - x2) * (1.0 / x + 2.0)
-    return pieces, tail + 8.0 * _EPS * math.fsum(map(abs, pieces))
-
-
-def _d_at(x: float, K: int, guard_delta: float) -> tuple[list[float], float]:
-    """D(x) at 0 < x < 16, summed at x itself over K outer terms, as
-    (pieces, bound). The k > K terms are each at most twice the k-sum term
-    2k q_k/(k^2 - x^2), because
-    4k x^2/(k^4 - x^4) = 2k/(k^2 - x^2) * 2x^2/(k^2 + x^2), so twice
-    planner.bound_psi_k_sum bounds their tail. The rounding
-    charge goes beyond _close's 4 eps where a weight amplifies the rounding
-    of its exponent: q(t) moves by (1 + t) times the relative error of t
-    (_summand_rounding), and pi cot(pi d) by up to 2 eps absolute near
-    |d| = 1/2.
-
-    Within guard_delta of a positive integer m the cot piece and the k = m
-    term, whose poles cancel, are summed as one pole-free pair,
-    -[_guard_pole_pair(m, x - m) - 2m q_m/(m^2 + x^2)], since
-    4m x^2/((m^2 - x^2)(m^2 + x^2)) = 2m/(m^2 - x^2) - 2m/(m^2 + x^2); k = m
-    leaves the loop and the tail. The pair's charge is (16 + 2t) eps of
-    _guard_pole_pair, whose q(x) takes at most (2 + 2t) eps from the
-    rounding of t = 2 pi x and whose other factors at most 14 eps
-    (1 - 2m g phi is at least 11 in size, so it keeps about the relative
-    error of 2m g phi, and the remainder r is below 1e-2 of the sum), and
-    (10 + 2 pi m) eps of the k = m piece, as for the loop's terms."""
-    m = _guard_index(x, guard_delta)
-    if x < _D_SERIES_END:
-        pieces, bound = _d_pole_block(x)
-        rounding = 0.0
-    elif m:
-        t = _TWO_PI * x
-        pair = _guard_pole_pair(m, x - m)
-        near = 2.0 * m * _PI_WEIGHTS[m - 1][1] / (m * m + x * x)
-        pieces = [1.0 / (t * x), -0.5 / x, -pair, near]
-        bound = 0.0
-        rounding = (16.0 + 2.0 * t) * abs(pair) + (10.0 + _TWO_PI * m) * near
-    else:
-        t = _TWO_PI * x
-        q = _inv_expm1(t)
-        cot_q = math.pi * _cotpi(x) * q
-        pieces = [1.0 / (t * x), -0.5 / x, -cot_q]
-        bound = 0.0
-        rounding = (12.0 + 2.0 * t) * abs(cot_q) + 8.0 * q
-    for k, q, _ in _PI_WEIGHTS[:K]:
-        if k == m:
-            continue
-        term = 4.0 * k * x * x * q / ((k - x) * (k + x) * (k * k + x * x))
-        pieces.append(-term)
-        rounding += (10.0 + _TWO_PI * k) * abs(term)
-    tail = 2.0 * planner.bound_psi_k_sum(K + 1, x, guard_delta, m)
-    return pieces, bound + tail + rounding * _EPS
+def gamma_at_integer(m: int, params: EvalParams) -> SeriesValue:
+    """Euler's constant from gamma = H_n - psi(n+1), which holds at every n,
+    taken at n = max(m, 16) over K = min(k_terms, 7) outer terms (_gamma_at),
+    closed in _close. No double series, guard pair or tail pass runs. k_used
+    is K and n_used 0."""
+    _check_gamma_m(m)
+    k = min(params.k_terms, _K_CAP)
+    pieces, bound = _gamma_at(max(m, int(_Y_MOMENT)), k, params.tol)
+    return _close(pieces, bound, k, 0)
 
 
 def gamma_any_x(x: float, params: EvalParams) -> SeriesValue:
@@ -670,8 +519,10 @@ def gamma_any_x(x: float, params: EvalParams) -> SeriesValue:
 
 
 def re_psi_complex_ramanujan(x: float, params: EvalParams) -> SeriesValue:
-    """Re psi(1+ix) = psi(x+1) + D(x), with D evaluated at x itself over
-    K = min(k_terms, 7) outer terms. The all-arguments identity
+    """Re psi(1+ix) over K = min(k_terms, 7) outer terms, by one of two routes
+    that share psi's moment core.
+
+    From 16 on, Re psi(1+ix) = psi(x+1) + D(x): the all-arguments identity
 
       Re psi(1+ix) = (pi/3) log x + 1/(4 pi x^2) + (pi/2) log|2 sin(pi x)| csch^2(pi x)
                      + sum_k 2k q_k/(k^2 + x^2) - (pi/2) sum_k log|k^4 - x^4| csch^2(pi k)
@@ -685,19 +536,18 @@ def re_psi_complex_ramanujan(x: float, params: EvalParams) -> SeriesValue:
              - sum_k 4k x^2 q_k/((k - x)(k + x)(k^2 + x^2)),
 
     by 1/(k^2 + x^2) - 1/(k^2 - x^2) = -2x^2/((k^2 - x^2)(k^2 + x^2)). D's
-    poles at the integers cancel between the cot piece and the k = m term,
-    and D is O(x) at 0. From 16 on D's k <= K terms expand in u = 1/x^2 as
-    -4k q_k u/(1 - (k/x)^4), so Re psi(1+ix) - log x is one Horner pass over
-    Re psi's moment form (_moment_sum), in which psi's 1/(2x) and D's
-    cancel; its u coefficient 1/(4 pi) + 2 M_1 is 1/12 up to the k > K tail
-    of M_1 (criterion 3's Lambert sum). Below 16,
-    psi(x+1) comes from the pieces psi_ramanujan sums (psi's moment form at
-    y = fl(x + shift) >= 16, log y and the harmonic terms, _lift) and D from
-    one K-term loop at x itself (_d_at). Either way every piece closes in one
-    fsum, whose 4 eps sum|piece| covers each piece's rounding, with the
-    bounds of both parts and the lift's. D's pole at an integer cancels in
-    _D_FAR's pair from 16 on and in _d_at's below, so every x > 0 is
-    admitted. k_used is K and n_used 0."""
+    k <= K terms expand in u = 1/x^2 as -4k q_k u/(1 - (k/x)^4), so
+    Re psi(1+ix) - log x is one Horner pass over Re psi's moment form
+    (_moment_sum), in which psi's 1/(2x) and D's cancel; its u coefficient
+    1/(4 pi) + 2 M_1 is 1/12 up to the k > K tail of M_1 (criterion 3's
+    Lambert sum). D's poles at the integers cancel in _D_FAR's pair.
+
+    Below 16, Re psi(1+ix) = P(x) - gamma, P(x) = sum_n x^2/(n(n^2+x^2))
+    (DLMF 5.7.6 with z = ix), the identity gamma_any_x reads the other way:
+    P(x) is _pf_body(x) + (1/2) log1p((x/M)^2), charged _PF_REMAINDER, and
+    gamma is H_16 - psi(17) from psi's moment form at 16 (_gamma_at). No
+    piece has a pole or grows as x -> 0. Either way every piece closes in
+    one fsum (_close), so every x > 0 is admitted. k_used is K, n_used 0."""
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
     k = min(params.k_terms, _K_CAP)
@@ -705,13 +555,10 @@ def re_psi_complex_ramanujan(x: float, params: EvalParams) -> SeriesValue:
         form = _moment_form(_RE_PSI, k, params.tol)
         value, bound = _moment_sum(form, x)
         return _close([value, math.log(x)], bound + form.far, k, 0)
-    shift, y, lift_err = _lift(x, 1)
-    form = _moment_form(_PSI, k, params.tol)
-    value, bound = _moment_sum(form, y)
-    pieces, d_bound = _d_at(x, k, params.guard_delta)
-    pieces += [0.5 / y, value, math.log(y)]
-    pieces.extend([-1.0 / (x + i) for i in range(1, shift + 1)])
-    return _close(pieces, bound + form.far + d_bound + lift_err, k, 0)
+    gamma, bound = _gamma_at(int(_Y_MOMENT), k, params.tol)
+    r = x / _PF_M
+    pieces = [_pf_body(x), 0.5 * math.log1p(r * r)] + [-g for g in gamma]
+    return _close(pieces, bound + _PF_REMAINDER, k, 0)
 
 
 def psi_prime_ramanujan(x: float, params: EvalParams) -> SeriesValue:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rapidpsi import series
+from rapidpsi import double_series, series
 from rapidpsi.bernoulli import (
     SHARED_MAX_INDEX,
     BernoulliTable,
@@ -53,8 +53,8 @@ def test_tangent_build_equals_the_recurrence_up_to_200():
 
 def test_zeta_even_floats_are_those_of_the_recurrence():
     table = BernoulliTable(SHARED_MAX_INDEX, tuple(REFERENCE[: SHARED_MAX_INDEX + 1]))
-    expected = tuple(series.zeta_even(j, table) for j in range(len(series._ZETA_EVEN)))
-    assert [x.hex() for x in series._ZETA_EVEN] == [x.hex() for x in expected]
+    expected = tuple(series.zeta_even(j, table) for j in range(len(double_series._ZETA_EVEN)))
+    assert [x.hex() for x in double_series._ZETA_EVEN] == [x.hex() for x in expected]
 
 
 def test_package_import_and_a_psi_command_build_no_table():

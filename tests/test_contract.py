@@ -153,12 +153,14 @@ def test_zeta_odd_general_contract_against_mpmath(tol):
 # the double series S: four points per decade from 1e-3 to 100 and 118; the
 # integers, where its inner sums collapse; both sides of the guard bands of
 # R(x) - psi(x+1) below 3 and of the direct sum above it; both sides of 3;
-# and past ~118.6, where e^{-2 pi x} underflows but S is not 0
+# past ~118.6, where e^{-2 pi x} underflows but S is not 0; and its floor,
+# where S is -8.93e307, with 1e-153 just above it
 S_CONTRACT_X = (
     [10.0 ** (e / 4) for e in range(-12, 9)]
     + [118.0, 1.0, 2.0, 3.0, 4.0, 7.0, 16.0, 17.0, 100.0]
     + [m + s * f * DELTA for m in (1, 2, 3, 7) for s in (-1, 1) for f in (0.5, 0.99, 1.01)]
     + [3.0 - 1e-9, 3.0 + 1e-9, 3.0123, 3.5, 118.6, 119.3, 130.3]
+    + [double_series.S_FLOOR, 1e-153]
 )
 
 
@@ -195,6 +197,17 @@ def test_double_series_contract_against_mpmath(tol):
         truth = _s_truth(x)
         with mpmath.workdps(40 + math.ceil(2.73 * x)):
             assert abs(mpmath.mpf(sv.value) - truth) <= sv.error_estimate, x
+
+
+@pytest.mark.parametrize(
+    "x", [7.88e-154, 2e-154, 1e-154, 1e-155, 1e-160, 4e-163, 1e-300, 5e-324]
+)
+def test_double_series_below_its_floor_is_refused(x):
+    # below S_FLOOR S, or a piece of it, leaves the double range: one
+    # ToleranceError that names the floor, not an overflow deep in the sum
+    assert x < double_series.S_FLOOR
+    with pytest.raises(ToleranceError, match="7.9e-154"):
+        series.double_series_S(x, planner.plan(1e-12, x))
 
 
 @pytest.mark.parametrize(
@@ -266,10 +279,10 @@ def test_corollaries_take_the_moment_core_path(monkeypatch, evaluator):
     for x in (Y + 0.25, 16.5, 100.25, 1e12 + 0.5, 1e15 + 0.25):
         for tol in TOLS:
             evaluate(x, planner.plan(tol, x))
-    if evaluator != "re_psi_complex_ramanujan":
-        # gamma_any_x and psi' lift every argument to 16 or more
-        for x in (0.01, 0.3, 2.5, 15.5):
-            evaluate(x, planner.plan(1e-12, x))
+    # gamma_any_x and psi' lift every argument to 16 or more, and Re psi
+    # below 16 sums psi's form at 16
+    for x in (0.01, 0.3, 2.5, 15.5):
+        evaluate(x, planner.plan(1e-12, x))
     assert reached == []
 
 
@@ -517,7 +530,7 @@ def test_d_tail_below_the_lift_target_within_twice_the_k_sum_tail():
     # below 16 D's k > K terms are each at most twice the k-sum term, so
     # twice bound_psi_k_sum bounds them, also just outside the guard bands
     # where the near terms peak, and inside them with the paired k = m
-    # skipped, as _d_at skips it
+    # skipped, as a pole-cancelled guard pair skips it
     xs = [0.01, 0.3, 1.7, 3.3, 7.9, 12.5, 15.5]
     xs += [m + s * f * DELTA for m in (1, 2, 5, 8, 15) for s in (-1, 1) for f in (0.5, 1.01)]
     xs += [1.0, 8.0, 15.0]

@@ -261,6 +261,27 @@ def test_exp_envelope_first_term_dominates():
     assert planner.tail_bound("exp_envelope", 1, 1.0).bound >= TWO_PI * math.exp(-TWO_PI)
 
 
+@pytest.mark.parametrize("first, x", [(2, 60.0), (2, 100.0), (2, 118.5), (3, 40.0), (1000, 0.12)])
+def test_exp_envelope_where_its_first_power_underflows(first, x):
+    # q^first underflows to 0 here, but the envelope sums it bounds do not
+    # vanish: the bound stays positive and above the smaller of the two, in
+    # 40-digit mpmath (4.2e-323 at (1000, 0.12), which a double holds)
+    mpmath = pytest.importorskip("mpmath")
+    q = math.exp(-TWO_PI * x)
+    assert q > 0.0 and q**first == 0.0
+    bound = planner.tail_bound("exp_envelope", first, x).bound
+    with mpmath.workdps(40):
+        qq = mpmath.exp(-2 * mpmath.pi * x)
+        uniform = 2 * mpmath.pi * mpmath.nsum(
+            lambda k: k * (3.1 + mpmath.log(k)) * qq**k, [first, mpmath.inf]
+        )
+        s = 1 / mpmath.sin(mpmath.pi * abs(x - round(x))) if x != round(x) else mpmath.inf
+        oscillatory = 2 * mpmath.pi * mpmath.nsum(
+            lambda k: (s + (s + 1) / 2 * k) * qq**k, [first, mpmath.inf]
+        )
+        assert 0.0 < min(uniform, oscillatory) <= bound, (first, x)
+
+
 def test_tail_bound_validation():
     with pytest.raises(ValueError):
         planner.tail_bound("no_such_family", 3)
@@ -390,8 +411,8 @@ def test_planned_psi_sums_only_its_moment_form(monkeypatch, x):
     monkeypatch.undo()
     for name in tail_passes + ("bound_csch2", "lift_shift"):
         monkeypatch.setattr(planner, name, forbidden)
-    for name in ("double_series_S", "_guard_pole_pair"):
-        monkeypatch.setattr(series, name, forbidden)
+    monkeypatch.setattr(series, "double_series_S", forbidden)
+    monkeypatch.setattr(double_series, "_guard_pole_pair", forbidden)
     sv = series.psi_ramanujan(x, params)
     assert (sv.k_used, sv.n_used) == (params.k_terms, 0)
 

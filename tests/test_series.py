@@ -114,9 +114,9 @@ def test_cot_pair_limit_forms_agree():
         b = 2.0 * math.pi * math.exp(2.0 * math.pi * m) / (big_e * big_e)
         assert abs(a - b) <= 16.0 * math.ulp(1.0) * a + 1e-30
         limit = 1.0 / (2.0 * m * big_e) - b
-        assert abs(series._guard_pole_pair(m, 0.0) - limit) <= 1e-15
+        assert abs(double_series._guard_pole_pair(m, 0.0) - limit) <= 1e-15
         # the eps -> 0 limit is attained continuously
-        assert abs(series._guard_pole_pair(m, 1e-9) - limit) <= 1e-6
+        assert abs(double_series._guard_pole_pair(m, 1e-9) - limit) <= 1e-6
 
 
 # ------------------------------------------------------- recurrence lift
@@ -403,11 +403,11 @@ def _r_of_x_mpmath(mpmath, x):
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
 def test_small_x_double_series_and_re_psi_within_estimate_of_mpmath(tol):
-    # both evaluate R(x) at x itself, where its pieces grow like 1/x^2 and
+    # S evaluates R(x) at x itself, where its pieces grow like 1/x^2 and
     # 1 - e^{-t} must not be formed by subtraction; just outside the guard
     # bands of 1 and 2 the k = m term is ~q/|x - m|, so k^2 - x^2 must not
-    # carry the rounding of x*x. Only the estimate is asked here, not that
-    # it meets tol
+    # carry the rounding of x*x. Re psi is P(x) - gamma there. Only the
+    # estimate is asked here, not that it meets tol
     mpmath = pytest.importorskip("mpmath")
     xs = [10.0 ** (e / 4) for e in range(-32, -7)]
     xs += [m + s * d for m in (1, 2) for s in (-1, 1) for d in (1.01e-3, 2e-3, 5e-3, 1e-2)]
@@ -602,7 +602,7 @@ def test_gamma_any_x_sums_at_the_lifted_argument(monkeypatch, x):
 
 @pytest.mark.parametrize(
     "evaluator, order",
-    [("psi_ramanujan", 1), ("re_psi_complex_ramanujan", 1), ("psi_prime_ramanujan", 2)],
+    [("psi_ramanujan", 1), ("psi_prime_ramanujan", 2)],
 )
 def test_lift_rounding_is_exact_and_charged(monkeypatch, evaluator, order):
     # fl(0.1 + 16) rounds: _lift's d is that rounding exactly, and each
@@ -763,8 +763,8 @@ def test_re_psi_gamma_consistency():
 
 
 def test_re_psi_guard_band():
-    # below 16 the cot piece pairs with the k = m term in _d_at, whether m is
-    # summed (m <= K) or left to the tail (m > K); from 16 on inside _D_FAR
+    # below 16 P(x) - gamma has no pole at the integers; from 16 on the cot
+    # piece pairs with the k = m term inside _D_FAR
     mpmath = pytest.importorskip("mpmath")
     offs = (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 3e-7, -2e-5, 4.99e-4, -9.99e-4)
     runs = [P12, EvalParams(tol=1e-12, k_terms=1)]
@@ -778,10 +778,9 @@ def test_re_psi_guard_band():
 
 @pytest.mark.parametrize("evaluator", ["re_psi_complex_ramanujan", "gamma_any_x"])
 def test_re_psi_charges_twice_the_k_sum_half_of_its_one_pass(monkeypatch, evaluator):
-    # below 16, D's k > K terms are each at most twice the k-sum term, so Re
-    # psi charges twice one bound_psi_k_sum at x; the log family cancels out
-    # of D, so its tail is neither charged nor computed. gamma_any_x sums at
-    # y >= 16, where the tails are closed forms: it makes no pass
+    # below 16 Re psi is P(x) - gamma, with gamma from psi's moment form at
+    # 16, and gamma_any_x sums at y >= 16: the tails are closed forms, so
+    # neither makes a k-sum or log-family tail pass
     calls = []
 
     def k_sum(first, x, guard_delta=EvalParams.guard_delta, skip=0):
@@ -795,11 +794,23 @@ def test_re_psi_charges_twice_the_k_sum_half_of_its_one_pass(monkeypatch, evalua
     monkeypatch.setattr(planner, "bound_psi_k_sum", k_sum)
     monkeypatch.setattr(planner, "bound_log_csch2", log_half)
     sv = getattr(series, evaluator)(7.3, p)
-    if evaluator == "gamma_any_x":
-        assert calls == [] and sv.error_estimate <= p.tol
-    else:
-        assert calls == [(p.k_terms + 1, 7.3, 0)]
-        assert 1.0 <= sv.error_estimate < 1.1
+    assert calls == [] and sv.error_estimate <= p.tol
+
+
+@pytest.mark.parametrize("x", [1e-300, 0.25, 3.0, 7.3, 16.0 - 1e-6])
+def test_re_psi_below_16_is_p_less_gamma_at_16(monkeypatch, x):
+    # one Horner pass, over psi's table at y = 16, for gamma = H_16 - psi(17),
+    # and one Euler-Maclaurin body, at x itself, for P(x)
+    seen, bodies = [], []
+    moment_sum, pf_body = series._moment_sum, series._pf_body
+    monkeypatch.setattr(
+        series, "_moment_sum", lambda form, y: seen.append((form, y)) or moment_sum(form, y)
+    )
+    monkeypatch.setattr(series, "_pf_body", lambda y: bodies.append(y) or pf_body(y))
+    p = planner.plan(1e-12, x)
+    series.re_psi_complex_ramanujan(x, p)
+    assert seen == [(series._moment_form(series._PSI, p.k_terms, p.tol), 16.0)]
+    assert bodies == [x]
 
 
 # --------------------------------------------------------------- zeta odd
