@@ -35,7 +35,9 @@ MAX_N_TERMS = 500_000
 # their moment forms lift to 16 (series._Y_MOMENT)
 LIFT_TARGET = 3.0
 # bound_exp_envelope where q = e^{-2 pi x} underflows to 0 (derived there)
-_ENVELOPE_FLOOR = 20.0 * math.ulp(0.0)
+_ULP_ZERO = math.ulp(0.0)
+_NORMAL_MIN = 2.0**-1022  # the smallest normal double
+_ENVELOPE_FLOOR = 20.0 * _ULP_ZERO
 
 
 def _geom(first: int, q: float) -> float:
@@ -114,19 +116,32 @@ def bound_exp_envelope(first: int, x: float) -> float:
       |A_k| <= s/(k^2+1) and |C_k| <= c/(k^2+1) with s = 1/|sin(theta/2)|,
       c = 1/2 + s/2, theta = 2 pi dist(x), so the summand is <= s + c k.
 
+    The summand bounds are rigorous, but where q^first is a normal double the
+    closed form takes q = exp(-fl(2 pi x)) as exact: the rounding of 2 pi x,
+    ~2 pi x u of q, is charged nowhere, and the bound can lie up to ~4e-14
+    of itself below the sums it bounds (on x in [40, 118.6]).
+
     Where q underflows to 0 (x >~ 118.6) S is not 0, so neither is its
     bound: a faithful exp returns 0 only for q < ulp(0.0), and there the
     uniform envelope from k = 1, 2 pi sum_k k (3.1 + log k) q^k, is at most
     2 pi (3.1 q + 8 q^2) < 19.5 q + 51 q^2 < 20 q, so _ENVELOPE_FLOOR =
     20 ulp(0.0) (~9.9e-323) bounds every tail at every such x.
 
+    Both closed forms are q^first times a C(first) that does not underflow.
+    Where q^first is subnormal (q itself from x >~ 112.7), a faithful pow or
+    exp can return up to an ulp(0.0) below it, and the closed form's
+    products, taken in subnormals, would each round to the few bits left.
+    So the bound is C(first), formed at q^first = 1, times the computed
+    power plus ulp(0.0), rounded up to a whole ulp(0.0):
+    ceil(C(first) (q^first/ulp(0.0) + 1) (1 + 1e-12)) ulp(0.0), a double
+    exactly (the 1e-12 covers C's rounding and that of 2 pi x in q).
+
     Where q^first underflows but q does not, the tail is not 0 either. Let h
     be the first index with fl(q^h) = 0 (by bisection). A faithful pow gives
-    0 only for q^h < ulp(0.0), and both closed forms are q^h times a C(h)
-    that does not underflow, so the tail from first >= h is below
-    C(h) ulp(0.0) <= ceil(C(h) (1 + 1e-12)) ulp(0.0), a double exactly (the
-    1e-12 covers C's rounding), and below the bound from h - 1. The smaller
-    of the two does not depend on first, so the bound stays nonincreasing.
+    0 only for q^h < ulp(0.0), so the tail from first >= h is below
+    C(h) ulp(0.0) <= ceil(C(h) (1 + 1e-12)) ulp(0.0), and below the bound
+    from h - 1. The smaller of the two does not depend on first, so the
+    bound stays nonincreasing.
     """
     if not x > 0:
         raise ValueError("x must be positive")
@@ -137,13 +152,21 @@ def bound_exp_envelope(first: int, x: float) -> float:
         return math.inf
     qf = q**first
     if qf:
-        return _envelope(first, qf, q, x)
+        return _envelope_up(first, qf, q, x)
     last, h = 1, first  # q^last does not underflow, q^h does
     while h - last > 1:
         mid = (last + h) // 2
         last, h = (mid, h) if q**mid else (last, mid)
-    from_h = math.ceil(_envelope(h, 1.0, q, x) * (1.0 + 1e-12)) * math.ulp(0.0)
-    return min(_envelope(last, q**last, q, x), from_h)
+    from_h = math.ceil(_envelope(h, 1.0, q, x) * (1.0 + 1e-12)) * _ULP_ZERO
+    return min(_envelope_up(last, q**last, q, x), from_h)
+
+
+def _envelope_up(first: int, qf: float, q: float, x: float) -> float:
+    """_envelope at the computed qf = fl(q^first) > 0, raised by ulp(0.0)
+    of qf where qf is subnormal (bound_exp_envelope)."""
+    if qf >= _NORMAL_MIN:
+        return _envelope(first, qf, q, x)
+    return math.ceil(_envelope(first, 1.0, q, x) * (qf / _ULP_ZERO + 1.0) * (1.0 + 1e-12)) * _ULP_ZERO
 
 
 def _envelope(first: int, qf: float, q: float, x: float) -> float:

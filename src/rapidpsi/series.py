@@ -22,8 +22,8 @@ Numerical strategy notes:
   form. Euler's constant is H_n - psi(n+1) at n = max(m, 16) at an integer
   m, and the partial-fraction sum P(y) less Re psi(1+iy) at y >= 16 away
   from one, with P by Euler-Maclaurin in pure Python; below 16 Re psi is
-  that identity read the other way, P(x) less gamma at n = 16. None of them
-  sums S or meets a pole;
+  that identity read the other way, P(x) less gamma at n = 16, whose pieces
+  are computed once per (K, tol). None of them sums S or meets a pole;
 - the odd zeta values read their scale-pi weights from _PI_WEIGHTS; the
   two-parameter form is summed at the smaller member of its pair, where
   one exp/expm1 pair per k gives both the Lambert and the csch^2 weight and
@@ -83,30 +83,60 @@ def zeta_even(N: int, table: BernoulliTable) -> float:
 
 # P(y) = sum_{n>=1} f(n), f(n) = y^2/(n(n^2+y^2)) = 1/n - Re 1/(n+iy), adds
 # n < _PF_M directly and the rest by Euler-Maclaurin (DLMF 2.10(i)) from M
-_PF_M = 32
+_PF_M = 12
 _LOG_PF_M = math.log(_PF_M)
-# B_{2j}/(2j) for j = 1..5: the weight of -f^(2j-1)(M)/(2j-1)! in the sum
-_EM_WEIGHTS = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0)
+# B_{2j}/(2j) for j = 1..8: the weight of -f^(2j-1)(M)/(2j-1)! in the sum
+_EM_WEIGHTS = (
+    1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0,
+    1.0 / 132.0, -691.0 / 32760.0, 1.0 / 12.0, -3617.0 / 8160.0,
+)
 # the 1/n half of those corrections, sum_j B_{2j}/(2j) M^-2j, fixed with M
 _EM_AT_M = math.fsum(w * float(_PF_M) ** (-2 * j) for j, w in enumerate(_EM_WEIGHTS, 1))
 # (n, n^3) for n <= M: the directly summed n < M and the half-weight f(M)
 _PF_TERMS = tuple((float(n), float(n) ** 3) for n in range(1, _PF_M + 1))
-# the remainder past f^(9): |B_10|/10! = 2 zeta(10)/(2 pi)^10, with
-# zeta(10) = pi^10/93555, against int_M^inf |f^(10)| <= int 10!/t^11 +
-# int 10!/|t+iy|^11 <= 2 * 9!/M^10, at any y; 1.35e-17, with 1e-12 for its
-# own rounding
-_PF_REMAINDER = 4.0 * math.pi**10 / 93555 * math.factorial(9) / (_TWO_PI * _PF_M) ** 10 * (1.0 + 1e-12)
+# what _pf_body leaves out or rounds where _close cannot see it, at any y:
+# - the remainder past f^(15), p = 8 corrections: |B_2p|/(2p)! against
+#   int_M^inf |f^(2p)| <= int (2p)!/t^(2p+1) + int (2p)!/|t+iy|^(2p+1)
+#   <= 2 (2p-1)!/M^(2p), so |B_2p|/(p M^(2p)) = |B_16|/(8 * 12^16), 4.8e-18;
+# - the rounding of the corrections, 34 u sum_j j |B_2j/(2j)| M^-2j with
+#   u = eps/2, 2.2e-18 (derived in _pf_body's docstring).
+# 6.98e-18 in all; the 1e-12 covers the rounding of the two charges
+_PF_REMAINDER = (
+    3617.0 / 510.0 / (8.0 * float(_PF_M) ** 16)
+    + 17.0 * _EPS * math.fsum(j * abs(w) * float(_PF_M) ** (-2 * j) for j, w in enumerate(_EM_WEIGHTS, 1))
+) * (1.0 + 1e-12)
 
 
 def _pf_body(y: float) -> float:
     """P(y) less its Euler-Maclaurin integral term: the n < M terms, f(M)/2
-    and the corrections through f^(9) at M = _PF_M, where
-    -f^(2j-1)(M)/(2j-1)! = M^-2j - Re (M+iy)^-2j. Each f(n) is formed as
-    1/(n + n^3/y^2), with 1/y^2 as (1/y)^2, and (M+iy)^-1 by complex
-    division, so nothing cancels or overflows at any y > 0 (an infinite
-    1/y^2 gives the f(n) = 0 that y^2/n^3 underflows to); the terms are
-    positive, so their sum carries at most 4 eps of itself, and the
-    corrections are below 1e-4."""
+    and the corrections through f^(15) at M = _PF_M = 12, where
+    -f^(2j-1)(M)/(2j-1)! = M^-2j - Re (M+iy)^-2j, all in one fsum. Each f(n)
+    is formed as 1/(n + n^3/y^2), with 1/y^2 as (1/y)^2, and (M+iy)^-1 by
+    complex division, so nothing cancels or overflows at any y > 0 (an
+    infinite 1/y^2 gives the f(n) = 0 that y^2/n^3 underflows to).
+
+    Rounding, to first order (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1), with u = eps/2, W_1 = sum_j |w_j| M^-2j and
+    W = sum_j j |w_j| M^-2j >= W_1 over the weights w_j = B_2j/(2j):
+    - each f(n) is within 6 u of itself, so the n <= M terms, which are
+      positive, sum to s within 3 eps of s, and the one fsum adds u of the
+      body. With s <= |body| + |C|, C the corrections' exact sum and
+      |C| <= 2 W_1, that is 3.5 eps of the body, which _close's 4 eps of
+      the piece covers, and 12 u W_1;
+    - CPython's Smith division gives z = 1/(M+iy) within 5 u normwise (with
+      dividend 1 each part takes four or five roundings), and the complex
+      square adds sqrt(5) u (Brent, Percival and Zimmermann, 2007; 2 u with
+      a fused multiply-add), so z^2 is within 12.24 u of (M+iy)^-2, whose
+      modulus is at most M^-2;
+    - the Horner pass takes w_j through j real additions (u each) and j
+      complex products (sqrt(5) u each), and its power of z^2 through j
+      times 12.24 u: 15.47 u W in all;
+    - the float weights (u each, in both halves), the powers of M (one ulp
+      from pow), their products and their fsum put _EM_AT_M within 5 u W_1
+      and the weights put the pass within u W_1 more.
+    Together 15.47 u W + 18 u W_1 <= 34 u W, which _PF_REMAINDER charges at
+    its float weights; a part that underflows loses below 1e-300, which the
+    rounding up from 33.47 covers."""
     inv = 1.0 / y
     inv2 = inv * inv
     terms = [1.0 / (n + n3 * inv2) for n, n3 in _PF_TERMS]
@@ -116,7 +146,8 @@ def _pf_body(y: float) -> float:
     horner = 0j
     for weight in reversed(_EM_WEIGHTS):
         horner = (horner + weight) * z
-    return math.fsum(terms) + _EM_AT_M - horner.real
+    terms += (_EM_AT_M, -horner.real)
+    return math.fsum(terms)
 
 
 def _close(pieces: list[float], bound: float, k_used: int, n_used: int) -> SeriesValue:
@@ -483,14 +514,28 @@ def _gamma_at(n: int, k: int, tol: float) -> tuple[list[float], float]:
     return [harmonic, -math.log(n), -0.5 / n, -value], bound + form.far
 
 
+@lru_cache(maxsize=256)
+def _gamma_at_16(k: int, tol: float) -> tuple[tuple[float, ...], float]:
+    """_gamma_at(16, k, tol) as an immutable (pieces, bound), memoized per
+    (k, tol) in an LRU cache as _moment_form is: it depends on nothing else,
+    so Re psi below 16 and gamma_at_integer at m <= 16 make one moment sum
+    at 16 per (k, tol), not one per call."""
+    pieces, bound = _gamma_at(int(_Y_MOMENT), k, tol)
+    return tuple(pieces), bound
+
+
 def gamma_at_integer(m: int, params: EvalParams) -> SeriesValue:
     """Euler's constant from gamma = H_n - psi(n+1), which holds at every n,
-    taken at n = max(m, 16) over K = min(k_terms, 7) outer terms (_gamma_at),
-    closed in _close. No double series, guard pair or tail pass runs. k_used
+    taken at n = max(m, 16) over K = min(k_terms, 7) outer terms, closed in
+    _close: at m <= 16 from the cached pieces of _gamma_at_16, past it from
+    _gamma_at(m). No double series, guard pair or tail pass runs. k_used
     is K and n_used 0."""
     _check_gamma_m(m)
     k = min(params.k_terms, _K_CAP)
-    pieces, bound = _gamma_at(max(m, int(_Y_MOMENT)), k, params.tol)
+    if m <= _Y_MOMENT:
+        pieces, bound = _gamma_at_16(k, params.tol)
+    else:
+        pieces, bound = _gamma_at(m, k, params.tol)
     return _close(pieces, bound, k, 0)
 
 
@@ -545,9 +590,10 @@ def re_psi_complex_ramanujan(x: float, params: EvalParams) -> SeriesValue:
     Below 16, Re psi(1+ix) = P(x) - gamma, P(x) = sum_n x^2/(n(n^2+x^2))
     (DLMF 5.7.6 with z = ix), the identity gamma_any_x reads the other way:
     P(x) is _pf_body(x) + (1/2) log1p((x/M)^2), charged _PF_REMAINDER, and
-    gamma is H_16 - psi(17) from psi's moment form at 16 (_gamma_at). No
-    piece has a pole or grows as x -> 0. Either way every piece closes in
-    one fsum (_close), so every x > 0 is admitted. k_used is K, n_used 0."""
+    gamma is H_16 - psi(17) from psi's moment form at 16, whose pieces and
+    bound _gamma_at_16 computes once per (K, tol). No piece has a pole or
+    grows as x -> 0. Either way every piece closes in one fsum (_close), so
+    every x > 0 is admitted. k_used is K, n_used 0."""
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
     k = min(params.k_terms, _K_CAP)
@@ -555,7 +601,7 @@ def re_psi_complex_ramanujan(x: float, params: EvalParams) -> SeriesValue:
         form = _moment_form(_RE_PSI, k, params.tol)
         value, bound = _moment_sum(form, x)
         return _close([value, math.log(x)], bound + form.far, k, 0)
-    gamma, bound = _gamma_at(int(_Y_MOMENT), k, params.tol)
+    gamma, bound = _gamma_at_16(k, params.tol)
     r = x / _PF_M
     pieces = [_pf_body(x), 0.5 * math.log1p(r * r)] + [-g for g in gamma]
     return _close(pieces, bound + _PF_REMAINDER, k, 0)

@@ -16,12 +16,13 @@ import functools
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from rapidpsi import double_series, planner, series
-from rapidpsi.bernoulli import shared_table
+from rapidpsi.bernoulli import build_bernoulli_table, shared_table
 from rapidpsi.errors import ToleranceError
 from rapidpsi.params import MAX_GAMMA_M, EvalParams, ModularPair
 
@@ -248,11 +249,12 @@ COROLLARIES = ("re_psi_complex_ramanujan", "gamma_any_x", "psi_prime_ramanujan",
 
 
 @pytest.mark.parametrize("evaluator", COROLLARIES)
-def test_corollaries_take_the_moment_core_path(monkeypatch, evaluator):
+def test_corollaries_take_the_moment_core_path(monkeypatch, fresh_gamma_16, evaluator):
     # none sums the double series (nor loads its module, which
     # test_corollary_round_imports_no_numpy checks in a fresh process), and
     # from the lift target on none makes a tail pass; gamma_at_integer makes
-    # none at any m
+    # none at any m. gamma at 16 is cached, so the cache is cleared once the
+    # passes are banned, and every banned call computes it afresh
     reached = []
 
     def banned(name):
@@ -267,6 +269,7 @@ def test_corollaries_take_the_moment_core_path(monkeypatch, evaluator):
     if evaluator == "gamma_at_integer":
         for name in TAIL_PASSES:
             monkeypatch.setattr(planner, name, banned(name))
+        series._gamma_at_16.cache_clear()
         for m in (1, 2, 15, 16, 17, 100, 120, MAX_GAMMA_M):
             for tol in TOLS:
                 evaluate(m, planner.plan(tol, float(m)))
@@ -276,6 +279,7 @@ def test_corollaries_take_the_moment_core_path(monkeypatch, evaluator):
         evaluate(x, planner.plan(1e-12, x))
     for name in TAIL_PASSES:
         monkeypatch.setattr(planner, name, banned(name))
+    series._gamma_at_16.cache_clear()
     for x in (Y + 0.25, 16.5, 100.25, 1e12 + 0.5, 1e15 + 0.25):
         for tol in TOLS:
             evaluate(x, planner.plan(tol, x))
@@ -508,12 +512,14 @@ def test_moment_sum_rounding_within_the_mass_charge():
         ("gamma_at_integer", 2),
     ],
 )
-def test_each_evaluator_charges_its_forms_far_constant(monkeypatch, evaluator, arg):
+def test_each_evaluator_charges_its_forms_far_constant(monkeypatch, fresh_gamma_16, evaluator, arg):
     # a form whose far constant is 1 moves the estimate by 1: every
-    # evaluator adds its form's far, unscaled, to its bound
+    # evaluator adds its form's far, unscaled, to its bound (gamma at 16 is
+    # cached, so it is cleared once more before the patched call)
     p = planner.plan(1e-12, float(arg))
     evaluate = getattr(series, evaluator)
     plain = evaluate(arg, p)
+    series._gamma_at_16.cache_clear()
     table = series._moment_form
 
     def with_far_one(family, k, tol):
@@ -544,13 +550,55 @@ def test_d_tail_below_the_lift_target_within_twice_the_k_sum_tail():
                 assert brute <= 2 * planner.bound_psi_k_sum(first, x, DELTA, m), (x, first)
 
 
+def _em_weights_exact() -> list:
+    """B_2j/(2j) for j = 1..8, the Euler-Maclaurin weights of P, as exact
+    Fractions from the Bernoulli table."""
+    values = build_bernoulli_table(16).values
+    return [values[2 * j] / (2 * j) for j in range(1, 9)]
+
+
+def test_euler_maclaurin_weights_are_the_bernoulli_ratios():
+    # each weight, through f^(15), is the double nearest its exact ratio
+    assert series._EM_WEIGHTS == tuple(float(w) for w in _em_weights_exact())
+
+
+def test_pf_remainder_covers_its_remainder_and_rounding():
+    # in Fractions: the Euler-Maclaurin remainder past f^(15),
+    # |B_16|/(8 M^16), and the rounding of the corrections,
+    # 34 u sum_j j |w_j| M^-2j with u = eps/2, each derived beside the
+    # constant and in _pf_body; and the charge exceeds the 1/(66 * 32^10) it
+    # replaced (|B_10|/(5 M^10) at M = 32) by at most 1e-18
+    weights = _em_weights_exact()
+    m = Fraction(series._PF_M)
+    remainder = abs(16 * weights[-1]) / (8 * m**16)
+    u = Fraction(math.ulp(1.0)) / 2
+    rounding = 34 * u * sum(j * abs(w) / m ** (2 * j) for j, w in enumerate(weights, 1))
+    assert Fraction(series._PF_REMAINDER) >= remainder + rounding
+    assert series._PF_REMAINDER <= float(Fraction(1, 66 * 32**10)) + 1e-18
+
+
+# four y per decade over the whole range and its ends, the earlier points
+# around 32, the direct terms' end M = 12 and its neighbours (where
+# CPython's complex division switches branch), and [1e-3, 1], where P's
+# Euler-Maclaurin corrections cancel most
+PF_Y = [10.0 ** (e / 4) for e in range(-1200, 1201)] + [5e-324, 0.5, 3.0, 16.0, 31.5, 32.0, 33.0, 1.7e308]
+PF_Y += [12.0 - 1e-9, 12.0, 12.0 + 1e-9] + [1e-3 + i * (1.0 - 1e-3) / 40 for i in range(41)]
+
+
 def test_partial_fraction_sum_within_its_error_at_any_x():
-    # Euler-Maclaurin from 32 on, in forms that neither overflow nor cancel
-    xs = [5e-324, 1e-300, 1e-160, 1e-8, 0.5, 1.0, 3.0, 16.0, 31.5, 32.0, 33.0]
-    xs += [1e4, 1e12, 1e160, 1e300, 1.7e308]
-    with mpmath.workdps(40):
-        for x in xs:
-            value, err = double_series._partial_fraction_gamma_sum(x)
-            truth = mpmath.digamma(mpmath.mpc(1, x)).real + mpmath.euler
-            assert abs(mpmath.mpf(value) - truth) <= err, x
-            assert err <= 4e-15 * max(1.0, math.log(x)), x
+    # Euler-Maclaurin from 12 on, in forms that neither overflow nor cancel:
+    # at 50 digits P(y) lies within its error, and its body (P less the
+    # integral term from M) within _PF_REMAINDER plus the 4 eps of itself
+    # that _close charges a piece, since the corrections' rounding is the
+    # remainder's to pay
+    with mpmath.workdps(50):
+        m = mpmath.mpf(series._PF_M)
+        for y in PF_Y:
+            yy = mpmath.mpf(y)
+            truth = mpmath.digamma(mpmath.mpc(1, yy)).real + mpmath.euler
+            value, err = double_series._partial_fraction_gamma_sum(y)
+            assert abs(mpmath.mpf(value) - truth) <= err, y
+            assert err <= 4e-15 * max(1.0, math.log(y)), y
+            body = series._pf_body(y)
+            exact = truth - mpmath.log1p((yy / m) ** 2) / 2
+            assert abs(mpmath.mpf(body) - exact) <= series._PF_REMAINDER + 4.0 * planner._EPS * body, y

@@ -282,6 +282,52 @@ def test_exp_envelope_where_its_first_power_underflows(first, x):
         assert 0.0 < min(uniform, oscillatory) <= bound, (first, x)
 
 
+# x in [40, 118.6], where q^first for first <= 3 turns subnormal (q itself
+# from x ~ 112.7) and then underflows, and (2, 59.2372), where q^2 is ~1
+# ulp(0.0) and a closed form taken in subnormals fell over a quarter below
+# its sum
+ENVELOPE_XS = [40.0 + 78.6 * i / 400 for i in range(401)] + [59.2372, 112.8, 118.4, 118.5]
+
+
+def _envelope_below_its_sum(normal):
+    """The (first, x) with first <= 3 on ENVELOPE_XS at which
+    bound_exp_envelope lies below the smaller of its two envelope sums, each
+    from four terms in 40-digit mpmath, over the points whose computed
+    q^first is a normal double (normal) or subnormal or 0 (not normal)."""
+    mpmath = pytest.importorskip("mpmath")
+    below = []
+    with mpmath.workdps(40):
+        for x in ENVELOPE_XS:
+            qq = mpmath.exp(-2 * mpmath.pi * x)
+            dist = abs(x - round(x))
+            s = 1 / mpmath.sin(mpmath.pi * dist) if dist else mpmath.inf
+            q = math.exp(-TWO_PI * x)
+            for first in (1, 2, 3):
+                if (q**first >= 2.0**-1022) != normal:
+                    continue
+                ks = range(first, first + 4)
+                uniform = 2 * mpmath.pi * mpmath.fsum(k * (3.1 + mpmath.log(k)) * qq**k for k in ks)
+                oscillatory = 2 * mpmath.pi * mpmath.fsum((s + (s + 1) / 2 * k) * qq**k for k in ks)
+                if min(uniform, oscillatory) > planner.bound_exp_envelope(first, x):
+                    below.append((first, x))
+    return below
+
+
+def test_exp_envelope_covers_its_sums_where_its_power_turns_subnormal():
+    # from the computed power plus ulp(0.0), the bound lies above both sums
+    assert _envelope_below_its_sum(normal=False) == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the normal path takes q = exp(-fl(2 pi x)) as exact and charges "
+    "nothing for the rounding of 2 pi x, so it lies up to ~4e-14 of itself "
+    "below its sums (a FOUND line in CHANGES.md)",
+)
+def test_exp_envelope_covers_its_sums_where_its_power_is_normal():
+    assert _envelope_below_its_sum(normal=True) == []
+
+
 def test_tail_bound_validation():
     with pytest.raises(ValueError):
         planner.tail_bound("no_such_family", 3)

@@ -324,7 +324,7 @@ def test_moment_forms_within_estimate_of_mpmath():
         ("gamma_at_integer", 1000),
     ],
 )
-def test_each_evaluator_sums_one_moment_form(monkeypatch, evaluator, arg):
+def test_each_evaluator_sums_one_moment_form(monkeypatch, fresh_gamma_16, evaluator, arg):
     # one Horner pass per call, over the table of the evaluator's family
     # (gamma_any_x's is checked in test_gamma_any_x_sums_at_the_lifted_argument)
     seen = []
@@ -777,7 +777,7 @@ def test_re_psi_guard_band():
 
 
 @pytest.mark.parametrize("evaluator", ["re_psi_complex_ramanujan", "gamma_any_x"])
-def test_re_psi_charges_twice_the_k_sum_half_of_its_one_pass(monkeypatch, evaluator):
+def test_re_psi_charges_twice_the_k_sum_half_of_its_one_pass(monkeypatch, fresh_gamma_16, evaluator):
     # below 16 Re psi is P(x) - gamma, with gamma from psi's moment form at
     # 16, and gamma_any_x sums at y >= 16: the tails are closed forms, so
     # neither makes a k-sum or log-family tail pass
@@ -798,7 +798,7 @@ def test_re_psi_charges_twice_the_k_sum_half_of_its_one_pass(monkeypatch, evalua
 
 
 @pytest.mark.parametrize("x", [1e-300, 0.25, 3.0, 7.3, 16.0 - 1e-6])
-def test_re_psi_below_16_is_p_less_gamma_at_16(monkeypatch, x):
+def test_re_psi_below_16_is_p_less_gamma_at_16(monkeypatch, fresh_gamma_16, x):
     # one Horner pass, over psi's table at y = 16, for gamma = H_16 - psi(17),
     # and one Euler-Maclaurin body, at x itself, for P(x)
     seen, bodies = [], []
@@ -811,6 +811,33 @@ def test_re_psi_below_16_is_p_less_gamma_at_16(monkeypatch, x):
     series.re_psi_complex_ramanujan(x, p)
     assert seen == [(series._moment_form(series._PSI, p.k_terms, p.tol), 16.0)]
     assert bodies == [x]
+
+
+def test_gamma_at_16_is_one_moment_sum_per_k_and_tol(monkeypatch, fresh_gamma_16):
+    # 100 Re psi calls below 16 and gamma_at_integer at m = 1..16, at one
+    # (K, tol), share one moment sum at 16; each result is, bit for bit,
+    # _close over the pieces and bound of a fresh _gamma_at(16)
+    seen = []
+    moment_sum = series._moment_sum
+    monkeypatch.setattr(
+        series, "_moment_sum", lambda form, y: seen.append(y) or moment_sum(form, y)
+    )
+    p = planner.plan(1e-12, 1.0)
+    k = min(p.k_terms, series._K_CAP)
+    xs = [0.01 + 0.1599 * i for i in range(100)]
+    re_psi = [series.re_psi_complex_ramanujan(x, p) for x in xs]
+    gammas = [series.gamma_at_integer(m, p) for m in range(1, 17)]
+    assert seen == [16.0]
+    pieces, bound = series._gamma_at(16, k, p.tol)
+
+    def fields(sv):
+        return sv.value.hex(), sv.error_estimate.hex(), sv.k_used, sv.n_used
+
+    assert {fields(sv) for sv in gammas} == {fields(series._close(pieces, bound, k, 0))}
+    for x, sv in zip(xs, re_psi):
+        r = x / series._PF_M
+        body = [series._pf_body(x), 0.5 * math.log1p(r * r)] + [-g for g in pieces]
+        assert fields(sv) == fields(series._close(body, bound + series._PF_REMAINDER, k, 0)), x
 
 
 # --------------------------------------------------------------- zeta odd
