@@ -116,10 +116,22 @@ def bound_exp_envelope(first: int, x: float) -> float:
       |A_k| <= s/(k^2+1) and |C_k| <= c/(k^2+1) with s = 1/|sin(theta/2)|,
       c = 1/2 + s/2, theta = 2 pi dist(x), so the summand is <= s + c k.
 
-    The summand bounds are rigorous, but where q^first is a normal double the
-    closed form takes q = exp(-fl(2 pi x)) as exact: the rounding of 2 pi x,
-    ~2 pi x u of q, is charged nowhere, and the bound can lie up to ~4e-14
-    of itself below the sums it bounds (on x in [40, 118.6]).
+    Where q^first is a normal double (>= 2^-1022 = e^-708.4), first 2 pi x
+    < 709, and the closed form is raised by (1 + 1e-12) for the rounding of
+    q. With u = eps/2, to first order (Higham, Accuracy and Stability of
+    Numerical Algorithms, 3.1): fl(2 pi x) is within 2u of 2 pi x (fl(2 pi)
+    and the product), which moves q by at most 2u 2 pi x of itself; a
+    faithful exp and pow add under 2u each, and pow carries q's error first
+    times; so the computed q^first is within 2u (first 2 pi x + first + 1)
+    of itself. Every caller in the package passes x >= 1 (S at the integers
+    and from LIFT_TARGET on, psi's far bound from 16 on), so
+    first < 709/(2 pi) < 113 and that is below 2u (709 + 113) < 1.9e-13.
+    The closed forms' other roundings, a few dozen operations on terms that
+    do not cancel (1 - q >= 0.998 at x >= 1, and q's error reaches them
+    damped by q), add below 1e-14. The 1e-12 covers both with room: 40-digit
+    mpmath put the unraised bound up to 3.6e-14 of itself below the sums on
+    x in [40, 118.6]. Below x = 1, where 1 - q cancels, the factor is not
+    derived.
 
     Where q underflows to 0 (x >~ 118.6) S is not 0, so neither is its
     bound: a faithful exp returns 0 only for q < ulp(0.0), and there the
@@ -162,10 +174,11 @@ def bound_exp_envelope(first: int, x: float) -> float:
 
 
 def _envelope_up(first: int, qf: float, q: float, x: float) -> float:
-    """_envelope at the computed qf = fl(q^first) > 0, raised by ulp(0.0)
-    of qf where qf is subnormal (bound_exp_envelope)."""
+    """_envelope at the computed qf = fl(q^first) > 0, raised by
+    (1 + 1e-12) where qf is normal and by ulp(0.0) of qf where it is
+    subnormal (bound_exp_envelope)."""
     if qf >= _NORMAL_MIN:
-        return _envelope(first, qf, q, x)
+        return _envelope(first, qf, q, x) * (1.0 + 1e-12)
     return math.ceil(_envelope(first, 1.0, q, x) * (qf / _ULP_ZERO + 1.0) * (1.0 + 1e-12)) * _ULP_ZERO
 
 

@@ -32,11 +32,12 @@ Numerical strategy notes:
   the argument-reduced trigonometry and the pole-cancelled guard pairs it
   alone needs, and double_series_S imports it on its first call;
 - error_estimate fields combine the planner's rigorous tail bounds with a
-  rounding allowance proportional to the summed magnitude; the evaluators
-  that end in one fsum of their pieces add it in _close, except psi from 16
-  on, which closes its three pieces in place with the same two fsums. Every
-  result is built by params.series_value, which checks the estimate as
-  SeriesValue does without its setter calls.
+  rounding allowance proportional to the summed magnitude; gamma at and
+  away from integers, Re psi and S below its lift add it in _close, one
+  fsum of their pieces, while psi and psi' sum the shift's harmonic terms
+  once and close their three or four pieces in place with the same two
+  fsums. Every result is built by params.series_value, which checks the
+  estimate as SeriesValue does without its setter calls.
 """
 
 from __future__ import annotations
@@ -441,6 +442,12 @@ def _moment_sum(form: _MomentForm, y: float) -> tuple[float, float]:
     return u * h, rem * (1.0 + 1e-12) + (t_a / near + form.mass) * u + t_b * ww / (1.0 - ww)
 
 
+# the recurrence's offsets 1..16 as floats, the same bits as the ints, so
+# x + c rounds as x + i does. _lift's shift is at most 16 at every x > 0:
+# fl(16 - x) <= 16, and x + 16 >= 16
+_OFFSETS = tuple(float(c) for c in range(1, int(_Y_MOMENT) + 1))
+
+
 def _lift(x: float, order: int) -> tuple[int, float, float]:
     """(shift, y, bound): shift is the smallest whole number >= 0 with
     y = fl(x + shift) >= _Y_MOMENT, and bound >= the change that the rounding
@@ -470,11 +477,22 @@ def psi_ramanujan(x: float, params: EvalParams) -> SeriesValue:
     2k/((e^{2 pi k} - 1)(k^2 - y^2)) expand in u for k <= K < y/2. The
     series is one Horner pass over its table for (K, tol) (_moment_form,
     _moment_sum), whose bound is the estimate with the rounding of x + shift
-    (_lift). The value is the fsum of the pieces, 1/(2y), the series, log y
-    and the harmonic terms, and the estimate adds 4 eps of the fsum of their
-    magnitudes, which covers each piece's rounding (_close). From 16 on,
-    where there is no shift, the three pieces close in place. k_used is K
-    and n_used 0: no inner sum runs.
+    (_lift). From 16 on, where there is no shift, the value is the fsum of
+    1/(2y), the series and log y, and the estimate adds 4 eps of the fsum of
+    their magnitudes. Below 16 the harmonic terms are summed once,
+    h = fsum(1/(x + c), c = 1..shift), and the four pieces 1/(2y), the
+    series, log y and -h close in place the same way.
+
+    4 eps = 8u (u = eps/2) of the magnitudes covers every rounding, to first
+    order (Higham, Accuracy and Stability of Numerical Algorithms, 3.1): each
+    term 1/fl(x + c) is within 2u of 1/(x + c), and the terms are positive,
+    so h is within 2u h of their exact sum before its fsum and 3u h after
+    it; 1/(2y) is within u and log y within an ulp, 2u log y (y >= 16, so
+    log y > 0); the series' own rounding is in its bound; and the closing
+    fsum adds u of the result, at most u of the magnitudes. That is at most
+    4u of the magnitudes, below the 8u charged, which also absorbs the
+    rounding of the magnitudes' own fsum. k_used is K and n_used 0: no inner
+    sum runs.
     """
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
@@ -490,9 +508,11 @@ def psi_ramanujan(x: float, params: EvalParams) -> SeriesValue:
         return series_value(math.fsum((half, value, log_y)), estimate, k, 0)
     shift, y, lift_err = _lift(x, 1)
     value, bound = _moment_sum(form, y)
-    pieces = [0.5 / y, value, math.log(y)]
-    pieces += [-1.0 / (x + i) for i in range(1, shift + 1)]
-    return _close(pieces, bound + form.far + lift_err, k, 0)
+    half, log_y = 0.5 / y, math.log(y)
+    h = math.fsum([1.0 / (x + c) for c in _OFFSETS[:shift]])
+    mass = math.fsum((half, abs(value), log_y, h))
+    estimate = bound + form.far + lift_err + 4.0 * _EPS * mass
+    return series_value(math.fsum((half, value, log_y, -h)), estimate, k, 0)
 
 
 def _check_gamma_m(m: int) -> None:
@@ -628,6 +648,17 @@ def psi_prime_ramanujan(x: float, params: EvalParams) -> SeriesValue:
     piece's pole at an integer m cancels against the k = m terms in
     _PRIME_FAR's pair, so every x > 0 is admitted, the integers and the x
     near 0 that lift to just above 16 among them.
+
+    The harmonic terms are summed once, h = fsum(1/((x + c)(x + c)),
+    c = 1..shift), 0 from 16 on, and the four pieces 1/y, -1/(2y^2), the
+    series over y and h close in place: the value is their fsum and the
+    estimate adds 4 eps = 8u (u = eps/2) of the fsum of their magnitudes.
+    That covers every rounding, to first order (Higham 3.1): fl(x + c) is
+    within u, its square within 3u and each term within 4u, all positive,
+    so h is within 5u h after its fsum; 1/y is within u, 1/(2y^2) within 2u
+    and the series over y within u past its bound over y; and the closing
+    fsum adds u of the result. That is at most 6u of the magnitudes, below
+    the 8u charged. k_used is K and n_used 0.
     """
     if not 0.0 < x < math.inf:
         raise ValueError("x must be positive and finite")
@@ -635,10 +666,11 @@ def psi_prime_ramanujan(x: float, params: EvalParams) -> SeriesValue:
     shift, y, lift_err = _lift(x, 2)
     form = _moment_form(_PRIME, k, params.tol)
     value, bound = _moment_sum(form, y)
-    pieces = [1.0 / y, -0.5 / (y * y), value / y]
-    if shift:
-        pieces += [1.0 / ((x + i) * (x + i)) for i in range(1, shift + 1)]
-    return _close(pieces, bound / y + form.far + lift_err, k, 0)
+    inv, tail, value = 1.0 / y, 0.5 / (y * y), value / y
+    h = math.fsum([1.0 / ((x + c) * (x + c)) for c in _OFFSETS[:shift]])
+    mass = math.fsum((inv, tail, abs(value), h))
+    estimate = bound / y + form.far + lift_err + 4.0 * _EPS * mass
+    return series_value(math.fsum((inv, -tail, value, h)), estimate, k, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,41 @@ def test_contract_against_mpmath(row, tol):
                 assert first.error_estimate <= tol, x
 
 
+def _ulps(x: float, n: int) -> float:
+    """x moved n ulps up (n > 0) or down (n < 0)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.inf if n > 0 else 0.0)
+    return x
+
+
+# psi(x+1) vanishes at X0, so the closing fsum cancels its pieces (log y, the
+# series and the harmonic sum h) all the way: the value is ~0 and the
+# estimate almost all rounding allowance. The ulp and 1e-9 neighbours cross
+# the zero, and 5e-324, the smallest double, lifts by the full shift 16
+X0 = 0.46163214496836236
+CANCELLATION_X = [_ulps(X0, n) for n in (-2, -1, 0, 1, 2)] + [X0 - 1e-9, X0 + 1e-9, 5e-324]
+
+
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("row", ["psi", "psi_prime"])
+def test_contract_where_the_close_cancels_most(row, tol):
+    evaluate, truth = ROWS[row]
+    with mpmath.workdps(40):
+        for x in CANCELLATION_X:
+            exact = truth(x)
+            planned = planner.plan(tol, x)
+            for p in [planned] + [EvalParams(tol=tol, k_terms=k) for k in HAND_K]:
+                sv = evaluate(x, p)
+                assert abs(mpmath.mpf(sv.value) - exact) <= sv.error_estimate, (x, p)
+                if p is planned and tol >= 1e-12:
+                    assert sv.error_estimate <= tol, x
+    if row == "psi":
+        # the zero's neighbours straddle it, so the cancellation is real
+        with mpmath.workdps(40):
+            assert truth(X0 - 1e-9) < 0 < truth(X0 + 1e-9)
+            assert abs(truth(X0)) < 1e-15
+
+
 # gamma_at_integer sums at n = max(m, 16): every m below, at and past the lift
 # target, 119 and 120 where the former double series at m ran out, and the cap
 GAMMA_M = list(range(1, 41)) + [100, 119, 120, 1000, MAX_GAMMA_M]

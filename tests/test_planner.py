@@ -318,13 +318,9 @@ def test_exp_envelope_covers_its_sums_where_its_power_turns_subnormal():
     assert _envelope_below_its_sum(normal=False) == []
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the normal path takes q = exp(-fl(2 pi x)) as exact and charges "
-    "nothing for the rounding of 2 pi x, so it lies up to ~4e-14 of itself "
-    "below its sums (a FOUND line in CHANGES.md)",
-)
 def test_exp_envelope_covers_its_sums_where_its_power_is_normal():
+    # raised by (1 + 1e-12) for the rounding of q, the bound lies above both
+    # sums; unraised it fell up to 3.6e-14 of itself below them
     assert _envelope_below_its_sum(normal=True) == []
 
 

@@ -236,30 +236,66 @@ def test_psi_dropped_terms_within_their_charges():
                 assert mpmath.fsum(abs(log_term(k, yy)) for k in ks) <= b * s / (1 - s)
 
 
+# the points at which psi's and psi''s closes are pinned: from 16 on, where
+# there is no shift, and below it, down to a shift of 16
+CLOSE_X = [16.0, 16.5, 17.146370822161767, 1000.3, 2.0**52, 1e12, 1e300, 1e-8, 0.5, 2.5, 15.9995]
+
+
 @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-15])
-@pytest.mark.parametrize(
-    "x",
-    [16.0, 16.5, 17.146370822161767, 1000.3, 2.0**52, 1e12, 1e300, 1e-8, 0.5, 2.5, 15.9995],
-)
+@pytest.mark.parametrize("x", CLOSE_X)
 def test_psi_is_the_fsum_of_its_pieces_bit_for_bit(x, tol):
-    # psi's value is the fsum of 1/(2y), the moment series, log y and the
-    # harmonic terms, and its estimate the series' bound, the far constant,
-    # the lift's charge and 4 eps of the fsum of |piece|; from 16 on, where
-    # the three pieces close in place, as below it. At tol 1e-12 a plain
-    # sum of the three pieces in any order rounds away from their fsum at
-    # x = 17.146370822161767
+    # psi's value is the fsum of 1/(2y), the moment series, log y and -h,
+    # with h the fsum of the shift's harmonic terms (0 from 16 on, where the
+    # three pieces close alone), and its estimate the series' bound, the far
+    # constant, the lift's charge and 4 eps of the fsum of the four
+    # magnitudes. At tol 1e-12 a plain sum of the three pieces in any order
+    # rounds away from their fsum at x = 17.146370822161767
     p = planner.plan(tol, x)
     k = min(p.k_terms, series._K_CAP)
     shift, y, lift_err = series._lift(x, 1)
     assert (shift == 0) == (x >= 16.0)
     form = series._moment_form(series._PSI, k, tol)
     value, bound = series._moment_sum(form, y)
-    pieces = [0.5 / y, value, math.log(y)] + [-1.0 / (x + i) for i in range(1, shift + 1)]
+    h = math.fsum([1.0 / (x + i) for i in range(1, shift + 1)])
+    pieces = [0.5 / y, value, math.log(y), -h]
     estimate = bound + form.far + lift_err + 4.0 * planner._EPS * math.fsum(map(abs, pieces))
     sv = series.psi_ramanujan(x, p)
     assert sv.value == math.fsum(pieces)
     assert sv.error_estimate == estimate
     assert (sv.k_used, sv.n_used) == (k, 0)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-15])
+@pytest.mark.parametrize("x", CLOSE_X)
+def test_psi_prime_is_the_fsum_of_its_pieces_bit_for_bit(x, tol):
+    # psi''s value is the fsum of 1/y, -1/(2y^2), the moment series over y
+    # and h, the fsum of the shift's terms 1/(x+i)^2 (0 from 16 on), and its
+    # estimate the series' bound over y, the far constant, the lift's
+    # charge and 4 eps of the fsum of the four magnitudes
+    p = planner.plan(tol, x)
+    k = min(p.k_terms, series._K_CAP)
+    shift, y, lift_err = series._lift(x, 2)
+    form = series._moment_form(series._PRIME, k, tol)
+    value, bound = series._moment_sum(form, y)
+    h = math.fsum([1.0 / ((x + i) * (x + i)) for i in range(1, shift + 1)])
+    pieces = [1.0 / y, -0.5 / (y * y), value / y, h]
+    estimate = bound / y + form.far + lift_err + 4.0 * planner._EPS * math.fsum(map(abs, pieces))
+    sv = series.psi_prime_ramanujan(x, p)
+    assert sv.value == math.fsum(pieces)
+    assert sv.error_estimate == estimate
+    assert (sv.k_used, sv.n_used) == (k, 0)
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-300, 0.1, math.nextafter(16.0, 0.0)])
+def test_offsets_cover_every_shift(x):
+    # the float offsets hold every shift _lift makes, and x + c rounds as
+    # x + i does, so each harmonic term is the int offset's bit for bit
+    for order in (1, 2):
+        assert 1 <= series._lift(x, order)[0] <= len(series._OFFSETS)
+    assert series._OFFSETS == tuple(range(1, 17))
+    for i, c in enumerate(series._OFFSETS, 1):
+        assert 1.0 / (x + c) == 1.0 / (x + i)
+        assert 1.0 / ((x + c) * (x + c)) == 1.0 / ((x + i) * (x + i))
 
 
 KERNEL_TOLS = [1e-6, 1e-9, 1e-12, 1e-15, 3.7e-13]
