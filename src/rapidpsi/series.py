@@ -11,10 +11,17 @@ Numerical strategy notes:
   argument lifted to y >= 16 for K <= 7 outer terms: the identity
   sum_k csch^2(pi k) = 1/6 - 1/(2 pi) makes log y exact, and the K-term
   k-sums expand in u = 1/y^2. The series' coefficients, degree and bound
-  constants depend only on (K, tol) and are tabulated once per form
-  (_moment_form), so a call is one Horner pass. What it does not sum there
-  (S(y), the trigonometric terms and every index near or past y) carries
-  e^{-2 pi (y-1)} and is charged as one constant;
+  depend only on (K, tol) and are tabulated once per form (_moment_form),
+  the bound from 32 on as one cell per binade [2^(e-1), 2^e) of y,
+  e = 6..65, taken at the binade's lower end: each of its parts (the
+  remainders, the closed tails and the rounding mass) is nonincreasing in
+  y from 16 on, so that value holds across the binade, and the last cell
+  holds past 2^64. There a call is one Horner pass and one lookup
+  (_moment_sum); below 32, where every lifted argument lands and the
+  remainders sized to tol at 16 fall fastest, the bound is taken at y, so
+  it does not rise. What the form does not sum (S(y), the trigonometric
+  terms and every index near or past y) carries e^{-2 pi (y-1)} and is
+  charged as one constant;
 - the corollaries share that moment core. psi' is its term-by-term
   derivative. Re psi(1+ix) - psi(x+1) = D(x) is a short closed form, because
   the all-arguments identity shares S, the log|2 sin| piece and the log
@@ -326,15 +333,24 @@ class _MomentForm(Record):
     """One moment form's table (_moment_form): the coefficients of the form
     over u, highest power first, as many as its degree; (c, p) of each
     j-family's first omitted term c u^p; (rho_1, rho_2); (K + 1)^2;
-    (t_a, t_b, squared) of the closed tails; far and mass."""
+    (t_a, t_b, squared) of the closed tails; far, mass and the cells of its
+    bound, one per binade of y from 32 on, or () before they are built."""
 
-    __slots__ = _fields = ("coeffs", "omitted", "ratios", "f2", "tails", "far", "mass")
+    __slots__ = _fields = ("coeffs", "omitted", "ratios", "f2", "tails", "far", "mass", "cells")
 
     def __init__(self, coeffs: tuple[float, ...], omitted: tuple, ratios: tuple, f2: float,
-                 tails: tuple, far: float, mass: float):
-        values = (coeffs, omitted, ratios, f2, tails, far, mass)
+                 tails: tuple, far: float, mass: float, cells: tuple[float, ...]):
+        values = (coeffs, omitted, ratios, f2, tails, far, mass, cells)
         for set_field, value in zip(self._setters, values):
             set_field(self, value)
+
+
+# the binades of y whose bound a form tabulates: cell e - _CELL_E0 holds the
+# bound at 2^(e-1), the lower end of [2^(e-1), 2^e), where math.frexp puts
+# y's exponent at e, for e = 6..65; the last, from 2^64 on, holds past it.
+# Below 2^(_CELL_E0 - 1) = 32, the first binade [16, 32), the bound is taken
+# at y itself
+_CELL_E0, _CELL_E1 = 6, 65
 
 
 @lru_cache(maxsize=256)
@@ -357,7 +373,7 @@ def _moment_form(family: str, K: int, tol: float) -> _MomentForm:
     c_j u^p/(1 - rho u^e) fits tol/4 (16 tol/4 for y psi'), and then every
     term up to the highest power any family kept, at most _J_CAP. The first
     omitted term of each family (a third with c = 0 for psi and psi') is
-    kept, so a call charges each remainder at its own u.
+    kept, and _moment_sum charges each remainder from it.
 
     With F = K + 1 and w = F^2 u, the k > K terms up to y - 1 cost
     t_a u/(1 - w) + t_b w^2/(1 - w^2), from _moments' a and b: psi's k-sum
@@ -375,7 +391,21 @@ def _moment_form(family: str, K: int, tol: float) -> _MomentForm:
     Numerical Algorithms, 5.1), the powers of u (1/(y y) is within eps of u)
     and the last products by u and 1/y add at most 2 degree eps: so
     (2 degree + 4) eps of every part and rel of the moments, to first order
-    (Higham 3.1)."""
+    (Higham 3.1).
+
+    From 32 on the bound is tabulated per binade of y, not taken at the
+    call's y: every part of it is nonincreasing in y from 16 on. Each
+    remainder c u^p/(1 - rho u^e) has a numerator falling and a denominator
+    rising with y; the tails t_a u/(1 - w) (squared for psi') and
+    t_b w^2/(1 - w^2) fall as u and w = F^2 u <= 1/4 do; and so does the
+    mass u. So the bound at a binade's lower end 2^(e-1) bounds all of
+    [2^(e-1), 2^e), e = 6..65, and the cell from 2^64 on bounds every larger
+    y. A cell is the bound taken at 2^(e-1), rounding allowance and all, so
+    it is at least the bound taken at y, and equal to it at the lower end. In
+    [16, 32) a cell at 16 would rise up to 4^p-fold across it, and every
+    lifted argument lands in [16, 17), where the remainders were sized to
+    tol/4 and a rise would push planned estimates at tol near the rounding
+    floor past it; there _moment_sum takes the bound at y."""
     mom = _moments(K)
     k2 = float(K * K)
     m, l4 = mom.m[: _J_CAP + 1], mom.l4
@@ -417,19 +447,30 @@ def _moment_form(family: str, K: int, tol: float) -> _MomentForm:
     mass = rounding * abs(constant)
     mass += (rounding + mom.rel) * math.fsum(c * u**i for i, c in enumerate(parts))
     ratios, f2 = (rho_1, k2 * k2), float((K + 1) ** 2)
-    return _MomentForm(tuple(reversed(poly)), tuple(omitted), ratios, f2, tails, far, mass)
+    table = (tuple(reversed(poly)), tuple(omitted), ratios, f2, tails, far, mass)
+    # each cell is the bound _moment_sum takes at its lower end on the form
+    # without cells
+    bare = _MomentForm(*table, ())
+    cells = tuple(_moment_sum(bare, 2.0 ** (e - 1))[1] for e in range(_CELL_E0, _CELL_E1 + 1))
+    return _MomentForm(*table, cells)
 
 
 def _moment_sum(form: _MomentForm, y: float) -> tuple[float, float]:
     """(value, bound) of form's power series at u = 1/y^2, y >= 16: one
     Horner pass over its table, and the bound of _moment_form's docstring
-    without its constant far: each family's geometric remainder from its
-    first omitted term, the closed k > K tails and the rounding mass u. The
-    1e-12 covers the rounding of the remainders."""
+    without its constant far. From 32 on that is the cell of y's binade,
+    the bound at its lower end, which holds across the binade. Below 32,
+    and on the form without cells that _moment_form builds them from, it is
+    taken at u itself: each family's geometric remainder from its first
+    omitted term, the closed k > K tails and the rounding mass u. The 1e-12
+    covers the rounding of the remainders."""
     u = 1.0 / (y * y)
     h = 0.0
     for c in form.coeffs:
         h = h * u + c
+    if y >= 32.0 and form.cells:
+        e = math.frexp(y)[1]
+        return u * h, form.cells[(e if e < _CELL_E1 else _CELL_E1) - _CELL_E0]
     c_1, p_1, c_2, p_2, c_3, p_3 = form.omitted
     rho_1, rho_2 = form.ratios
     rem = c_1 * u**p_1 / (1.0 - rho_1 * u) + (c_2 * u**p_2 + c_3 * u**p_3) / (1.0 - rho_2 * u * u)

@@ -416,7 +416,7 @@ def _psi_log_term(k, y):
 
 
 def _form_tails(form, y):
-    """The two closed k > K tails _moment_sum charges for form at y."""
+    """The two closed k > K tails of form's bound at y (_moment_sum)."""
     t_a, t_b, squared = form.tails
     u = 1.0 / (y * y)
     w = form.f2 * u
@@ -424,28 +424,37 @@ def _form_tails(form, y):
     return t_a * u / near, t_b * w * w / (1.0 - w * w)
 
 
+def _form_bound(form, y):
+    """The bound's parts at y, summed: every family's remainder from its
+    first omitted term, both closed tails and the rounding mass u (the 1e-12
+    on the remainders aside)."""
+    c_1, p_1, c_2, p_2, c_3, p_3 = form.omitted
+    rho_1, rho_2 = form.ratios
+    u = 1.0 / (y * y)
+    parts = [
+        c_1 * u**p_1 / (1.0 - rho_1 * u),
+        c_2 * u**p_2 / (1.0 - rho_2 * u * u),
+        c_3 * u**p_3 / (1.0 - rho_2 * u * u),
+        *_form_tails(form, y),
+        form.mass * u,
+    ]
+    return math.fsum(parts)
+
+
 def test_moment_sum_bound_is_its_remainders_tails_and_rounding():
-    # the bound charges every family's remainder from its first omitted
-    # term at the call's u, both closed tails and the rounding mass u, and
-    # nothing else (the 1e-12 on the remainders aside)
+    # the bound is those parts, and nothing else, at y below 32 and from 32
+    # on at the lower end 2^(e-1) of y's binade (2^64 past it), where its
+    # cell is taken, and so at least the same parts at y itself
     for family in (series._PSI, series._RE_PSI, series._PRIME):
         for k_cut in range(1, series._K_CAP + 1):
             for tol in (1e-6, 1e-12, 1e-15):
                 form = series._moment_form(family, k_cut, tol)
-                c_1, p_1, c_2, p_2, c_3, p_3 = form.omitted
-                rho_1, rho_2 = form.ratios
-                for y in (16.0, 40.25, 1e3):
-                    u = 1.0 / (y * y)
-                    parts = [
-                        c_1 * u**p_1 / (1.0 - rho_1 * u),
-                        c_2 * u**p_2 / (1.0 - rho_2 * u * u),
-                        c_3 * u**p_3 / (1.0 - rho_2 * u * u),
-                        *_form_tails(form, y),
-                        form.mass * u,
-                    ]
-                    total = math.fsum(parts)
+                for y in (16.0, 20.5, 40.25, 1e3, 2.0**64 * 3, 1e300):
+                    lower = y if y < 32.0 else 2.0 ** min(math.frexp(y)[1] - 1, 64)
+                    total = _form_bound(form, lower)
                     bound = series._moment_sum(form, y)[1]
                     assert total * (1 - 1e-13) <= bound <= total * (1 + 2e-12), (family, k_cut, tol, y)
+                    assert _form_bound(form, y) * (1 - 1e-13) <= bound, (family, k_cut, tol, y)
 
 
 def test_moment_form_tails_bound_each_familys_dropped_terms():

@@ -137,6 +137,10 @@ def test_lifted_psi_within_estimate_of_mpmath(x, tol):
 LARGE_X = [60.0 * (1e12 / 60.0) ** (i / 24) for i in range(25)] + [
     m + off for m in (129, 130, 131, 1000) for off in (-5e-4, 5e-4)
 ]
+# edges of the moment forms' bound cells (_moment_form): both sides of 32,
+# where the bound stops being taken at y and the first cell starts, both
+# sides of 2^64, where the last cell starts, and 2^70 past it
+CELL_EDGES = [math.nextafter(32.0, 0.0), 32.0, math.nextafter(2.0**64, 0.0), 2.0**64, 2.0**70]
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-15])
@@ -198,7 +202,7 @@ def test_planned_psi_estimate_is_within_tol(tol):
     # tol 1e-15 is below the rounding floor of the summed magnitude, so it is
     # not asked here
     lifted = [1e-8, 0.01, 0.25, 0.9995, 2.0003, 2.5]
-    for x in lifted + UNLIFTED_X + LARGE_X + [1e100, 1e300]:
+    for x in lifted + UNLIFTED_X + LARGE_X + [1e100, 1e300] + CELL_EDGES:
         assert series.psi_ramanujan(x, planner.plan(tol, x)).error_estimate <= tol, x
 
 
@@ -323,7 +327,47 @@ def test_moment_form_degree_and_remainders_at_sixteen(k, tol):
         assert min(p_1, p_2) > degree and (c_3 == 0.0 or p_3 > degree)
 
 
-KERNEL_Y = [16.0, 16.0 + 1e-12, 16.5, 17.0, 100.5, 2.0**52, 1e154, 1e300]
+# a dense grid of each binade [2^(e-1), 2^e) from 16 on, both edges among
+# it, and y from 2^64, where the last cell starts, to 1e300
+CELL_Y = [
+    y
+    for e in range(series._CELL_E0 - 1, series._CELL_E1 + 1)
+    for y in [2.0 ** (e - 1) * (1.0 + i / 64.0) for i in range(64)] + [math.nextafter(2.0**e, 0.0)]
+] + [2.0**64 * 10.0 ** (i / 8.0) for i in range(8 * 280 + 1)] + [1e300]
+
+
+@pytest.mark.parametrize("tol", KERNEL_TOLS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_moment_sum_cell_dominates_its_binade(family, tol):
+    # the bound _moment_sum reads from y's cell is at least the bound taken
+    # at y itself, on the form without cells, across every binade and past
+    # the last cell's lower end; below 32, where no cell is read, it is that
+    # bound
+    for k in range(1, series._K_CAP + 1):
+        form = series._moment_form(family, k, tol)
+        bare = series._MomentForm(*[getattr(form, name) for name in form._fields[:-1]], ())
+        for y in CELL_Y:
+            bound, at_y = series._moment_sum(form, y)[1], series._moment_sum(bare, y)[1]
+            assert bound == at_y if y < 32.0 else bound >= at_y, (k, y)
+
+
+@pytest.mark.parametrize(
+    "evaluator, x, tol",
+    [
+        ("psi_prime_ramanujan", 0.4869675251658631, 1e-15),
+        ("psi_ramanujan", 0.8, 5e-15),
+        ("gamma_any_x", 24.0, 5e-15),
+    ],
+)
+def test_first_binade_bound_keeps_planned_estimates_within_tol(evaluator, x, tol):
+    # lifted x land in [16, 17) and the remainders fall like y^-12 there, so
+    # the bound taken at 16 would lift these planned estimates past tol (by
+    # 4%, 2% and 3.5%); below 32 the bound is taken at y, and they stay within
+    sv = getattr(series, evaluator)(x, planner.plan(tol, x))
+    assert sv.error_estimate <= tol
+
+
+KERNEL_Y = [16.0, 16.0 + 1e-12, 16.5, 17.0, 100.5, 2.0**52, 1e154, 1e300] + CELL_EDGES
 
 
 def test_moment_forms_within_estimate_of_mpmath():
